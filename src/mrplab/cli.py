@@ -12,6 +12,7 @@ Exit codes (stable contract for CI pipelines):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -148,15 +149,18 @@ def _cmd_verify(args) -> int:
     selected = list(SUITES[:-1]) if suite == "all" else [suite]
     reports = []
     skipped = []
+    # exchangeability and mc-vs-exact read the same ensemble: simulate it once
+    ensemble = functools.cache(
+        lambda: simulate_ensemble(model, args.paths, args.events, args.seed)
+    )
 
     for name in selected:
         if name == "exchangeability":
             if args.events < 2:
                 skipped.append({"suite": name, "reason": "needs at least 2 events per path"})
                 continue
-            ensemble = simulate_ensemble(model, args.paths, args.events, args.seed)
             r = min(args.events, 3)
-            reports.append(exchangeability_test(ensemble, r=r, level=args.level))
+            reports.append(exchangeability_test(ensemble(), r=r, level=args.level))
         elif name == "conditional-iid":
             theta = model.mixing.mean_point()
             if not model.mixing.contains(theta):
@@ -172,11 +176,10 @@ def _cmd_verify(args) -> int:
                 )
             )
         elif name == "mc-vs-exact":
-            ensemble = simulate_ensemble(model, args.paths, args.events, args.seed)
             queries = _default_mc_queries(model, args.events)
             cfg = QuadratureConfig(rel_tol=args.tol, abs_tol=args.tol * 1e-2)
             exact_values = [joint_interarrival_probability(model, q, cfg) for q in queries]
-            reports.append(mc_vs_exact(ensemble, queries, exact_values))
+            reports.append(mc_vs_exact(ensemble(), queries, exact_values))
         elif name == "mixed-poisson":
             if model.kernel.family != "exponential" or not model.is_proper_mrp:
                 skipped.append(

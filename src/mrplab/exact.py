@@ -107,28 +107,36 @@ class ExactResult:
 # ---------------------------------------------------------------------------
 
 
-def _interval_prob_batch(
-    spec: KernelSpec, index: int, thetas: np.ndarray, lo: float, hi: float
-) -> np.ndarray:
-    upper = kernel_cdf_batch(spec, index, thetas, hi)
-    if lo <= 0.0 and spec.positive_support:
-        return upper
-    if lo == -math.inf:
-        return upper
-    return upper - kernel_cdf_batch(spec, index, thetas, lo)
-
-
 def _box_factor_batch(spec: KernelSpec, thetas: np.ndarray, query: BoxQuery) -> np.ndarray:
-    out = None
-    for k, (lo, hi) in enumerate(query.bounds, start=1):
-        f = _interval_prob_batch(spec, k, thetas, lo, hi)
-        out = f if out is None else out * f
+    """prod_k [F_k(b_k; theta) - F_k(a_k; theta)] for each theta, from one CDF call.
+
+    The upper bounds of all coordinates and the lower bounds that carry mass
+    below them are evaluated together as the columns of one batch.
+    """
+    r = query.dim
+    lower = [
+        k for k, (lo, _) in enumerate(query.bounds)
+        if lo != -math.inf and not (lo <= 0.0 and spec.positive_support)
+    ]
+    indices = list(range(1, r + 1)) + [k + 1 for k in lower]
+    xs = [hi for _, hi in query.bounds] + [query.bounds[k][0] for k in lower]
+    cdf = kernel_cdf_batch(spec, indices, thetas, xs)
+    factors = cdf[:, :r]
+    factors[:, lower] -= cdf[:, r:]
+    out = factors[:, 0]
+    for k in range(1, r):
+        out = out * factors[:, k]
     return out
 
 
 # ---------------------------------------------------------------------------
 # integration of a bounded function against the mixing measure
 # ---------------------------------------------------------------------------
+
+
+def _weighted(w: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    """w(x) * g(x) for a scalar-valued g (shape (n,)) or a vector-valued one (n, m)."""
+    return w[:, None] * gx if gx.ndim == 2 else w * gx
 
 
 def _gamma_tail_cut(m: GammaMarginal, cfg: QuadratureConfig) -> float:
@@ -144,7 +152,7 @@ def _gamma_tail_cut(m: GammaMarginal, cfg: QuadratureConfig) -> float:
     return cut
 
 
-def _integrate_gamma_marginal(m, g, cfg, clip=None):
+def _integrate_gamma_marginal(m, g, cfg, clip=None, breakpoints=()):
     """integral of density_m(x) * g(x) over the (possibly clipped) support."""
     lo = 0.0 if clip is None else max(0.0, clip[0])
     hi = math.inf if clip is None else clip[1]
@@ -154,50 +162,54 @@ def _integrate_gamma_marginal(m, g, cfg, clip=None):
     if a >= 1.0 and lo > 0.0 and math.isfinite(hi):
 
         def f(x):
-            return m.density_batch(x) * g(x)
+            return _weighted(m.density_batch(x), g(x))
 
-        return adaptive_gauss_kronrod(f, lo, hi, breakpoints=[m.mean(), cut], **kw)
+        return adaptive_gauss_kronrod(f, lo, hi, breakpoints=[m.mean(), cut, *breakpoints], **kw)
     # v = x**a coordinates absorb the power factor of the density exactly
     const = math.exp(a * math.log(gam) - math.lgamma(a)) / a
 
     def fv(v):
         with np.errstate(over="ignore", under="ignore"):
             x = v ** (1.0 / a)
-            return const * np.exp(-gam * x) * g(x)
+            return _weighted(const * np.exp(-gam * x), g(x))
 
     vlo = lo**a
+    vbreaks = [p**a for p in breakpoints]
     if math.isfinite(hi):
-        return adaptive_gauss_kronrod(fv, vlo, hi**a, breakpoints=[m.mean() ** a], **kw)
+        return adaptive_gauss_kronrod(fv, vlo, hi**a, breakpoints=[m.mean() ** a, *vbreaks], **kw)
     return integrate_half_line(
         fv, vlo, max(m.mean() ** a - vlo, m.mean() ** a * 0.5),
-        theta_breakpoints=[cut**a], **kw
+        theta_breakpoints=[cut**a, *vbreaks], **kw
     )
 
 
-def _integrate_beta_marginal(m: BetaMarginal, g, cfg, clip=None):
+def _integrate_beta_marginal(m: BetaMarginal, g, cfg, clip=None, breakpoints=()):
     lo = 0.0 if clip is None else max(0.0, clip[0])
     hi = 1.0 if clip is None else min(1.0, clip[1])
     kw = dict(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_subdivisions=cfg.max_subdivisions)
     if lo > 0.0 and hi < 1.0:
 
         def f(x):
-            return m.density_batch(x) * g(x)
+            return _weighted(m.density_batch(x), g(x))
 
-        return adaptive_gauss_kronrod(f, lo, hi, **kw)
+        return adaptive_gauss_kronrod(f, lo, hi, breakpoints=breakpoints, **kw)
     a, b = m.a, m.b
     norm = math.exp(-(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)))
     mid = 0.5 * (lo + hi)
 
     def left(v):  # v = x**a
         x = v ** (1.0 / a)
-        return norm / a * (1.0 - x) ** (b - 1.0) * g(x)
+        return _weighted(norm / a * (1.0 - x) ** (b - 1.0), g(x))
 
     def right(v):  # v = (1-x)**b
         x = 1.0 - v ** (1.0 / b)
-        return norm / b * np.maximum(x, 0.0) ** (a - 1.0) * g(x)
+        return _weighted(norm / b * np.maximum(x, 0.0) ** (a - 1.0), g(x))
 
-    r1 = adaptive_gauss_kronrod(left, lo**a, mid**a, **kw)
-    r2 = adaptive_gauss_kronrod(right, (1.0 - hi) ** b, (1.0 - mid) ** b, **kw)
+    r1 = adaptive_gauss_kronrod(left, lo**a, mid**a, breakpoints=[p**a for p in breakpoints], **kw)
+    r2 = adaptive_gauss_kronrod(
+        right, (1.0 - hi) ** b, (1.0 - mid) ** b,
+        breakpoints=[(1.0 - p) ** b for p in breakpoints], **kw
+    )
     from .quadrature import QuadratureResult
 
     return QuadratureResult(
@@ -206,23 +218,26 @@ def _integrate_beta_marginal(m: BetaMarginal, g, cfg, clip=None):
     )
 
 
-def _integrate_marginal(m: Marginal, g, cfg: QuadratureConfig, clip=None):
-    """integral of density_m(x)*g(x) for a bounded vectorized g; returns QuadratureResult."""
+def _integrate_marginal(m: Marginal, g, cfg: QuadratureConfig, clip=None, breakpoints=()):
+    """integral of density_m(x)*g(x) for a bounded vectorized g; returns QuadratureResult.
+
+    `breakpoints` are extra panel edges (in x) where g is known to change fast.
+    """
     if isinstance(m, GammaMarginal):
-        return _integrate_gamma_marginal(m, g, cfg, clip)
+        return _integrate_gamma_marginal(m, g, cfg, clip, breakpoints)
     if isinstance(m, BetaMarginal):
-        return _integrate_beta_marginal(m, g, cfg, clip)
+        return _integrate_beta_marginal(m, g, cfg, clip, breakpoints)
     if isinstance(m, UniformMarginal):
         lo, hi = m.support()
         if clip is not None:
             lo, hi = max(lo, clip[0]), min(hi, clip[1])
 
         def f(x):
-            return m.density_batch(x) * g(x)
+            return _weighted(m.density_batch(x), g(x))
 
         return adaptive_gauss_kronrod(
             f, lo, hi, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-            max_subdivisions=cfg.max_subdivisions,
+            max_subdivisions=cfg.max_subdivisions, breakpoints=breakpoints,
         )
     raise UnsupportedModelError(f"no quadrature rule for marginal kind {type(m).__name__}")
 
@@ -237,49 +252,74 @@ def _tighter(cfg: QuadratureConfig, factor: float = 0.1) -> QuadratureConfig:
     )
 
 
-def _integrate_mixing(model: MrpModel, g_batch, cfg: QuadratureConfig):
+def _peak_breakpoints(m: Marginal, k: float, lam: float) -> list:
+    """Panel edges around the peak of density_m(theta) * theta**k * exp(-lam*theta).
+
+    That product is the shape of a count pmf's integrand over the mixing
+    measure (exactly so for an exponential kernel, whose count weight is
+    Poisson).  For a large count it is a narrow peak far out in the mixing
+    tail, which the nodes of the first wide panel can straddle: the panel
+    then reports a small error for a value that misses most of the peak.
+    The edges bracket the region within a factor e**-20 of the maximum.
+    """
+    lo, hi = m.support()
+    ref = m.mean()
+    centre = k / lam
+    grid = np.geomspace(min(ref, centre) * 1e-2, max(ref, centre) * 1e2, 2001)
+    grid = grid[(grid > lo) & (grid < hi)]
+    if grid.size == 0:
+        return []
+    with np.errstate(divide="ignore"):
+        logf = np.log(m.density_batch(grid)) + k * np.log(grid) - lam * grid
+    top = int(np.argmax(logf))
+    near = grid[logf > logf[top] - 20.0]
+    return [float(near[0]), float(grid[top]), float(near[-1])]
+
+
+def _integrate_mixing(model: MrpModel, g_batch, cfg: QuadratureConfig, peak=None):
     """integral of g(theta) d(mixing); g_batch maps a theta batch to values.
 
     Returns (value, error_bound, converged, method).  For two-dimensional
     product mixing the double integral is iterated one-dimensional adaptive
     quadrature: outer over the second coordinate, inner over the first.
+    `peak = (k, lam)` says that g is shaped like theta**k * exp(-lam*theta);
+    one-dimensional mixing then adds panel edges around the integrand's peak.
     """
     mixing = model.mixing
     if isinstance(mixing, GammaMixing):
-        res = _integrate_marginal(mixing.marginal, g_batch, cfg)
+        mixing = ProductRectangleMixing((mixing.marginal,))
+    if not isinstance(mixing, ProductRectangleMixing):
+        raise UnsupportedModelError(f"no quadrature rule for mixing kind {mixing.kind}")
+    if mixing.dim == 1:
+        m = mixing.marginals[0]
+        breaks = _peak_breakpoints(m, *peak) if peak else ()
+        res = _integrate_marginal(m, g_batch, cfg, breakpoints=breaks)
         return res.scalar_value, res.scalar_error, res.converged, "quadrature-gk15"
-    if isinstance(mixing, ProductRectangleMixing):
-        if mixing.dim == 1:
-            res = _integrate_marginal(mixing.marginals[0], g_batch, cfg)
-            return res.scalar_value, res.scalar_error, res.converged, "quadrature-gk15"
-        if mixing.dim == 2:
-            m1, m2 = mixing.marginals
-            inner_cfg = _tighter(cfg)
-            state = {"err": 0.0, "ok": True}
-
-            def outer_integrand(t2s: np.ndarray) -> np.ndarray:
-                vals = np.empty_like(t2s)
-                for j, t2 in enumerate(t2s):
-
-                    def g1(t1s: np.ndarray) -> np.ndarray:
-                        th = np.column_stack([t1s, np.full(t1s.shape, t2)])
-                        return g_batch(th)
-
-                    res = _integrate_marginal(m1, g1, inner_cfg)
-                    state["err"] = max(state["err"], res.scalar_error)
-                    state["ok"] = state["ok"] and res.converged
-                    vals[j] = res.scalar_value
-                return vals
-
-            res2 = _integrate_marginal(m2, outer_integrand, cfg)
-            return (
-                res2.scalar_value,
-                res2.scalar_error + state["err"],
-                res2.converged and state["ok"],
-                "quadrature-gk15-iterated",
-            )
+    if mixing.dim > 2:
         raise UnsupportedModelError("product mixing beyond two dimensions is not supported")
-    raise UnsupportedModelError(f"no quadrature rule for mixing kind {mixing.kind}")
+    m1, m2 = mixing.marginals
+    inner_cfg = _tighter(cfg)
+    state = {"err": 0.0, "ok": True}
+
+    def outer_integrand(t2s: np.ndarray) -> np.ndarray:
+        # one vector-valued inner integral: component j is the inner integral
+        # at the outer node t2s[j]
+        def g1(t1s: np.ndarray) -> np.ndarray:
+            th = np.column_stack([np.repeat(t1s, t2s.size), np.tile(t2s, t1s.size)])
+            return g_batch(th).reshape(t1s.size, t2s.size)
+
+        res = _integrate_marginal(m1, g1, inner_cfg)
+        state["err"] = max(state["err"], float(res.error.max()))
+        state["ok"] = state["ok"] and res.converged
+        return res.value
+
+    res2 = _integrate_marginal(m2, outer_integrand, cfg)
+    return (
+        res2.scalar_value,
+        res2.scalar_error + state["err"],
+        res2.converged and state["ok"],
+        "quadrature-gk15-iterated",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +382,30 @@ def example16_closed_form(w1: float, w2: float) -> float:
     return w2 / (w2 + 1.0) - 2.0 * (1.0 / (w1 + 2.0) - 1.0 / (w1 + 2.0 * w2 + 2.0))
 
 
-def _arrival_cdf_batch(spec: KernelSpec, thetas: np.ndarray, n: int, t: float) -> np.ndarray:
-    """F_{T_n}(t; theta) for a constant kernel family: a gamma law with n-fold shape."""
+def _arrival_cdf_batch(spec: KernelSpec, thetas: np.ndarray, ns: Sequence[int], t: float) -> np.ndarray:
+    """F_{T_n}(t; theta) for a constant gamma kernel family, one column per n in `ns`.
+
+    T_n given theta is a gamma law whose shape is n times the kernel's; all
+    columns come from one incomplete-gamma call (T_0 = 0 has F = 1).
+    """
     th = np.asarray(thetas, dtype=np.float64)
     rates = (th[:, 0] if th.ndim == 2 else th) * spec.rate_map.a
+    ns = np.asarray(ns, dtype=np.float64)
+    out = np.ones((rates.shape[0], ns.size))
+    pos = ns > 0
+    if pos.any():
+        unit = th[:, 1:2] if spec.shape == SHAPE_FROM_THETA2 else float(spec.shape)
+        out[:, pos] = regularized_incomplete_gamma(ns[pos] * unit, (rates * t)[:, None])
+    return out
+
+
+def _poisson_weight_batch(spec: KernelSpec, thetas: np.ndarray, n: int, t: float) -> np.ndarray:
+    """P(N_t = n | theta) for a constant exponential kernel: the Poisson pmf at lam = theta*a*t."""
+    lam = np.asarray(thetas, dtype=np.float64) * (spec.rate_map.a * t)
     if n == 0:
-        return np.ones(rates.shape[0])
-    if spec.family == "exponential":
-        return regularized_incomplete_gamma(float(n), rates * t)
-    if spec.shape == SHAPE_FROM_THETA2:
-        shapes = th[:, 1]
-        if np.all(shapes == shapes[0]):
-            return regularized_incomplete_gamma(float(n * shapes[0]), rates * t)
-        return np.array(
-            [regularized_incomplete_gamma(float(n * s), float(r) * t) for s, r in zip(shapes, rates)]
-        )
-    return regularized_incomplete_gamma(float(n) * float(spec.shape), rates * t)
+        return np.exp(-lam)
+    with np.errstate(divide="ignore"):
+        return np.exp(n * np.log(lam) - lam - math.lgamma(n + 1.0))
 
 
 def count_pmf(
@@ -367,7 +415,9 @@ def count_pmf(
 
     Uses P(N_t = n) = integral of [F_{T_n}(t; theta) - F_{T_{n+1}}(t; theta)]
     over the mixing measure, where T_n given theta is a gamma law whose shape
-    accumulates over the n summed interarrivals.
+    accumulates over the n summed interarrivals.  For an exponential kernel
+    the bracket is the Poisson weight, which is integrated directly: the
+    difference of two CDFs near 1 would lose every digit of a small pmf.
     """
     cfg = cfg or DEFAULT_CONFIG
     if not model.is_proper_mrp:
@@ -385,9 +435,10 @@ def count_pmf(
     mixing = model.mixing
 
     def g(thetas: np.ndarray) -> np.ndarray:
-        return _arrival_cdf_batch(spec, thetas, n, t) - _arrival_cdf_batch(
-            spec, thetas, n + 1, t
-        )
+        if spec.family == "exponential":
+            return _poisson_weight_batch(spec, thetas, n, t)
+        cdf = _arrival_cdf_batch(spec, thetas, (n, n + 1), t)
+        return cdf[:, 0] - cdf[:, 1]
 
     if isinstance(mixing, DiracMixing):
         th = np.asarray([mixing.point], dtype=np.float64)
@@ -397,7 +448,10 @@ def count_pmf(
         th = np.asarray(mixing.atoms, dtype=np.float64)
         th = th if model.param_dim > 1 else th[:, 0]
         return ExactResult(float(np.dot(mixing.weights, g(th))), 8.0 * np.finfo(float).eps, "discrete-sum")
-    value, err, ok, method = _integrate_mixing(model, g, cfg)
+    # given theta the count weight peaks near theta = n * shape / (a * t)
+    shape = 1.0 if spec.family == "exponential" else spec.shape
+    peak = (n * shape, spec.rate_map.a * t) if n > 0 and model.param_dim == 1 else None
+    value, err, ok, method = _integrate_mixing(model, g, cfg, peak)
     if not ok:
         raise AccuracyError(
             f"count pmf quadrature did not converge (best {value!r} +/- {err!r})", value, err

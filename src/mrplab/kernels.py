@@ -184,40 +184,37 @@ def kernel_cdf(spec: KernelSpec, index: int, theta, x: float) -> float:
     return float(regularized_incomplete_gamma_upper(k + 1.0, rate))
 
 
-def kernel_cdf_batch(spec: KernelSpec, index: int, thetas: np.ndarray, x: float) -> np.ndarray:
+def kernel_cdf_batch(spec: KernelSpec, index, thetas: np.ndarray, x) -> np.ndarray:
     """Vectorized `kernel_cdf` over an array of parameter points.
 
     `thetas` has shape (n,) for one-component parameters or (n, 2) for gamma
-    kernels with shape tied to the second component.
+    kernels with shape tied to the second component.  With a scalar `index`
+    and `x` the result has shape (n,).  `index` and `x` may instead be
+    equal-length sequences, one entry per column: the result then has shape
+    (n, m), column j holding the CDF of member index[j] at x[j], all from one
+    vectorized evaluation (one incomplete-gamma call for gamma kernels).
     """
-    index = _check_index(index)
+    columns = np.ndim(x) > 0
+    indices = [_check_index(k) for k in np.atleast_1d(index)]
+    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if len(indices) != xs.size:
+        raise ParameterDomainError("kernel_cdf_batch needs one index per evaluation point")
     th = np.asarray(thetas, dtype=np.float64)
-    rates = (th[:, 0] if th.ndim == 2 else th) * spec.rate_map.multiplier(index)
-    n = rates.shape[0]
-    if x == math.inf:
-        return np.ones(n)
-    if spec.family == "exponential":
-        if x <= 0.0:
-            return np.zeros(n)
-        return -np.expm1(-rates * x)
-    if spec.family == "gamma":
-        if x <= 0.0:
-            return np.zeros(n)
-        if spec.shape == SHAPE_FROM_THETA2:
-            shapes = th[:, 1]
-            if np.all(shapes == shapes[0]):
-                return regularized_incomplete_gamma(float(shapes[0]), rates * x)
-            return np.array(
-                [
-                    regularized_incomplete_gamma(float(s), float(r) * x)
-                    for s, r in zip(shapes, rates)
-                ]
-            )
-        return regularized_incomplete_gamma(float(spec.shape), rates * x)
-    if x < 0.0:
-        return np.zeros(n)
-    k = math.floor(x)
-    return regularized_incomplete_gamma_upper(k + 1.0, rates)
+    base = th[:, 0] if th.ndim == 2 else th
+    mult = np.array([spec.rate_map.multiplier(k) for k in indices])
+    out = np.zeros((base.shape[0], xs.size))
+    out[:, xs == math.inf] = 1.0
+    cols = (xs > 0.0) & (xs < math.inf) if spec.positive_support else (xs >= 0.0) & (xs < math.inf)
+    if cols.any():
+        rates = base[:, None] * mult[cols]
+        if spec.family == "exponential":
+            out[:, cols] = -np.expm1(-(rates * xs[cols]))
+        elif spec.family == "gamma":
+            shapes = th[:, 1:2] if spec.shape == SHAPE_FROM_THETA2 else float(spec.shape)
+            out[:, cols] = regularized_incomplete_gamma(shapes, rates * xs[cols])
+        else:  # poisson: support N0, jumps at the integers
+            out[:, cols] = regularized_incomplete_gamma_upper(np.floor(xs[cols]) + 1.0, rates)
+    return out if columns else out[:, 0]
 
 
 def kernel_pdf(spec: KernelSpec, index: int, theta, x: float) -> float:

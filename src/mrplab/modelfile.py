@@ -148,6 +148,14 @@ def _parse_bound(v, path: str, side: str) -> float:
     return float(v)
 
 
+def _count(doc: dict, key: str, path: str) -> int:
+    v = doc[key]
+    is_number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if not (is_number and math.isfinite(v) and v == int(v) and v >= 0):
+        raise SchemaError(f"{path}.{key}: expected a nonnegative integer, got {v!r}")
+    return int(v)
+
+
 def parse_queries_document(doc) -> list[dict]:
     """Parse a query file: a JSON list of box (or count) query objects.
 
@@ -166,6 +174,8 @@ def parse_queries_document(doc) -> list[dict]:
         if qtype == "box":
             if "bounds" not in q:
                 raise SchemaError(f"{path}: box query needs bounds")
+            if not isinstance(q["bounds"], list):
+                raise SchemaError(f"{path}.bounds: expected a list of [lo, hi] pairs")
             bounds = []
             for j, pair in enumerate(q["bounds"]):
                 if not isinstance(pair, list) or len(pair) != 2:
@@ -179,7 +189,7 @@ def parse_queries_document(doc) -> list[dict]:
             if "t" not in q or "n" not in q:
                 raise SchemaError(f"{path}: count query needs t and n")
             out.append({"id": qid, "type": "count",
-                        "t": _number(q, "t", path), "n": int(q["n"])})
+                        "t": _number(q, "t", path), "n": _count(q, "n", path)})
         else:
             raise SchemaError(f"{path}.type: unknown query type {qtype!r}")
     return out

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from mrplab import cli, special
 from mrplab.cli import main
 from mrplab.modelfile import bundled_model_path
 
@@ -99,6 +100,32 @@ def test_exact_count_queries(tmp_path):
         rows = list(csv.DictReader(fh))
     # P(N_1 = 0) = E[(1 - P(shape, Theta))] > 0 and < 1
     assert 0.0 < float(rows[0]["probability"]) < 1.0
+
+
+@pytest.mark.parametrize("query", [
+    {"id": "frac", "type": "count", "t": 1.0, "n": 2.5},
+    {"id": "bool", "type": "count", "t": 1.0, "n": True},
+    {"id": "text", "type": "count", "t": 1.0, "n": "abc"},
+    {"id": "scalar-bounds", "type": "box", "bounds": 5},
+])
+def test_exact_malformed_query_exits_2(tmp_path, capsys, query):
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps([query]))
+    out = tmp_path / "res.csv"
+    assert run(["exact", "--model", GH, "--queries", str(queries), "--out", str(out)]) == 2
+    assert "queries[0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exact_incomplete_gamma_nonconvergence_exits_4(tmp_path, monkeypatch):
+    monkeypatch.setattr(special, "_MAX_ITER", 2)
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps([{"id": "b", "bounds": [[None, 1.0]]}]))
+    out = tmp_path / "res.csv"
+    assert run(["exact", "--model", GH, "--queries", str(queries), "--out", str(out)]) == 4
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["method"].endswith("(nonconverged)")
 
 
 def test_exact_dirac_model_matches_closed_form_cdf(tmp_path):
@@ -202,3 +229,23 @@ def test_verify_all_on_proper_exponential_model(tmp_path):
     assert names == ["exchangeability", "conditional-iid", "mc-vs-exact",
                      "mixed-poisson", "counting-axioms"]
     assert doc["passed"] is True
+
+
+def test_verify_all_simulates_once_and_matches_single_suites(tmp_path, monkeypatch):
+    calls = []
+    simulate = cli.simulate_ensemble
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_ensemble", counting)
+    common = ["--model", GH, "--paths", "3000", "--events", "2", "--seed", "9"]
+    out = tmp_path / "all.json"
+    run(["verify", *common, "--suite", "all", "--out", str(out)])
+    assert len(calls) == 1
+    reports = {r["check"]: r for r in json.loads(out.read_text())["reports"]}
+    for suite in ("exchangeability", "mc-vs-exact"):
+        single = tmp_path / f"{suite}.json"
+        run(["verify", *common, "--suite", suite, "--out", str(single)])
+        assert json.loads(single.read_text())["reports"] == [reports[suite]]

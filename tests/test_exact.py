@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.integrate import quad
 
 from mrplab.construction import build_model, simulate_ensemble
@@ -13,19 +15,24 @@ from mrplab.errors import (
     UnsupportedModelError,
 )
 from mrplab.exact import (
+    DEFAULT_CONFIG,
     BoxQuery,
     QuadratureConfig,
+    _integrate_marginal,
     count_pmf,
     cylinder_probability_density_form,
     example16_closed_form,
     joint_interarrival_probability,
 )
 from mrplab.kernels import (
+    BetaMarginal,
     DiracMixing,
     DiscreteMixing,
+    GammaMarginal,
     GammaMixing,
     KernelSpec,
     RateMap,
+    UniformMarginal,
     kernel_cdf,
 )
 from mrplab.modelfile import load_bundled_model
@@ -139,6 +146,33 @@ def test_quadrature_error_estimate_bounds_truth():
     assert abs(res.value - ref) <= max(res.error, 1e-12)
 
 
+@given(hs.floats(0.01, 8.0), hs.floats(0.01, 8.0))
+@settings(max_examples=40, deadline=None)
+def test_example16_error_bound_is_honest(w1, w2):
+    res = joint_interarrival_probability(example16_model(), BoxQuery.upper(w1, w2))
+    assert abs(res.value - example16_closed_form(w1, w2)) <= max(res.error, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "marginal", [GammaMarginal(2.0, 2.0), GammaMarginal(1.5, 0.6), UniformMarginal(0.2, 0.8),
+                 BetaMarginal(0.7, 2.5)],
+)
+def test_vector_valued_integrand_matches_component_integrals(marginal):
+    # 15 components on 15 Gauss-Kronrod nodes: a weight broadcast along the
+    # wrong axis would go unnoticed by the shapes
+    cs = np.linspace(0.1, 3.0, 15)
+
+    def g(x):
+        return np.exp(-np.outer(x, cs))
+
+    vec = _integrate_marginal(marginal, g, DEFAULT_CONFIG)
+    assert vec.value.shape == (15,)
+    for j, c in enumerate(cs):
+        one = _integrate_marginal(marginal, lambda x, c=c: np.exp(-c * x), DEFAULT_CONFIG)
+        assert abs(vec.value[j] - one.scalar_value) <= 1e-10
+        assert abs(vec.value[j] - one.scalar_value) <= vec.error[j] + one.scalar_error + 1e-12
+
+
 def test_permutation_invariance_proper_model():
     model = build_model(KernelSpec("gamma", shape=1.2), GammaMixing(2.0, 1.5))
     q = BoxQuery(((0.1, 0.9), (-math.inf, 2.0), (0.5, math.inf)))
@@ -233,6 +267,35 @@ def test_count_pmf_negative_binomial():
                 * (t / (g + t)) ** n
             )
             assert count_pmf(model, t, n).value == pytest.approx(ref, abs=1e-10)
+
+
+def _negative_binomial_pmf(g, a, lam, n):
+    """P(N = n) for N | theta ~ Poisson(theta * lam), theta ~ Gamma(rate g, shape a)."""
+    return math.exp(
+        math.lgamma(n + a) - math.lgamma(a) - math.lgamma(n + 1)
+        + a * math.log(g / (g + lam)) + n * math.log(lam / (g + lam))
+    )
+
+
+@given(
+    hs.floats(0.3, 5.0), hs.floats(0.2, 4.0), hs.floats(0.5, 3.0), hs.floats(0.05, 12.0),
+    hs.integers(0, 120),
+)
+@settings(max_examples=40, deadline=None)
+def test_count_pmf_error_bound_is_honest(g, a, rate, t, n):
+    model = build_model(KernelSpec("exponential", RateMap(rate, 0.0)), GammaMixing(g, a))
+    res = count_pmf(model, t, n)
+    assert abs(res.value - _negative_binomial_pmf(g, a, rate * t, n)) <= max(res.error, 1e-12)
+
+
+def test_count_pmf_far_tail_has_correct_digits():
+    # exp-gamma at t = 10, n = 200: the difference of two CDFs near 1 gave
+    # 6.6e-16 +/- 6.6e-16 for a truth of 1.6e-16
+    model = build_model(KernelSpec("exponential"), GammaMixing(2.0, 1.5))
+    res = count_pmf(model, 10.0, 200)
+    ref = _negative_binomial_pmf(2.0, 1.5, 10.0, 200)
+    assert res.value == pytest.approx(ref, rel=1e-8)
+    assert abs(res.value - ref) <= res.error
 
 
 def test_count_pmf_sums_to_one():

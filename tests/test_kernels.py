@@ -12,6 +12,7 @@ from mrplab.errors import (
     UnsupportedOperationError,
 )
 from mrplab.kernels import (
+    SHAPE_FROM_THETA2,
     BetaMarginal,
     DiracMixing,
     DiscreteMixing,
@@ -95,6 +96,26 @@ def test_cdf_batch_matches_scalar():
         batch = kernel_cdf_batch(spec, 2, thetas, 1.7)
         scal = np.array([kernel_cdf(spec, 2, t, 1.7) for t in thetas])
         assert np.allclose(batch, scal, atol=1e-14)
+
+
+def test_cdf_batch_columns_match_single_column_calls():
+    thetas = np.array([0.3, 1.0, 2.5])
+    biv = KernelSpec("gamma", RateMap(0.5, 0.25), shape=SHAPE_FROM_THETA2)
+    cases = [
+        (EXP_SCALED, thetas),
+        (GAMMA_HALF, thetas),
+        (POISSON, thetas),
+        (biv, np.array([[0.3, 0.2], [1.0, 0.8], [2.5, 1.7]])),
+    ]
+    indices = [1, 2, 3, 2, 1]
+    xs = [1.7, 0.0, math.inf, 0.4, -1.0]
+    for spec, th in cases:
+        cols = kernel_cdf_batch(spec, indices, th, xs)
+        assert cols.shape == (3, 5)
+        for j, (k, x) in enumerate(zip(indices, xs)):
+            assert np.array_equal(cols[:, j], kernel_cdf_batch(spec, k, th, x))
+    with pytest.raises(ParameterDomainError):
+        kernel_cdf_batch(EXP, [1, 2], thetas, [1.0])
 
 
 def test_poisson_cdf_matches_scipy():

@@ -106,6 +106,22 @@ def test_queries_schema_errors():
         parse_queries_document([{"type": "box", "bounds": [["a", 2.0]]}])
 
 
+@pytest.mark.parametrize("n", [2.5, True, False, "abc", -1, None, [2], float("inf")])
+def test_count_query_needs_a_nonnegative_integer(n):
+    with pytest.raises(SchemaError, match=r"queries\[0\]\.n"):
+        parse_queries_document([{"type": "count", "t": 1.0, "n": n}])
+
+
+def test_count_query_accepts_integral_float():
+    assert parse_queries_document([{"type": "count", "t": 1.0, "n": 2.0}])[0]["n"] == 2
+
+
+@pytest.mark.parametrize("bounds", [5, "abc", None, {"lo": 1.0}])
+def test_box_query_bounds_must_be_a_list(bounds):
+    with pytest.raises(SchemaError, match=r"queries\[0\]\.bounds"):
+        parse_queries_document([{"type": "box", "bounds": bounds}])
+
+
 def test_model_round_trip_through_to_dict():
     model, _ = load_bundled_model("bivariate")
     doc = {"kernel": model.kernel.to_dict(), "mixing": model.mixing.to_dict()}

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 import scipy.special as sp
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.integrate import quad
 
-from mrplab.errors import ParameterDomainError
+from mrplab import special
+from mrplab.errors import AccuracyError, ParameterDomainError
 from mrplab.special import (
     chi_square_sf,
     kolmogorov_sf,
@@ -78,6 +81,49 @@ def test_domain_errors():
         regularized_incomplete_gamma(-2.0, 1.0)
     with pytest.raises(ParameterDomainError):
         regularized_incomplete_gamma(1.0, -0.5)
+    with pytest.raises(ParameterDomainError):
+        regularized_incomplete_gamma(np.array([1.0, 0.0]), 1.0)
+    with pytest.raises(ParameterDomainError):
+        regularized_incomplete_gamma_upper(np.array([2.0, np.inf]), np.array([1.0, 1.0]))
+    with pytest.raises(ParameterDomainError):
+        regularized_incomplete_gamma(np.array([1.0, 2.0]), np.array([1.0, np.nan]))
+
+
+_shapes = hs.floats(min_value=0.05, max_value=300.0, allow_nan=False)
+_args = hs.one_of(
+    hs.floats(min_value=0.0, max_value=700.0, allow_nan=False), hs.just(math.inf)
+)
+
+
+@given(hs.lists(hs.tuples(_shapes, _args), min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_array_shape_matches_scalar_calls_and_scipy(pairs):
+    a = np.array([p[0] for p in pairs])
+    x = np.array([p[1] for p in pairs])
+    for f, ref in ((regularized_incomplete_gamma, sp.gammainc),
+                   (regularized_incomplete_gamma_upper, sp.gammaincc)):
+        vec = f(a, x)
+        assert vec.shape == a.shape
+        scalar = np.array([f(float(ai), float(xi)) for ai, xi in pairs])
+        assert np.max(np.abs(vec - scalar)) <= 1e-14
+        assert np.max(np.abs(vec - ref(a, x))) <= 1e-12
+
+
+def test_shape_and_argument_broadcast():
+    a = np.array([[0.5], [2.0], [7.5]])
+    x = np.array([0.0, 0.3, 1.7, 9.0, np.inf])
+    p = regularized_incomplete_gamma(a, x)
+    assert p.shape == (3, 5)
+    assert np.max(np.abs(p - sp.gammainc(a, x))) < 1e-12
+    assert isinstance(regularized_incomplete_gamma(2.0, 1.0), float)
+    assert regularized_incomplete_gamma(np.array([1.0, 2.0]), 0.5).shape == (2,)
+
+
+@pytest.mark.parametrize("x", [3.0, 30.0])  # series branch, continued-fraction branch
+def test_nonconvergence_is_an_accuracy_error(monkeypatch, x):
+    monkeypatch.setattr(special, "_MAX_ITER", 2)
+    with pytest.raises(AccuracyError):
+        regularized_incomplete_gamma(5.0, x)
 
 
 def test_chi_square_sf_matches_scipy():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from mrplab.errors import (
     ConfigurationError,
     DegenerateTestError,
     InsufficientDataError,
+    InvalidInterarrivalError,
     ParameterDomainError,
     UnsupportedModelError,
 )
@@ -21,6 +23,8 @@ from mrplab.kernels import (
 )
 from mrplab.rng import UniformStream
 from mrplab.stats import (
+    _default_probe_boxes,
+    _uniform_group_ids,
     conditional_iid_test,
     exchangeability_test,
     mc_vs_exact,
@@ -98,6 +102,56 @@ def test_exchangeability_errors():
         exchangeability_test(ens, r=3)  # ensemble only has 2 interarrivals
     with pytest.raises(ConfigurationError):
         exchangeability_test(ens, r=2, probe_boxes=[(1.0,)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_exchangeability_rejects_non_finite_data(bad):
+    w = -np.log(UniformStream(3).uniforms(1000 * 3).reshape(1000, 3))
+    w[17, 1] = bad
+    with pytest.raises(InvalidInterarrivalError):
+        exchangeability_test(w, r=2)
+    w3 = w.copy()
+    w3[17, 1] = 1.0
+    w3[5, 2] = bad  # beyond the tested prefix: ignored
+    exchangeability_test(w3, r=2)
+
+
+def _integer_null_exceedances(w, r, n_permutations, resample_seed):
+    """n_ge recomputed in int64 box counts by permuting the data itself.
+
+    Replica j gives path i the group element sigma = group[id[i, j]] and
+    reads its interarrivals as w[i, sigma]; the statistic is the largest
+    |count(box) - count(permuted box)| over the probe boxes.
+    """
+    group = list(itertools.permutations(range(r)))
+    boxes = [np.asarray(b) for b in _default_probe_boxes(w, r)]
+    perms = [p for p in group if p != tuple(range(r))]
+
+    def stat(x):
+        return max(
+            abs(int(np.sum(np.all(x <= b, axis=1))) - int(np.sum(np.all(x <= b[list(p)], axis=1))))
+            for b in boxes for p in perms
+        )
+
+    n = w.shape[0]
+    ids = _uniform_group_ids(UniformStream(resample_seed), n * n_permutations, len(group))
+    ids = ids.reshape(n, n_permutations)
+    sigma = np.asarray(group)
+    k_obs = stat(w)
+    k_null = [stat(np.take_along_axis(w, sigma[ids[:, j]], axis=1)) for j in range(n_permutations)]
+    return sum(k >= k_obs for k in k_null)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exchangeability_counts_tied_replicas(seed):
+    # few distinct values and few paths: many replicas tie the statistic,
+    # which a comparison in float32 frequencies loses
+    raw = UniformStream(seed).uniforms(150 * 2).reshape(150, 2)
+    w = 1.0 + np.floor(raw * 3.0)
+    n_perm = 99
+    rep = exchangeability_test(w, r=2, n_permutations=n_perm, resample_seed=seed + 500)
+    n_ge = _integer_null_exceedances(w, 2, n_perm, seed + 500)
+    assert rep.p_value == (1.0 + n_ge) / (n_perm + 1.0)
 
 
 def test_exchangeability_reproducible():
