@@ -81,19 +81,15 @@ class MrpModel:
 def build_model(kernel: KernelSpec, mixing: MixingMeasure) -> MrpModel:
     """Cross-validate a kernel family against a mixing measure.
 
+    Every kernel family (exponential, gamma) lives on (0, inf), so any
+    kernel can drive interarrival times.
+
     Raises
     ------
-    InvalidInterarrivalError
-        If the kernel puts mass outside (0, inf) (a Poisson kernel has an
-        atom at 0, so it cannot drive interarrival times).
     ConfigurationError
         On dimension mismatch, support outside the admissible region, or a
         mixing density whose quadrature mass deviates from 1.
     """
-    if not kernel.positive_support:
-        raise InvalidInterarrivalError(
-            f"{kernel.family} kernel puts mass at 0; interarrivals must be strictly positive"
-        )
     if mixing.dim != kernel.param_dim:
         raise ConfigurationError(
             f"mixing has dimension {mixing.dim} but the kernel expects {kernel.param_dim} "
@@ -106,8 +102,7 @@ def build_model(kernel: KernelSpec, mixing: MixingMeasure) -> MrpModel:
                 "kernel-admissible region (positive parameters)"
             )
     if mixing.is_atomic:
-        atoms = [mixing.point] if hasattr(mixing, "point") else list(mixing.atoms)
-        for atom in atoms:
+        for atom in mixing.atoms:
             if any(not v > 0.0 for v in atom):
                 raise ConfigurationError(
                     f"atom {atom} lies outside the kernel-admissible region"

@@ -12,15 +12,17 @@ CDF factors; it exists as an independent second evaluation route, and any
 disagreement between the two routes beyond combined tolerance indicates a
 convention error in the model rather than something to renormalize away.
 
-Unbounded mixing supports are compactified with theta = c*u/(1-u); gamma
-mixing with shape < 1 is integrated in v = theta**shape coordinates, which
-absorbs the power singularity of the density exactly.
+Each marginal of the mixing measure brings its own quadrature rule
+(`Marginal.integrate`): unbounded supports are compactified with
+theta = c*u/(1-u), and gamma and beta marginals are integrated in power
+coordinates such as v = theta**shape, which absorb the density's power
+singularities exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,21 +34,8 @@ from .errors import (
     ParameterDomainError,
     UnsupportedModelError,
 )
-from .kernels import (
-    SHAPE_FROM_THETA2,
-    BetaMarginal,
-    DiracMixing,
-    DiscreteMixing,
-    GammaMarginal,
-    GammaMixing,
-    KernelSpec,
-    Marginal,
-    ProductRectangleMixing,
-    UniformMarginal,
-    kernel_cdf_batch,
-)
-from .quadrature import adaptive_gauss_kronrod, integrate_half_line
-from .special import regularized_incomplete_gamma
+from .kernels import KernelSpec, Marginal, kernel_cdf_batch
+from .quadrature import adaptive_gauss_kronrod
 
 
 @dataclass(frozen=True)
@@ -84,7 +73,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    tail_cut_ratio: float = 1e-3  # initial tail breakpoint where density < peak*abs_tol*ratio
     max_box_dim: int = 16
 
     def __post_init__(self):
@@ -114,10 +102,7 @@ def _box_factor_batch(spec: KernelSpec, thetas: np.ndarray, query: BoxQuery) -> 
     below them are evaluated together as the columns of one batch.
     """
     r = query.dim
-    lower = [
-        k for k, (lo, _) in enumerate(query.bounds)
-        if lo != -math.inf and not (lo <= 0.0 and spec.positive_support)
-    ]
+    lower = [k for k, (lo, _) in enumerate(query.bounds) if lo > 0.0]
     indices = list(range(1, r + 1)) + [k + 1 for k in lower]
     xs = [hi for _, hi in query.bounds] + [query.bounds[k][0] for k in lower]
     cdf = kernel_cdf_batch(spec, indices, thetas, xs)
@@ -134,122 +119,13 @@ def _box_factor_batch(spec: KernelSpec, thetas: np.ndarray, query: BoxQuery) -> 
 # ---------------------------------------------------------------------------
 
 
-def _weighted(w: np.ndarray, gx: np.ndarray) -> np.ndarray:
-    """w(x) * g(x) for a scalar-valued g (shape (n,)) or a vector-valued one (n, m)."""
-    return w[:, None] * gx if gx.ndim == 2 else w * gx
-
-
-def _gamma_tail_cut(m: GammaMarginal, cfg: QuadratureConfig) -> float:
-    mean = m.mean()
-    ref = max(mean, (m.shape - 1.0) / m.rate if m.shape > 1.0 else mean)
-    peak = float(m.density_batch(np.array([ref]))[0])
-    threshold = peak * cfg.abs_tol * cfg.tail_cut_ratio
-    cut = max(ref, mean)
-    for _ in range(80):
-        cut *= 2.0
-        if float(m.density_batch(np.array([cut]))[0]) < threshold:
-            break
-    return cut
-
-
-def _integrate_gamma_marginal(m, g, cfg, clip=None, breakpoints=()):
-    """integral of density_m(x) * g(x) over the (possibly clipped) support."""
-    lo = 0.0 if clip is None else max(0.0, clip[0])
-    hi = math.inf if clip is None else clip[1]
-    a, gam = m.shape, m.rate
-    kw = dict(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_subdivisions=cfg.max_subdivisions)
-    cut = _gamma_tail_cut(m, cfg)
-    if a >= 1.0 and lo > 0.0 and math.isfinite(hi):
-
-        def f(x):
-            return _weighted(m.density_batch(x), g(x))
-
-        return adaptive_gauss_kronrod(f, lo, hi, breakpoints=[m.mean(), cut, *breakpoints], **kw)
-    # v = x**a coordinates absorb the power factor of the density exactly
-    const = math.exp(a * math.log(gam) - math.lgamma(a)) / a
-
-    def fv(v):
-        with np.errstate(over="ignore", under="ignore"):
-            x = v ** (1.0 / a)
-            return _weighted(const * np.exp(-gam * x), g(x))
-
-    vlo = lo**a
-    vbreaks = [p**a for p in breakpoints]
-    if math.isfinite(hi):
-        return adaptive_gauss_kronrod(fv, vlo, hi**a, breakpoints=[m.mean() ** a, *vbreaks], **kw)
-    return integrate_half_line(
-        fv, vlo, max(m.mean() ** a - vlo, m.mean() ** a * 0.5),
-        theta_breakpoints=[cut**a, *vbreaks], **kw
-    )
-
-
-def _integrate_beta_marginal(m: BetaMarginal, g, cfg, clip=None, breakpoints=()):
-    lo = 0.0 if clip is None else max(0.0, clip[0])
-    hi = 1.0 if clip is None else min(1.0, clip[1])
-    kw = dict(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_subdivisions=cfg.max_subdivisions)
-    if lo > 0.0 and hi < 1.0:
-
-        def f(x):
-            return _weighted(m.density_batch(x), g(x))
-
-        return adaptive_gauss_kronrod(f, lo, hi, breakpoints=breakpoints, **kw)
-    a, b = m.a, m.b
-    norm = math.exp(-(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)))
-    mid = 0.5 * (lo + hi)
-
-    def left(v):  # v = x**a
-        x = v ** (1.0 / a)
-        return _weighted(norm / a * (1.0 - x) ** (b - 1.0), g(x))
-
-    def right(v):  # v = (1-x)**b
-        x = 1.0 - v ** (1.0 / b)
-        return _weighted(norm / b * np.maximum(x, 0.0) ** (a - 1.0), g(x))
-
-    r1 = adaptive_gauss_kronrod(left, lo**a, mid**a, breakpoints=[p**a for p in breakpoints], **kw)
-    r2 = adaptive_gauss_kronrod(
-        right, (1.0 - hi) ** b, (1.0 - mid) ** b,
-        breakpoints=[(1.0 - p) ** b for p in breakpoints], **kw
-    )
-    from .quadrature import QuadratureResult
-
-    return QuadratureResult(
-        r1.value + r2.value, r1.error + r2.error, r1.n_panels + r2.n_panels,
-        r1.converged and r2.converged,
-    )
-
-
 def _integrate_marginal(m: Marginal, g, cfg: QuadratureConfig, clip=None, breakpoints=()):
-    """integral of density_m(x)*g(x) for a bounded vectorized g; returns QuadratureResult.
-
-    `breakpoints` are extra panel edges (in x) where g is known to change fast.
-    """
-    if isinstance(m, GammaMarginal):
-        return _integrate_gamma_marginal(m, g, cfg, clip, breakpoints)
-    if isinstance(m, BetaMarginal):
-        return _integrate_beta_marginal(m, g, cfg, clip, breakpoints)
-    if isinstance(m, UniformMarginal):
-        lo, hi = m.support()
-        if clip is not None:
-            lo, hi = max(lo, clip[0]), min(hi, clip[1])
-
-        def f(x):
-            return _weighted(m.density_batch(x), g(x))
-
-        return adaptive_gauss_kronrod(
-            f, lo, hi, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-            max_subdivisions=cfg.max_subdivisions, breakpoints=breakpoints,
-        )
-    raise UnsupportedModelError(f"no quadrature rule for marginal kind {type(m).__name__}")
+    """integral of density_m(x)*g(x) by the marginal's own rule, at cfg's tolerances."""
+    return m.integrate(g, clip, breakpoints, cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions)
 
 
 def _tighter(cfg: QuadratureConfig, factor: float = 0.1) -> QuadratureConfig:
-    return QuadratureConfig(
-        rel_tol=cfg.rel_tol * factor,
-        abs_tol=cfg.abs_tol * factor,
-        max_subdivisions=cfg.max_subdivisions,
-        tail_cut_ratio=cfg.tail_cut_ratio,
-        max_box_dim=cfg.max_box_dim,
-    )
+    return replace(cfg, rel_tol=cfg.rel_tol * factor, abs_tol=cfg.abs_tol * factor)
 
 
 def _peak_breakpoints(m: Marginal, k: float, lam: float) -> list:
@@ -286,10 +162,6 @@ def _integrate_mixing(model: MrpModel, g_batch, cfg: QuadratureConfig, peak=None
     one-dimensional mixing then adds panel edges around the integrand's peak.
     """
     mixing = model.mixing
-    if isinstance(mixing, GammaMixing):
-        mixing = ProductRectangleMixing((mixing.marginal,))
-    if not isinstance(mixing, ProductRectangleMixing):
-        raise UnsupportedModelError(f"no quadrature rule for mixing kind {mixing.kind}")
     if mixing.dim == 1:
         m = mixing.marginals[0]
         breaks = _peak_breakpoints(m, *peak) if peak else ()
@@ -322,6 +194,15 @@ def _integrate_mixing(model: MrpModel, g_batch, cfg: QuadratureConfig, peak=None
     )
 
 
+def _atomic_sum(model: MrpModel, g_batch) -> tuple[float, str]:
+    """sum_i w_i g(atom_i) over atomic mixing, and the method name."""
+    mixing = model.mixing
+    th = np.asarray(mixing.atoms, dtype=np.float64)
+    th = th if model.param_dim > 1 else th[:, 0]
+    method = "point-mass" if mixing.kind == "dirac" else "discrete-sum"
+    return float(np.dot(mixing.weights, g_batch(th))), method
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -343,21 +224,13 @@ def joint_interarrival_probability(
             f"box dimension {query.dim} exceeds the configured cap {cfg.max_box_dim}"
         )
     spec = model.kernel
-    mixing = model.mixing
-    if isinstance(mixing, DiracMixing):
-        th = np.asarray([mixing.point], dtype=np.float64)
-        th = th if model.param_dim > 1 else th[:, 0]
-        p = float(_box_factor_batch(spec, th, query)[0])
-        return ExactResult(p, 4.0 * np.finfo(float).eps * query.dim, "point-mass")
-    if isinstance(mixing, DiscreteMixing):
-        th = np.asarray(mixing.atoms, dtype=np.float64)
-        th = th if model.param_dim > 1 else th[:, 0]
-        p = float(np.dot(mixing.weights, _box_factor_batch(spec, th, query)))
-        return ExactResult(p, 4.0 * np.finfo(float).eps * query.dim * len(mixing.atoms), "discrete-sum")
 
     def g(thetas: np.ndarray) -> np.ndarray:
         return _box_factor_batch(spec, thetas, query)
 
+    if model.mixing.is_atomic:
+        p, method = _atomic_sum(model, g)
+        return ExactResult(p, 4.0 * np.finfo(float).eps * query.dim * len(model.mixing.atoms), method)
     value, err, ok, method = _integrate_mixing(model, g, cfg)
     if not ok:
         raise AccuracyError(
@@ -380,23 +253,6 @@ def example16_closed_form(w1: float, w2: float) -> float:
     if w1 < 0.0 or w2 < 0.0:
         raise ParameterDomainError(f"arguments must be nonnegative, got ({w1}, {w2})")
     return w2 / (w2 + 1.0) - 2.0 * (1.0 / (w1 + 2.0) - 1.0 / (w1 + 2.0 * w2 + 2.0))
-
-
-def _arrival_cdf_batch(spec: KernelSpec, thetas: np.ndarray, ns: Sequence[int], t: float) -> np.ndarray:
-    """F_{T_n}(t; theta) for a constant gamma kernel family, one column per n in `ns`.
-
-    T_n given theta is a gamma law whose shape is n times the kernel's; all
-    columns come from one incomplete-gamma call (T_0 = 0 has F = 1).
-    """
-    th = np.asarray(thetas, dtype=np.float64)
-    rates = (th[:, 0] if th.ndim == 2 else th) * spec.rate_map.a
-    ns = np.asarray(ns, dtype=np.float64)
-    out = np.ones((rates.shape[0], ns.size))
-    pos = ns > 0
-    if pos.any():
-        unit = th[:, 1:2] if spec.shape == SHAPE_FROM_THETA2 else float(spec.shape)
-        out[:, pos] = regularized_incomplete_gamma(ns[pos] * unit, (rates * t)[:, None])
-    return out
 
 
 def _poisson_weight_batch(spec: KernelSpec, thetas: np.ndarray, n: int, t: float) -> np.ndarray:
@@ -432,22 +288,17 @@ def count_pmf(
     if t == 0.0:
         return ExactResult(1.0 if n == 0 else 0.0, 0.0, "boundary")
     spec = model.kernel
-    mixing = model.mixing
 
     def g(thetas: np.ndarray) -> np.ndarray:
         if spec.family == "exponential":
             return _poisson_weight_batch(spec, thetas, n, t)
-        cdf = _arrival_cdf_batch(spec, thetas, (n, n + 1), t)
+        # T_n given theta sums n interarrivals of the constant family
+        cdf = kernel_cdf_batch(spec, 1, thetas, [t, t], n_terms=[n, n + 1])
         return cdf[:, 0] - cdf[:, 1]
 
-    if isinstance(mixing, DiracMixing):
-        th = np.asarray([mixing.point], dtype=np.float64)
-        th = th if model.param_dim > 1 else th[:, 0]
-        return ExactResult(float(g(th)[0]), 8.0 * np.finfo(float).eps, "point-mass")
-    if isinstance(mixing, DiscreteMixing):
-        th = np.asarray(mixing.atoms, dtype=np.float64)
-        th = th if model.param_dim > 1 else th[:, 0]
-        return ExactResult(float(np.dot(mixing.weights, g(th))), 8.0 * np.finfo(float).eps, "discrete-sum")
+    if model.mixing.is_atomic:
+        p, method = _atomic_sum(model, g)
+        return ExactResult(p, 8.0 * np.finfo(float).eps, method)
     # given theta the count weight peaks near theta = n * shape / (a * t)
     shape = 1.0 if spec.family == "exponential" else spec.shape
     peak = (n * shape, spec.rate_map.a * t) if n > 0 and model.param_dim == 1 else None
@@ -520,22 +371,24 @@ def cylinder_probability_density_form(
     """Box probability for gamma-kernel models through nested density integrals.
 
     Supported configurations: a constant gamma kernel with fixed shape under
-    gamma mixing, or with shape tied to the second parameter component under
-    two-dimensional product mixing.  `theta_set` optionally restricts the
+    one-dimensional product mixing (gamma mixing among them), or with shape
+    tied to the second parameter component under two-dimensional product
+    mixing.  `theta_set` optionally restricts the
     parameter region (an interval, or a pair of intervals), turning the
     result into P(W in box, Theta in E); the default is the full support.
     """
     cfg = cfg or DEFAULT_CONFIG
     spec = model.kernel
     mixing = model.mixing
-    if spec.family != "gamma" or not spec.is_constant_family:
+    if spec.family != "gamma" or not spec.is_constant_family or mixing.is_atomic:
         raise UnsupportedModelError(
-            "density-form evaluation supports constant gamma kernel families only"
+            "density-form evaluation supports constant gamma kernel families under "
+            "product mixing only"
         )
     inner_cfg = _tighter(cfg)
     state = {"err": 0.0, "ok": True}
 
-    if isinstance(mixing, GammaMixing) and spec.shape != SHAPE_FROM_THETA2:
+    if mixing.dim == 1:
         s = float(spec.shape)
         clip = None
         if theta_set is not None:
@@ -549,14 +402,10 @@ def cylinder_probability_density_form(
             state["ok"] = state["ok"] and ok
             return vals
 
-        res = _integrate_marginal(mixing.marginal, g, cfg, clip=clip)
+        res = _integrate_marginal(mixing.marginals[0], g, cfg, clip=clip)
         value, err, ok = res.scalar_value, res.scalar_error + state["err"], res.converged and state["ok"]
         method = "density-form-gk15"
-    elif (
-        isinstance(mixing, ProductRectangleMixing)
-        and mixing.dim == 2
-        and spec.shape == SHAPE_FROM_THETA2
-    ):
+    else:  # build_model matched the two-dimensional mixing with a theta2-shaped kernel
         m1, m2 = mixing.marginals
         clip1 = clip2 = None
         if theta_set is not None:
@@ -584,11 +433,6 @@ def cylinder_probability_density_form(
         res = _integrate_marginal(m2, outer_integrand, cfg, clip=clip2)
         value, err, ok = res.scalar_value, res.scalar_error + state["err"], res.converged and state["ok"]
         method = "density-form-gk15-iterated"
-    else:
-        raise UnsupportedModelError(
-            "density-form evaluation requires gamma kernel with gamma mixing, or "
-            "theta2-shaped gamma kernel with two-dimensional product mixing"
-        )
     if not ok:
         raise AccuracyError(
             f"density-form quadrature did not converge (best {value!r} +/- {err!r})", value, err

@@ -13,9 +13,15 @@ at every index; ``b != 0`` expresses index-dependent families such as an
 exponential kernel whose rate scales with the index.
 
 Sampling is reproducible from a single uniform stream: exponentials by
-inverse CDF, gammas by the Marsaglia-Tsang squeeze (with the shape<1 boost),
-Poisson by CDF inversion.  Scalar and batch sampling share one code path, so
-they agree bitwise for the same stream.
+inverse CDF, gammas by the Marsaglia-Tsang squeeze (with the shape<1 boost).
+Scalar and batch sampling share one code path, so they agree bitwise for the
+same stream; so do scalar and batch CDF evaluation.
+
+A mixing measure is either finite and atomic (`DiscreteMixing`, with
+`DiracMixing` its one-atom case) or a product of one-dimensional marginals
+(`ProductRectangleMixing`, with `GammaMixing` its one-gamma case).  Each
+marginal carries the quadrature rule that integrates a function against it;
+the exact routes and the mass check both use that rule.
 """
 
 from __future__ import annotations
@@ -33,14 +39,16 @@ from .errors import (
 )
 from .quadrature import QuadratureResult, adaptive_gauss_kronrod, integrate_half_line
 from .rng import StreamBank, UniformStream
-from .special import regularized_incomplete_gamma, regularized_incomplete_gamma_upper
+from .special import regularized_incomplete_gamma
 
-KERNEL_FAMILIES = ("exponential", "gamma", "poisson")
+KERNEL_FAMILIES = ("exponential", "gamma")
 
 # shape tag tying a gamma kernel's shape to the second parameter component
 SHAPE_FROM_THETA2 = "theta2"
 
-_POISSON_MEAN_CAP = 700.0  # exact CDF-inversion sampler; e**-mean underflows beyond
+# a gamma marginal's initial tail breakpoint lies where its density falls
+# below peak * abs_tol * _TAIL_CUT_RATIO
+_TAIL_CUT_RATIO = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +114,6 @@ class KernelSpec:
         return 2 if self.shape == SHAPE_FROM_THETA2 else 1
 
     @property
-    def positive_support(self) -> bool:
-        """True when the kernel puts mass 1 on (0, inf); Poisson lives on N0."""
-        return self.family in ("exponential", "gamma")
-
-    @property
     def is_constant_family(self) -> bool:
         return self.rate_map.is_constant
 
@@ -163,80 +166,64 @@ def _rate_and_shape(spec: KernelSpec, index: int, theta: tuple) -> tuple[float, 
 def kernel_cdf(spec: KernelSpec, index: int, theta, x: float) -> float:
     """CDF of the index-n member of the kernel family at parameter theta.
 
-    Right-continuous and nondecreasing in x; 0 for x < 0 on positive-support
-    kernels (and at x = 0, since the mass lives on the open half line).
+    Right-continuous and nondecreasing in x; 0 for x <= 0, since the mass
+    lives on the open half line.
     """
-    index = _check_index(index)
     pt = _coerce_theta(spec, theta)
-    rate, shape = _rate_and_shape(spec, index, pt)
-    if spec.family == "exponential":
-        if x <= 0.0:
-            return 0.0
-        return -math.expm1(-rate * x)
-    if spec.family == "gamma":
-        if x <= 0.0:
-            return 0.0
-        return float(regularized_incomplete_gamma(shape, rate * x))
-    # poisson: support N0, jumps at the integers
-    if x < 0.0:
-        return 0.0
-    k = math.floor(x)
-    return float(regularized_incomplete_gamma_upper(k + 1.0, rate))
+    return float(kernel_cdf_batch(spec, index, np.array([pt]), float(x))[0])
 
 
-def kernel_cdf_batch(spec: KernelSpec, index, thetas: np.ndarray, x) -> np.ndarray:
+def kernel_cdf_batch(spec: KernelSpec, index, thetas: np.ndarray, x, n_terms=1) -> np.ndarray:
     """Vectorized `kernel_cdf` over an array of parameter points.
 
-    `thetas` has shape (n,) for one-component parameters or (n, 2) for gamma
-    kernels with shape tied to the second component.  With a scalar `index`
-    and `x` the result has shape (n,).  `index` and `x` may instead be
-    equal-length sequences, one entry per column: the result then has shape
-    (n, m), column j holding the CDF of member index[j] at x[j], all from one
+    `thetas` has shape (n,) or (n, d), one parameter point per row (d = 2 for
+    gamma kernels with shape tied to the second component).  With a scalar
+    `x` the result has shape (n,).  With a sequence `x` of length m it has
+    shape (n, m): column j holds the CDF at x[j] of the sum of n_terms[j]
+    independent draws of member index[j], a gamma law with n_terms[j] times
+    the kernel's shape (n_terms = 0 is the point mass at 0).  A scalar
+    `index` or `n_terms` applies to every column.  All columns come from one
     vectorized evaluation (one incomplete-gamma call for gamma kernels).
     """
     columns = np.ndim(x) > 0
-    indices = [_check_index(k) for k in np.atleast_1d(index)]
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if len(indices) != xs.size:
+    idx = np.atleast_1d(index)
+    if idx.dtype.kind not in "iu" or np.any(idx < 1):
+        raise ParameterDomainError(f"kernel index must be a positive integer, got {index!r}")
+    if idx.size not in (1, xs.size):
         raise ParameterDomainError("kernel_cdf_batch needs one index per evaluation point")
+    mult = spec.rate_map.a + spec.rate_map.b * np.broadcast_to(idx, xs.shape)
+    terms = np.broadcast_to(np.asarray(n_terms, dtype=np.float64), xs.shape)
     th = np.asarray(thetas, dtype=np.float64)
     base = th[:, 0] if th.ndim == 2 else th
-    mult = np.array([spec.rate_map.multiplier(k) for k in indices])
     out = np.zeros((base.shape[0], xs.size))
-    out[:, xs == math.inf] = 1.0
-    cols = (xs > 0.0) & (xs < math.inf) if spec.positive_support else (xs >= 0.0) & (xs < math.inf)
+    out[:, (xs == math.inf) | ((terms == 0.0) & (xs >= 0.0))] = 1.0
+    cols = (xs > 0.0) & (xs < math.inf) & (terms > 0.0)
     if cols.any():
         rates = base[:, None] * mult[cols]
-        if spec.family == "exponential":
+        if spec.family == "exponential" and np.all(terms[cols] == 1.0):
             out[:, cols] = -np.expm1(-(rates * xs[cols]))
-        elif spec.family == "gamma":
-            shapes = th[:, 1:2] if spec.shape == SHAPE_FROM_THETA2 else float(spec.shape)
-            out[:, cols] = regularized_incomplete_gamma(shapes, rates * xs[cols])
-        else:  # poisson: support N0, jumps at the integers
-            out[:, cols] = regularized_incomplete_gamma_upper(np.floor(xs[cols]) + 1.0, rates)
+        else:  # the exponential law is the gamma law of shape 1
+            shape = th[:, 1:2] if spec.shape == SHAPE_FROM_THETA2 else float(spec.shape or 1.0)
+            out[:, cols] = regularized_incomplete_gamma(shape * terms[cols], rates * xs[cols])
     return out if columns else out[:, 0]
 
 
 def kernel_pdf(spec: KernelSpec, index: int, theta, x: float) -> float:
-    """Density (pmf for Poisson) of the index-n kernel member at theta."""
+    """Density of the index-n kernel member at theta."""
     index = _check_index(index)
     pt = _coerce_theta(spec, theta)
     rate, shape = _rate_and_shape(spec, index, pt)
-    if spec.family == "exponential":
-        return rate * math.exp(-rate * x) if x > 0.0 else 0.0
-    if spec.family == "gamma":
-        if x <= 0.0:
-            return 0.0
-        return math.exp(
-            shape * math.log(rate)
-            - math.lgamma(shape)
-            + (shape - 1.0) * math.log(x)
-            - rate * x
-        )
-    if x < 0.0 or x != math.floor(x):
+    if not x > 0.0:
         return 0.0
-    k = int(x)
-    return math.exp(-rate + k * math.log(rate) - math.lgamma(k + 1.0))
+    if spec.family == "exponential":
+        return rate * math.exp(-rate * x)
+    return math.exp(
+        shape * math.log(rate)
+        - math.lgamma(shape)
+        + (shape - 1.0) * math.log(x)
+        - rate * x
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +272,6 @@ def _gamma_from_bank(bank: StreamBank, shapes: np.ndarray, rates: np.ndarray, la
     return x / rates
 
 
-def _poisson_from_bank(bank: StreamBank, means: np.ndarray, lanes=None) -> np.ndarray:
-    """Poisson draws by CDF inversion; consumes exactly one uniform per lane."""
-    if lanes is None:
-        lanes = np.arange(len(bank))
-    means = np.broadcast_to(np.asarray(means, dtype=np.float64), lanes.shape)
-    if np.any(means > _POISSON_MEAN_CAP):
-        raise ParameterDomainError(
-            f"poisson mean exceeds the exact-inversion sampler cap {_POISSON_MEAN_CAP}"
-        )
-    u = bank.draw(lanes)
-    p = np.exp(-means)
-    cum = p.copy()
-    k = np.zeros(lanes.shape, dtype=np.int64)
-    active = u > cum
-    while active.any():
-        k[active] += 1
-        p = np.where(active, p * means / np.maximum(k, 1), p)
-        cum = np.where(active, cum + p, cum)
-        active = u > cum
-    return k.astype(np.float64)
-
-
 def kernel_sample_batch(spec: KernelSpec, index: int, thetas: np.ndarray, bank: StreamBank) -> np.ndarray:
     """One draw of the index-n kernel member per bank lane, at per-lane thetas."""
     index = _check_index(index)
@@ -316,27 +281,29 @@ def kernel_sample_batch(spec: KernelSpec, index: int, thetas: np.ndarray, bank: 
         raise ParameterDomainError("kernel rate parameter must be positive for every lane")
     if spec.family == "exponential":
         return _exponential_from_bank(bank, rates)
-    if spec.family == "gamma":
-        if spec.shape == SHAPE_FROM_THETA2:
-            shapes = th[:, 1]
-            if np.any(shapes <= 0.0):
-                raise ParameterDomainError("kernel shape parameter must be positive for every lane")
-        else:
-            shapes = np.full(rates.shape, float(spec.shape))
-        return _gamma_from_bank(bank, shapes, rates)
-    return _poisson_from_bank(bank, rates)
+    if spec.shape == SHAPE_FROM_THETA2:
+        shapes = th[:, 1]
+        if np.any(shapes <= 0.0):
+            raise ParameterDomainError("kernel shape parameter must be positive for every lane")
+    else:
+        shapes = np.full(rates.shape, float(spec.shape))
+    return _gamma_from_bank(bank, shapes, rates)
 
 
 def kernel_sample(spec: KernelSpec, index: int, theta, rng: UniformStream) -> float:
     """One draw of the index-n kernel member at theta, from a seeded stream."""
     pt = _coerce_theta(spec, theta)
-    th = np.array([pt]) if spec.param_dim == 2 else np.array([pt[0]])
-    return float(kernel_sample_batch(spec, index, th, rng.bank)[0])
+    return float(kernel_sample_batch(spec, index, np.array([pt]), rng.bank)[0])
 
 
 # ---------------------------------------------------------------------------
 # mixing measures
 # ---------------------------------------------------------------------------
+
+
+def _weighted(w: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    """w(x) * g(x) for a scalar-valued g (shape (n,)) or a vector-valued one (n, m)."""
+    return w[:, None] * gx if gx.ndim == 2 else w * gx
 
 
 class Marginal:
@@ -356,8 +323,24 @@ class Marginal:
     def sample_batch(self, bank: StreamBank) -> np.ndarray:
         raise NotImplementedError
 
-    def mass_quadrature(self, rel_tol: float = 1e-10, abs_tol: float = 1e-12) -> QuadratureResult:
+    def integrate(
+        self, g, clip=None, breakpoints=(), rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=2000
+    ) -> QuadratureResult:
+        """integral of density(x) * g(x) over the support, or its part inside `clip`.
+
+        `g` is a bounded vectorized function, scalar valued (shape (n,) on n
+        nodes) or vector valued (n, m).  `breakpoints` are extra panel edges
+        (in x) where g is known to change fast.
+        """
         raise NotImplementedError
+
+    def _integrate_density(self, g, lo, hi, breakpoints, **kw) -> QuadratureResult:
+        """integral of density(x) * g(x) over [lo, hi] in x coordinates."""
+
+        def f(x):
+            return _weighted(self.density_batch(x), g(x))
+
+        return adaptive_gauss_kronrod(f, lo, hi, breakpoints=breakpoints, **kw)
 
     def contains(self, x: float) -> bool:
         lo, hi = self.support()
@@ -391,9 +374,12 @@ class UniformMarginal(Marginal):
     def sample_batch(self, bank):
         return self.lo + bank.draw() * (self.hi - self.lo)
 
-    def mass_quadrature(self, rel_tol=1e-10, abs_tol=1e-12):
-        return adaptive_gauss_kronrod(
-            self.density_batch, self.lo, self.hi, rel_tol=rel_tol, abs_tol=abs_tol
+    def integrate(self, g, clip=None, breakpoints=(), rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=2000):
+        lo, hi = self.support()
+        if clip is not None:
+            lo, hi = max(lo, clip[0]), min(hi, clip[1])
+        return self._integrate_density(
+            g, lo, hi, breakpoints, rel_tol=rel_tol, abs_tol=abs_tol, max_subdivisions=max_subdivisions
         )
 
     def to_dict(self):
@@ -436,22 +422,41 @@ class GammaMarginal(Marginal):
         n = len(bank)
         return _gamma_from_bank(bank, np.full(n, self.shape), np.full(n, self.rate))
 
-    def mass_quadrature(self, rel_tol=1e-10, abs_tol=1e-12):
-        # substitute v = x**shape: the integrand becomes smooth at the origin
-        a, g = self.shape, self.rate
-        const = math.exp(a * math.log(g) - math.lgamma(a)) / a
+    def _tail_cut(self, abs_tol: float) -> float:
+        mean = self.mean()
+        ref = max(mean, (self.shape - 1.0) / self.rate if self.shape > 1.0 else mean)
+        peak = float(self.density_batch(np.array([ref]))[0])
+        threshold = peak * abs_tol * _TAIL_CUT_RATIO
+        cut = max(ref, mean)
+        for _ in range(80):
+            cut *= 2.0
+            if float(self.density_batch(np.array([cut]))[0]) < threshold:
+                break
+        return cut
 
-        def integrand(v):
+    def integrate(self, g, clip=None, breakpoints=(), rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=2000):
+        lo = 0.0 if clip is None else max(0.0, clip[0])
+        hi = math.inf if clip is None else clip[1]
+        a, gam = self.shape, self.rate
+        kw = dict(rel_tol=rel_tol, abs_tol=abs_tol, max_subdivisions=max_subdivisions)
+        cut = self._tail_cut(abs_tol)
+        if a >= 1.0 and lo > 0.0 and math.isfinite(hi):
+            return self._integrate_density(g, lo, hi, [self.mean(), cut, *breakpoints], **kw)
+        # v = x**a coordinates absorb the power factor of the density exactly
+        const = math.exp(a * math.log(gam) - math.lgamma(a)) / a
+
+        def fv(v):
             with np.errstate(over="ignore", under="ignore"):
-                return const * np.exp(-g * v ** (1.0 / a))
+                x = v ** (1.0 / a)
+                return _weighted(const * np.exp(-gam * x), g(x))
 
+        vlo = lo**a
+        vbreaks = [p**a for p in breakpoints]
+        if math.isfinite(hi):
+            return adaptive_gauss_kronrod(fv, vlo, hi**a, breakpoints=[self.mean() ** a, *vbreaks], **kw)
         return integrate_half_line(
-            integrand,
-            0.0,
-            self.mean() ** a,
-            rel_tol=rel_tol,
-            abs_tol=abs_tol,
-            theta_breakpoints=[(2.0 * self.mean()) ** a],
+            fv, vlo, max(self.mean() ** a - vlo, self.mean() ** a * 0.5),
+            theta_breakpoints=[cut**a, *vbreaks], **kw
         )
 
     def to_dict(self):
@@ -495,23 +500,32 @@ class BetaMarginal(Marginal):
         g2 = _gamma_from_bank(bank, np.full(n, self.b), ones)
         return g1 / (g1 + g2)
 
-    def mass_quadrature(self, rel_tol=1e-10, abs_tol=1e-12):
-        # split at 1/2 and desingularize each endpoint with a power substitution
-        norm = math.exp(-self._log_norm())
+    def integrate(self, g, clip=None, breakpoints=(), rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=2000):
+        lo = 0.0 if clip is None else max(0.0, clip[0])
+        hi = 1.0 if clip is None else min(1.0, clip[1])
+        kw = dict(rel_tol=rel_tol, abs_tol=abs_tol, max_subdivisions=max_subdivisions)
+        if lo > 0.0 and hi < 1.0:
+            return self._integrate_density(g, lo, hi, breakpoints, **kw)
+        # split at the midpoint and desingularize each endpoint with a power substitution
         a, b = self.a, self.b
+        norm = math.exp(-self._log_norm())
+        mid = 0.5 * (lo + hi)
 
-        def left(v):  # v = x**a on (0, (1/2)**a]
-            return norm / a * (1.0 - v ** (1.0 / a)) ** (b - 1.0)
+        def left(v):  # v = x**a
+            x = v ** (1.0 / a)
+            return _weighted(norm / a * (1.0 - x) ** (b - 1.0), g(x))
 
-        def right(v):  # v = (1-x)**b on (0, (1/2)**b]
-            return norm / b * (1.0 - v ** (1.0 / b)) ** (a - 1.0)
+        def right(v):  # v = (1-x)**b
+            x = 1.0 - v ** (1.0 / b)
+            return _weighted(norm / b * np.maximum(x, 0.0) ** (a - 1.0), g(x))
 
-        r1 = adaptive_gauss_kronrod(left, 0.0, 0.5**a, rel_tol=rel_tol, abs_tol=abs_tol)
-        r2 = adaptive_gauss_kronrod(right, 0.0, 0.5**b, rel_tol=rel_tol, abs_tol=abs_tol)
+        r1 = adaptive_gauss_kronrod(left, lo**a, mid**a, breakpoints=[p**a for p in breakpoints], **kw)
+        r2 = adaptive_gauss_kronrod(
+            right, (1.0 - hi) ** b, (1.0 - mid) ** b,
+            breakpoints=[(1.0 - p) ** b for p in breakpoints], **kw
+        )
         return QuadratureResult(
-            r1.value + r2.value,
-            r1.error + r2.error,
-            r1.n_panels + r2.n_panels,
+            r1.value + r2.value, r1.error + r2.error, r1.n_panels + r2.n_panels,
             r1.converged and r2.converged,
         )
 
@@ -550,89 +564,11 @@ class MixingMeasure:
 
 
 @dataclass(frozen=True)
-class DiracMixing(MixingMeasure):
-    point: tuple
-    kind: str = field(default="dirac", init=False)
-
-    def __post_init__(self):
-        pt = (self.point,) if np.isscalar(self.point) else tuple(float(v) for v in self.point)
-        object.__setattr__(self, "point", pt)
-        if not all(math.isfinite(v) for v in pt):
-            raise ConfigurationError("dirac point must be finite")
-
-    @property
-    def dim(self):
-        return len(self.point)
-
-    @property
-    def is_atomic(self):
-        return True
-
-    def support_box(self):
-        return tuple((v, v) for v in self.point)
-
-    def mean_point(self):
-        return self.point
-
-    def sample_batch(self, bank):
-        return np.tile(np.asarray(self.point, dtype=np.float64), (len(bank), 1))
-
-    def contains(self, theta):
-        return tuple(theta) == self.point
-
-    def to_dict(self):
-        return {"kind": "dirac", "point": self.point[0] if self.dim == 1 else list(self.point)}
-
-
-@dataclass(frozen=True)
-class GammaMixing(MixingMeasure):
-    """Gamma mixing law on (0, inf), rate-first: density rate**shape/Gamma(shape) * t**(shape-1) * exp(-rate*t)."""
-
-    rate: float
-    shape: float
-    kind: str = field(default="gamma", init=False)
-
-    def __post_init__(self):
-        # parameter validation delegated to the marginal
-        object.__setattr__(self, "_marginal", GammaMarginal(self.rate, self.shape))
-
-    @property
-    def marginal(self) -> GammaMarginal:
-        return self._marginal
-
-    @property
-    def dim(self):
-        return 1
-
-    @property
-    def is_atomic(self):
-        return False
-
-    def support_box(self):
-        return ((0.0, math.inf),)
-
-    def mean_point(self):
-        return (self.shape / self.rate,)
-
-    def density_batch(self, thetas: np.ndarray) -> np.ndarray:
-        return self._marginal.density_batch(thetas)
-
-    def sample_batch(self, bank):
-        return self._marginal.sample_batch(bank)[:, None]
-
-    def contains(self, theta):
-        return len(theta) == 1 and theta[0] > 0.0
-
-    def to_dict(self):
-        return {"kind": "gamma", "rate": self.rate, "shape": self.shape}
-
-
-@dataclass(frozen=True)
 class ProductRectangleMixing(MixingMeasure):
     """Product of independent one-dimensional laws on an axis-aligned box."""
 
     marginals: tuple
-    kind: str = field(default="product_rectangle", init=False)
+    kind = "product_rectangle"
 
     def __post_init__(self):
         ms = tuple(self.marginals)
@@ -675,11 +611,38 @@ class ProductRectangleMixing(MixingMeasure):
         return {"kind": "product_rectangle", "marginals": [m.to_dict() for m in self.marginals]}
 
 
+class GammaMixing(ProductRectangleMixing):
+    """Gamma mixing law on (0, inf), rate-first: density rate**shape/Gamma(shape) * t**(shape-1) * exp(-rate*t).
+
+    A product mixing over one `GammaMarginal`.  It keeps its own model-file
+    spelling, and so its own model hash, and it excludes theta = 0.
+    """
+
+    kind = "gamma"
+
+    def __init__(self, rate: float, shape: float):
+        super().__init__((GammaMarginal(rate, shape),))
+
+    @property
+    def rate(self) -> float:
+        return self.marginals[0].rate
+
+    @property
+    def shape(self) -> float:
+        return self.marginals[0].shape
+
+    def contains(self, theta):
+        return len(theta) == 1 and theta[0] > 0.0
+
+    def to_dict(self):
+        return {"kind": "gamma", "rate": self.rate, "shape": self.shape}
+
+
 @dataclass(frozen=True)
 class DiscreteMixing(MixingMeasure):
     atoms: tuple
     weights: tuple
-    kind: str = field(default="discrete", init=False)
+    kind = "discrete"
 
     def __post_init__(self):
         atoms = tuple(
@@ -690,6 +653,8 @@ class DiscreteMixing(MixingMeasure):
             raise ConfigurationError("discrete mixing needs matching atoms and weights")
         if len({len(a) for a in atoms}) != 1:
             raise ConfigurationError("discrete atoms must share one dimension")
+        if not all(math.isfinite(v) for a in atoms for v in a):
+            raise ConfigurationError("discrete atoms must be finite")
         if any(w < 0.0 for w in weights):
             raise ConfigurationError("discrete weights must be nonnegative")
         if abs(sum(weights) - 1.0) > 1e-12:
@@ -731,6 +696,29 @@ class DiscreteMixing(MixingMeasure):
         return {"kind": "discrete", "atoms": atoms, "weights": list(self.weights)}
 
 
+class DiracMixing(DiscreteMixing):
+    """Point mass at `point`: a one-atom discrete measure.
+
+    Its sampler draws no uniform, where a one-atom `DiscreteMixing` draws one
+    per lane, so simulated interarrivals keep their stream positions.
+    """
+
+    kind = "dirac"
+
+    def __init__(self, point):
+        super().__init__((point,), (1.0,))
+
+    @property
+    def point(self) -> tuple:
+        return self.atoms[0]
+
+    def sample_batch(self, bank):
+        return np.tile(np.asarray(self.point, dtype=np.float64), (len(bank), 1))
+
+    def to_dict(self):
+        return {"kind": "dirac", "point": self.point[0] if self.dim == 1 else list(self.point)}
+
+
 # ---------------------------------------------------------------------------
 # module-level operations on mixing measures
 # ---------------------------------------------------------------------------
@@ -755,23 +743,15 @@ def mixing_density(mu: MixingMeasure, theta) -> float:
 def verify_mixing_mass(mu: MixingMeasure, tol: float = 1e-8) -> float:
     """Check the total mass of a mixing measure; returns the computed mass.
 
-    Atomic kinds are exact by construction (validated at build time);
-    continuous kinds are integrated by quadrature and must match 1 within tol.
+    Atomic kinds are exact by construction (validated at build time); each
+    marginal of a product is integrated by the rule the exact routes use,
+    and the product of the masses must match 1 within tol.
     """
     if mu.is_atomic:
         return 1.0
-    if isinstance(mu, GammaMixing):
-        res = mu.marginal.mass_quadrature()
-        masses = [res.scalar_value]
-        ok = res.converged
-    else:
-        masses, ok = [], True
-        for m in mu.marginals:
-            res = m.mass_quadrature()
-            masses.append(res.scalar_value)
-            ok = ok and res.converged
-    total = float(np.prod(masses))
-    if not ok or abs(total - 1.0) > tol:
+    results = [m.integrate(np.ones_like) for m in mu.marginals]
+    total = float(np.prod([res.scalar_value for res in results]))
+    if not all(res.converged for res in results) or abs(total - 1.0) > tol:
         raise ConfigurationError(
             f"mixing density mass {total!r} deviates from 1 by more than {tol}"
         )

@@ -19,6 +19,7 @@ from .kernels import (
     DiscreteMixing,
     GammaMarginal,
     GammaMixing,
+    KERNEL_FAMILIES,
     KernelSpec,
     ProductRectangleMixing,
     RateMap,
@@ -49,8 +50,11 @@ def _number(doc: dict, key: str, path: str) -> float:
 def _parse_kernel(doc: dict) -> KernelSpec:
     _require_keys(doc, {"family", "rate_map", "shape"}, {"family"}, "kernel")
     family = doc["family"]
-    if family not in ("exponential", "gamma", "poisson"):
-        raise SchemaError(f"kernel.family: unknown family {family!r}")
+    if family not in KERNEL_FAMILIES:
+        raise SchemaError(
+            f"kernel.family: unknown family {family!r}; interarrival kernels must live "
+            f"on (0, inf), expected one of {KERNEL_FAMILIES}"
+        )
     rm = RateMap()
     if "rate_map" in doc:
         _require_keys(doc["rate_map"], {"a", "b"}, {"a", "b"}, "kernel.rate_map")

@@ -35,10 +35,10 @@ from .errors import (
     UnsupportedModelError,
 )
 from .exact import BoxQuery, ExactResult, count_pmf
-from .kernels import SHAPE_FROM_THETA2, KernelSpec, _exponential_from_bank
+from .kernels import _exponential_from_bank, kernel_cdf_batch
 from .report import VerificationReport
 from .rng import StreamBank, UniformStream
-from .special import chi_square_sf, ks_one_sample_pvalue, regularized_incomplete_gamma
+from .special import chi_square_sf, ks_one_sample_pvalue
 
 _BOREL_CAVEAT = (
     "equivalence of mixture structure and exchangeability is applied in the "
@@ -168,6 +168,11 @@ def exchangeability_test(
     group = list(itertools.permutations(range(r)))
     stat_perms = [p for p in group if p != tuple(range(r))]
     pairs, eval_boxes, index = _cdf_discrepancy_pairs(base_boxes, stat_perms)
+    if not pairs:
+        raise DegenerateTestError(
+            "every probe box is symmetric under coordinate permutations, so the "
+            "statistic is identically 0"
+        )
 
     v = np.empty((len(eval_boxes), n), dtype=np.float32)
     for e, box in enumerate(eval_boxes):
@@ -176,12 +181,11 @@ def exchangeability_test(
     fhat = v.mean(axis=1, dtype=np.float64)
     p1 = np.array([a for a, _ in pairs])
     p2 = np.array([b for _, b in pairs])
-    diffs = np.abs(fhat[p1] - fhat[p2])
-    d_obs = float(diffs.max()) if pairs else 0.0
+    d_obs = float(np.abs(fhat[p1] - fhat[p2]).max())
     # the null is compared in integer box counts, which float32 holds exactly
     # below 2**24 paths, so a replica that ties the statistic counts as one
     row_sums_id = v.sum(axis=1, dtype=np.float64)
-    k_obs = float(np.abs(row_sums_id[p1] - row_sums_id[p2]).max()) if pairs else 0.0
+    k_obs = float(np.abs(row_sums_id[p1] - row_sums_id[p2]).max())
 
     if resample_seed is None:
         resample_seed = aux_seed(root, 0)
@@ -237,16 +241,6 @@ def exchangeability_test(
 # ---------------------------------------------------------------------------
 
 
-def _reference_cdf_values(spec: KernelSpec, theta: tuple, xs: np.ndarray) -> np.ndarray:
-    """Conditional interarrival CDF K(theta) (the index-1 member) at sorted xs."""
-    rate = spec.rate_map.multiplier(1) * theta[0]
-    pos = np.maximum(xs, 0.0)
-    if spec.family == "exponential":
-        return -np.expm1(-rate * pos)
-    shape = theta[1] if spec.shape == SHAPE_FROM_THETA2 else float(spec.shape)
-    return regularized_incomplete_gamma(shape, rate * pos)
-
-
 def _ks_one_sample(sample: np.ndarray, cdf_vals_sorted: np.ndarray) -> float:
     n = sample.shape[0]
     grid = np.arange(1, n + 1) / n
@@ -292,7 +286,8 @@ def conditional_iid_test(
     ks_results = []
     for k in range(max_index):
         xs = np.sort(w[:, k])
-        d = _ks_one_sample(xs, _reference_cdf_values(model.kernel, pt, xs))
+        # every index is compared with the index-1 law K(theta)
+        d = _ks_one_sample(xs, kernel_cdf_batch(model.kernel, 1, np.array([pt]), xs)[0])
         ks_results.append({"index": k + 1, "ks_distance": d, "p_value": ks_one_sample_pvalue(d, n_samples)})
 
     pair_results = []

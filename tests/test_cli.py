@@ -46,6 +46,20 @@ def test_simulate_malformed_model_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.strip()
 
 
+def test_simulate_poisson_kernel_model_exits_2(tmp_path, capsys):
+    model = tmp_path / "poisson.json"
+    model.write_text(json.dumps({
+        "kernel": {"family": "poisson"},
+        "mixing": {"kind": "gamma", "rate": 2.0, "shape": 1.0},
+    }))
+    out = tmp_path / "x.csv"
+    code = run(["simulate", "--model", str(model), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'poisson'" in err and "interarrival kernels must live on (0, inf)" in err
+    assert not out.exists()
+
+
 def test_simulate_missing_model_exits_2(tmp_path):
     code = run(["simulate", "--model", str(tmp_path / "none.json"), "--out",
                 str(tmp_path / "x.csv")])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from mrplab.kernels import (
     GammaMarginal,
     GammaMixing,
     KernelSpec,
+    KERNEL_FAMILIES,
     ProductRectangleMixing,
     RateMap,
     UniformMarginal,
@@ -68,8 +70,10 @@ def test_bivariate_gamma_kernel_accepted():
 
 
 def test_poisson_kernel_rejected_mass_at_zero():
-    with pytest.raises(InvalidInterarrivalError):
-        build_model(KernelSpec("poisson"), GammaMixing(2.0, 1.0))
+    # a Poisson law has an atom at 0, so it is no interarrival kernel family
+    assert KERNEL_FAMILIES == ("exponential", "gamma")
+    with pytest.raises(ConfigurationError, match="unknown kernel family 'poisson'"):
+        KernelSpec("poisson")
 
 
 def test_dimension_mismatch_rejected():
@@ -93,6 +97,32 @@ def test_model_hash_stable():
     b = example16_model()
     assert a.model_hash() == b.model_hash()
     assert a.model_hash() != build_model(EXP, GammaMixing(2.0, 1.0)).model_hash()
+
+
+GAMMA_HALF_KERNEL = KernelSpec("gamma", shape=0.5)
+
+# (mixing, model_hash prefix, sha256 prefix of the 1000 x 4 seed-7 CSV or None)
+PINNED = {
+    "dirac": (DiracMixing(1.3), "190a5f7a6fc934e8", "1d53bf824b908bc8"),
+    "gamma": (GammaMixing(2.0, 1.5), "4ccb802c88a0871f", "d42d311f95055018"),
+    "product_rectangle": (
+        ProductRectangleMixing((GammaMarginal(2.0, 1.5),)), "8b113629a04e2380", "d42d311f95055018"
+    ),
+    "discrete": (DiscreteMixing((1.3,), (1.0,)), "a997e6f6cd5aaeac", "3f3396f5309a9a23"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_model_hash_and_csv_bytes_pinned(kind):
+    # a point mass draws no uniform, so its interarrivals differ from those of
+    # a one-atom discrete measure; gamma mixing and a one-gamma product sample
+    # the same bytes but keep their own model-file spelling and hash
+    mixing, model_hash, csv_hash = PINNED[kind]
+    model = build_model(GAMMA_HALF_KERNEL, mixing)
+    assert mixing.kind == kind
+    assert model.model_hash().startswith(model_hash)
+    text = ensemble_csv_text(simulate_ensemble(model, 1000, 4, root_seed=7))
+    assert hashlib.sha256(text.encode()).hexdigest().startswith(csv_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +165,8 @@ def test_conditional_theta_outside_support():
     model = example16_model()
     with pytest.raises(ParameterDomainError):
         sample_conditional_path(model, -1.0, 3, 0)
+    with pytest.raises(ParameterDomainError):
+        sample_conditional_path(model, 0.0, 3, 0)
     bi = build_model(
         KernelSpec("gamma", shape="theta2"),
         ProductRectangleMixing((GammaMarginal(2.0, 2.0), UniformMarginal(0.2, 0.8))),

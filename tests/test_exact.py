@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 from scipy.integrate import quad
 
@@ -31,6 +31,7 @@ from mrplab.kernels import (
     GammaMarginal,
     GammaMixing,
     KernelSpec,
+    ProductRectangleMixing,
     RateMap,
     UniformMarginal,
     kernel_cdf,
@@ -139,10 +140,14 @@ def test_exp_gamma_marginal_closed_form():
         assert abs(res.value - ref) < 1e-9, (g, a, w)
 
 
-def test_quadrature_error_estimate_bounds_truth():
-    model = build_model(KernelSpec("exponential"), GammaMixing(1.7, 2.3))
-    res = joint_interarrival_probability(model, BoxQuery.upper(0.8))
-    ref = 1.0 - (1.7 / (1.7 + 0.8)) ** 2.3
+@given(hs.floats(0.3, 5.0), hs.floats(0.2, 5.0), hs.floats(0.01, 12.0))
+@example(1.7, 2.3, 0.8)
+@settings(max_examples=60, deadline=None)
+def test_quadrature_error_estimate_bounds_truth(g, a, w):
+    # P(W_1 <= w) = 1 - (g/(g+w))**a under Gamma(g, a) mixing of an exponential kernel
+    model = build_model(KernelSpec("exponential"), GammaMixing(g, a))
+    res = joint_interarrival_probability(model, BoxQuery.upper(w))
+    ref = -math.expm1(a * math.log(g / (g + w)))
     assert abs(res.value - ref) <= max(res.error, 1e-12)
 
 
@@ -363,12 +368,28 @@ def test_density_form_theta_restriction():
     assert abs(e_mass.value - regularized_incomplete_gamma(1.5, 2.0 * 0.75)) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "marginal", [GammaMarginal(2.0, 1.5), BetaMarginal(0.7, 2.5), UniformMarginal(0.2, 3.0)]
+)
+def test_route_equivalence_one_dimensional_product_mixing(marginal):
+    # the density form integrates over any one-dimensional product mixing,
+    # not only over the gamma spelling of it
+    model = build_model(KernelSpec("gamma", shape=1.3), ProductRectangleMixing((marginal,)))
+    q = BoxQuery(((0.1, 0.9), (-math.inf, 2.0)))
+    a = joint_interarrival_probability(model, q)
+    b = cylinder_probability_density_form(model, q)
+    assert abs(a.value - b.value) <= a.error + b.error
+
+
 def test_density_form_unsupported_configs():
     with pytest.raises(UnsupportedModelError):
         cylinder_probability_density_form(example16_model(), BoxQuery.upper(1.0))
     exp_model = build_model(KernelSpec("exponential"), GammaMixing(2.0, 1.0))
     with pytest.raises(UnsupportedModelError):
         cylinder_probability_density_form(exp_model, BoxQuery.upper(1.0))
+    dirac_model = build_model(KernelSpec("gamma", shape=1.3), DiracMixing(1.1))
+    with pytest.raises(UnsupportedModelError):
+        cylinder_probability_density_form(dirac_model, BoxQuery.upper(1.0))
 
 
 def test_count_pmf_bivariate_model_monte_carlo_oracle():

@@ -37,7 +37,6 @@ from mrplab.special import ks_critical_value, regularized_incomplete_gamma
 EXP = KernelSpec("exponential")
 EXP_SCALED = KernelSpec("exponential", RateMap(0.0, 1.0))  # rate multiplier n
 GAMMA_HALF = KernelSpec("gamma", shape=0.5)
-POISSON = KernelSpec("poisson")
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +72,7 @@ def test_cdf_total_mass():
 
 def test_cdf_monotone_on_grid():
     xs = np.linspace(0.0, 20.0, 400)
-    for spec, theta in [(EXP, 1.3), (GAMMA_HALF, 0.7), (POISSON, 2.5)]:
+    for spec, theta in [(EXP, 1.3), (GAMMA_HALF, 0.7)]:
         vals = np.array([kernel_cdf(spec, 1, theta, x) for x in xs])
         assert np.all(np.diff(vals) >= -1e-15)
         assert vals[0] >= 0.0 and vals[-1] <= 1.0
@@ -92,10 +91,10 @@ def test_cdf_monotone_property(x1, x2, theta):
 
 def test_cdf_batch_matches_scalar():
     thetas = np.array([0.3, 1.0, 2.5])
-    for spec in [EXP, GAMMA_HALF, POISSON]:
+    for spec in [EXP, GAMMA_HALF]:
         batch = kernel_cdf_batch(spec, 2, thetas, 1.7)
         scal = np.array([kernel_cdf(spec, 2, t, 1.7) for t in thetas])
-        assert np.allclose(batch, scal, atol=1e-14)
+        assert np.array_equal(batch, scal)
 
 
 def test_cdf_batch_columns_match_single_column_calls():
@@ -104,7 +103,6 @@ def test_cdf_batch_columns_match_single_column_calls():
     cases = [
         (EXP_SCALED, thetas),
         (GAMMA_HALF, thetas),
-        (POISSON, thetas),
         (biv, np.array([[0.3, 0.2], [1.0, 0.8], [2.5, 1.7]])),
     ]
     indices = [1, 2, 3, 2, 1]
@@ -118,11 +116,35 @@ def test_cdf_batch_columns_match_single_column_calls():
         kernel_cdf_batch(EXP, [1, 2], thetas, [1.0])
 
 
-def test_poisson_cdf_matches_scipy():
-    for x in [-0.5, 0.0, 0.7, 1.0, 3.2, 10.0]:
-        assert kernel_cdf(POISSON, 1, 2.5, x) == pytest.approx(
-            st.poisson.cdf(math.floor(x) if x >= 0 else -1, 2.5), abs=1e-12
-        )
+def test_cdf_batch_scalar_index_broadcasts_over_points():
+    xs = np.linspace(0.05, 6.0, 20_000)
+    thetas = np.array([0.4, 2.2])
+    for spec in [EXP_SCALED, GAMMA_HALF]:
+        cols = kernel_cdf_batch(spec, 2, thetas, xs)
+        assert cols.shape == (2, xs.size)
+        assert np.array_equal(cols, kernel_cdf_batch(spec, [2] * xs.size, thetas, xs))
+    with pytest.raises(ParameterDomainError):
+        kernel_cdf_batch(EXP, 0, thetas, xs)
+    with pytest.raises(ParameterDomainError):
+        kernel_cdf_batch(EXP, 1.0, thetas, xs)
+
+
+def test_cdf_batch_sum_of_draws_is_a_gamma_law():
+    # the sum of n draws of Gamma(rate, shape) is Gamma(rate, n*shape); n = 0 is 0
+    thetas = np.array([0.3, 1.0, 2.5])
+    t = 1.7
+    for spec, shape in [(GAMMA_HALF, 0.5), (KernelSpec("gamma", RateMap(2.0, 0.0), shape=1.4), 1.4),
+                        (EXP, 1.0)]:
+        ns = [0, 1, 2, 7]
+        cols = kernel_cdf_batch(spec, 1, thetas, [t] * len(ns), n_terms=ns)
+        assert np.array_equal(cols[:, 0], np.ones(3))
+        rates = thetas * spec.rate_map.a
+        for j, n in enumerate(ns[1:], start=1):
+            ref = st.gamma.cdf(t, n * shape, scale=1.0 / rates)
+            assert np.allclose(cols[:, j], ref, rtol=0.0, atol=1e-12)
+            if spec.family == "gamma":
+                # the same expression the count route has always used
+                assert np.array_equal(cols[:, j], regularized_incomplete_gamma(n * shape, rates * t))
 
 
 def test_domain_error_names_component():
@@ -207,24 +229,6 @@ def test_sampling_cdf_consistency_ks():
         assert failures == 0, f"{spec.family}: {failures} seeds exceeded the KS 0.001 critical value"
 
 
-def test_poisson_sampler_pmf_chi_square():
-    n = 200_000
-    lam = 3.2
-    bank = StreamBank.from_root(21, n)
-    draws = kernel_sample_batch(POISSON, 1, np.full(n, lam), bank).astype(int)
-    kmax = draws.max()
-    obs = np.bincount(draws, minlength=kmax + 1)
-    probs = st.poisson.pmf(np.arange(kmax + 1), lam)
-    keep = probs * n >= 5
-    chi2 = np.sum((obs[keep] - n * probs[keep]) ** 2 / (n * probs[keep]))
-    assert st.chi2.sf(chi2, keep.sum() - 1) > 1e-4
-
-
-def test_poisson_mean_cap():
-    with pytest.raises(ParameterDomainError):
-        kernel_sample(POISSON, 1, 800.0, UniformStream(0))
-
-
 def test_scalar_batch_bitwise_identical():
     # same stream, same consumption: scalar call equals lane 0 of a batch
     for spec, theta in [(EXP, 1.5), (GAMMA_HALF, 0.8), (KernelSpec("gamma", shape=2.2), 1.1)]:
@@ -300,6 +304,44 @@ def test_mixing_mass_normalization():
     assert verify_mixing_mass(mu2) == pytest.approx(1.0, abs=1e-8)
     mu3 = ProductRectangleMixing((BetaMarginal(0.5, 0.5),))
     assert verify_mixing_mass(mu3) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "marginal",
+    [GammaMarginal(2.0, 1.5), GammaMarginal(0.7, 0.3), GammaMarginal(1.0, 30.0),
+     BetaMarginal(0.5, 0.5), BetaMarginal(3.0, 0.2), UniformMarginal(0.2, 0.8)],
+)
+def test_mixing_mass_is_the_marginal_integral_of_one(marginal):
+    # the mass check integrates 1 by the rule the exact routes use
+    res = marginal.integrate(np.ones_like)
+    assert res.converged and abs(res.scalar_value - 1.0) <= 1e-10
+    assert verify_mixing_mass(ProductRectangleMixing((marginal,))) == res.scalar_value
+
+
+def test_dirac_is_a_one_atom_discrete_measure():
+    mu = DiracMixing(1.3)
+    assert isinstance(mu, DiscreteMixing)
+    assert (mu.kind, mu.point, mu.atoms, mu.weights) == ("dirac", (1.3,), ((1.3,),), (1.0,))
+    assert mu.to_dict() == {"kind": "dirac", "point": 1.3}
+    assert DiracMixing((1.0, 0.5)).to_dict() == {"kind": "dirac", "point": [1.0, 0.5]}
+    assert mu.contains((1.3,)) and not mu.contains((1.4,))
+    # unlike a one-atom discrete measure, a point mass draws no uniform
+    bank = StreamBank.from_root(5, 4)
+    assert np.array_equal(mu.sample_batch(bank), np.full((4, 1), 1.3))
+    assert np.array_equal(bank.draw(), StreamBank.from_root(5, 4).draw())
+    with pytest.raises(ConfigurationError):
+        DiracMixing(math.inf)
+
+
+def test_gamma_mixing_is_a_one_gamma_product():
+    mu = GammaMixing(2.0, 1.5)
+    assert isinstance(mu, ProductRectangleMixing)
+    assert mu.marginals == (GammaMarginal(2.0, 1.5),)
+    assert (mu.kind, mu.rate, mu.shape, mu.dim) == ("gamma", 2.0, 1.5, 1)
+    assert mu.to_dict() == {"kind": "gamma", "rate": 2.0, "shape": 1.5}
+    assert not mu.contains((0.0,)) and mu.contains((0.1,))
+    with pytest.raises(ConfigurationError):
+        GammaMixing(-1.0, 1.5)
 
 
 def test_beta_marginal_sampling_moments():

@@ -104,6 +104,16 @@ def test_exchangeability_errors():
         exchangeability_test(ens, r=2, probe_boxes=[(1.0,)])
 
 
+def test_exchangeability_symmetric_probes_are_degenerate():
+    # a probe set closed under coordinate permutations leaves no pair to compare
+    w = -np.log(UniformStream(9).uniforms(200 * 2).reshape(200, 2))
+    with pytest.raises(DegenerateTestError, match="symmetric"):
+        exchangeability_test(w, r=2, probe_boxes=[(1.0, 1.0)])
+    # constant data: every pooled quartile coincides, so all default probes do
+    with pytest.raises(DegenerateTestError, match="symmetric"):
+        exchangeability_test(np.full((200, 3), 0.7), r=3)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_exchangeability_rejects_non_finite_data(bad):
     w = -np.log(UniformStream(3).uniforms(1000 * 3).reshape(1000, 3))
