@@ -125,6 +125,34 @@ def test_model_hash_and_csv_bytes_pinned(kind):
     assert hashlib.sha256(text.encode()).hexdigest().startswith(csv_hash)
 
 
+# the bench models gamma_half and bivariate (a 2-D theta)
+BENCH_MODELS = {
+    "gamma_half": (GAMMA_HALF_KERNEL, GammaMixing(2.0, 1.5)),
+    "bivariate": (
+        KernelSpec("gamma", shape="theta2"),
+        ProductRectangleMixing((GammaMarginal(2.0, 2.0), UniformMarginal(0.2, 0.8))),
+    ),
+}
+
+# sha256 prefixes of ensemble_csv_text(simulate_ensemble(model, n, m, seed)):
+# more than one render block, one block plus one path, and a single row
+PINNED_CSV = [
+    ("gamma_half", (20000, 8, 5), "e3afff7bfcf96415"),
+    ("gamma_half", (8193, 3, 11), "0ba828659029c114"),
+    ("gamma_half", (1, 1, 0), "6c9bad0d66b8cea4"),
+    ("bivariate", (20000, 8, 5), "3dd359f4b7f19649"),
+    ("bivariate", (8193, 3, 11), "4ae65af1ac632830"),
+    ("bivariate", (1, 1, 0), "75a06fd08bc3d77b"),
+]
+
+
+@pytest.mark.parametrize("name,size,csv_hash", PINNED_CSV)
+def test_bench_model_csv_bytes_pinned(name, size, csv_hash):
+    model = build_model(*BENCH_MODELS[name])
+    text = ensemble_csv_text(simulate_ensemble(model, *size))
+    assert hashlib.sha256(text.encode()).hexdigest().startswith(csv_hash)
+
+
 # ---------------------------------------------------------------------------
 # sample_path / sample_conditional_path
 # ---------------------------------------------------------------------------
