@@ -47,7 +47,7 @@ SEED_RULE = "splitmix64-child-v1"
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
-    """Worker count for ensemble generation, capped by MRPLAB_THREADS."""
+    """Worker count for ensemble generation and CSV rendering, capped by MRPLAB_THREADS."""
     cap = os.environ.get("MRPLAB_THREADS")
     cap = max(1, int(cap)) if cap else None
     if threads is None:
@@ -324,29 +324,93 @@ def aux_seed(root_seed: int, tag: int) -> int:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write `text` to `path` through a temp file; on failure remove the temp file."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+# paths per CSV render block; blocks are rendered in worker processes
+_RENDER_BLOCK = 8192
+
+# (template, thetas, interarrivals, arrivals), set in each render worker
+_worker_args: tuple = ()
+
+
+def _render_init(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _render_worker(span: tuple) -> str:
+    return _render_block(*_worker_args, *span)
+
+
+def _render_block(template: str, thetas, w, t, lo: int, hi: int) -> str:
+    """CSV rows of paths lo..hi-1, one %-format of `template` per path.
+
+    Every value reaches %r / repr as a Python float (via ``tolist`` or an
+    object array), never as a numpy scalar, whose repr differs.
+    """
+    n_events = w.shape[1]
+    args = np.empty((hi - lo, 3 * n_events), dtype=object)
+    args[:, 0::3] = np.array(
+        [f"{i},{','.join(map(repr, th))}," for i, th in zip(range(lo, hi), thetas[lo:hi].tolist())],
+        dtype=object,
+    )[:, None]
+    args[:, 1::3] = w[lo:hi]
+    args[:, 2::3] = t[lo:hi]
+    return "".join([template % tuple(row) for row in args.tolist()])
+
+
+def _available_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def ensemble_csv_text(ensemble: Ensemble) -> str:
     """Render the ensemble as CSV (path_id, theta components, k, w, t).
 
     Floats are written with shortest round-trip repr, so identical ensembles
-    produce byte-identical files.
+    produce byte-identical files.  Blocks of paths are rendered on the
+    available cores (capped by MRPLAB_THREADS) in forked processes; the bytes
+    do not depend on the worker count.
     """
     dim = ensemble.thetas.shape[1]
     theta_cols = ["theta"] if dim == 1 else [f"theta{j + 1}" for j in range(dim)]
-    lines = [",".join(["path_id", *theta_cols, "k", "w", "t"])]
-    for i in range(ensemble.n_paths):
-        theta_txt = ",".join(repr(float(v)) for v in ensemble.thetas[i])
-        for k in range(ensemble.n_events):
-            lines.append(
-                f"{i},{theta_txt},{k + 1},"
-                f"{float(ensemble.interarrivals[i, k])!r},{float(ensemble.arrivals[i, k])!r}"
-            )
-    return "\n".join(lines) + "\n"
+    head = ",".join(["path_id", *theta_cols, "k", "w", "t"]) + "\n"
+    n = ensemble.n_paths
+    spans = [(lo, min(lo + _RENDER_BLOCK, n)) for lo in range(0, n, _RENDER_BLOCK)]
+    template = "".join(f"%s{k + 1},%r,%r\n" for k in range(ensemble.n_events))
+    args = (template, ensemble.thetas, ensemble.interarrivals, ensemble.arrivals)
+    workers = min(resolve_threads(_available_cores()), len(spans))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork children inherit the arrays through initargs without pickling
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_render_init,
+            initargs=args,
+        ) as pool:
+            parts = list(pool.map(_render_worker, spans))
+    else:
+        parts = [_render_block(*args, lo, hi) for lo, hi in spans]
+    return "".join([head, *parts])
 
 
 def write_ensemble(ensemble: Ensemble, csv_path: str, manifest_path: Optional[str] = None) -> str:

@@ -362,3 +362,88 @@ def test_bivariate_ensemble_columns():
     assert ens.thetas.shape == (10, 2)
     header = ensemble_csv_text(ens).splitlines()[0]
     assert header == "path_id,theta1,theta2,k,w,t"
+
+
+# ---------------------------------------------------------------------------
+# CSV rendering by blocks of paths
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def render_ensemble():
+    # 20000 paths: three render blocks
+    return simulate_ensemble(build_model(*BENCH_MODELS["bivariate"]), 20_000, 3, root_seed=9)
+
+
+def _count_block_calls(monkeypatch):
+    # counts the blocks rendered in this process (forked workers count their own)
+    from mrplab import construction
+
+    calls = []
+    block = construction._render_block
+
+    def counted(*args):
+        calls.append(args[-2:])
+        return block(*args)
+
+    monkeypatch.setattr(construction, "_render_block", counted)
+    return calls
+
+
+def test_csv_render_serial_equals_parallel(render_ensemble, monkeypatch):
+    import multiprocessing
+
+    from mrplab import construction
+
+    default = ensemble_csv_text(render_ensemble)
+    monkeypatch.setattr(construction, "_available_cores", lambda: 3)
+    calls = _count_block_calls(monkeypatch)
+    forced = ensemble_csv_text(render_ensemble)
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert calls == []  # every block was rendered in a worker
+    monkeypatch.setenv("MRPLAB_THREADS", "1")
+    serial = ensemble_csv_text(render_ensemble)
+    assert calls == [(0, 8192), (8192, 16384), (16384, 20000)]
+    assert serial == default == forced
+    assert serial.count("\n") == 1 + 20_000 * 3
+    assert multiprocessing.active_children() == []
+
+
+def test_csv_render_without_fork_is_serial(render_ensemble, monkeypatch):
+    import multiprocessing
+
+    from mrplab import construction
+
+    expected = ensemble_csv_text(render_ensemble)
+    monkeypatch.setattr(construction, "_available_cores", lambda: 3)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    calls = _count_block_calls(monkeypatch)
+    assert ensemble_csv_text(render_ensemble) == expected
+    assert len(calls) == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_csv_render_from_a_non_main_thread(render_ensemble, monkeypatch):
+    import multiprocessing
+    from concurrent.futures import ThreadPoolExecutor
+
+    from mrplab import construction
+
+    expected = ensemble_csv_text(render_ensemble)
+    monkeypatch.setattr(construction, "_available_cores", lambda: 3)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(ensemble_csv_text, render_ensemble).result() == expected
+    assert multiprocessing.active_children() == []
+
+
+def test_atomic_write_removes_temp_file_on_failure(tmp_path):
+    from mrplab.construction import atomic_write_text
+
+    path = tmp_path / "out.csv"
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(str(path), "a\n\ud800\n")
+    assert not path.exists()
+    assert [p.name for p in tmp_path.iterdir() if ".tmp." in p.name] == []
+    atomic_write_text(str(path), "a\n")
+    assert path.read_text() == "a\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
