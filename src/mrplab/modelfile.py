@@ -40,11 +40,29 @@ def _require_keys(doc: dict, allowed: set, required: set, path: str) -> None:
         raise SchemaError(f"{path}: missing required field(s) {sorted(missing)}")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(doc: dict, key: str, path: str) -> float:
     v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise SchemaError(f"{path}.{key}: expected a number, got {v!r}")
     return float(v)
+
+
+def _atom(v, path: str):
+    """A mixing atom: a number or a nonempty list of numbers, returned as given."""
+    if not (_is_number(v) or (isinstance(v, list) and v and all(map(_is_number, v)))):
+        raise SchemaError(f"{path}: expected a number or a list of numbers, got {v!r}")
+    return v
+
+
+def _number_list(doc: dict, key: str, path: str) -> list:
+    v = doc[key]
+    if not isinstance(v, list) or not all(map(_is_number, v)):
+        raise SchemaError(f"{path}.{key}: expected a list of numbers, got {v!r}")
+    return v
 
 
 def _parse_kernel(doc: dict) -> KernelSpec:
@@ -88,7 +106,7 @@ def _parse_mixing(doc: dict):
     kind = doc["kind"]
     if kind == "dirac":
         _require_keys(doc, {"kind", "point"}, {"kind", "point"}, "mixing")
-        return DiracMixing(doc["point"])
+        return DiracMixing(_atom(doc["point"], "mixing.point"))
     if kind == "gamma":
         _require_keys(doc, {"kind", "rate", "shape"}, {"kind", "rate", "shape"}, "mixing")
         return GammaMixing(_number(doc, "rate", "mixing"), _number(doc, "shape", "mixing"))
@@ -102,7 +120,13 @@ def _parse_mixing(doc: dict):
         )
     if kind == "discrete":
         _require_keys(doc, {"kind", "atoms", "weights"}, {"kind", "atoms", "weights"}, "mixing")
-        return DiscreteMixing(tuple(doc["atoms"]), tuple(doc["weights"]))
+        atoms = doc["atoms"]
+        if not isinstance(atoms, list):
+            raise SchemaError(f"mixing.atoms: expected a list, got {atoms!r}")
+        return DiscreteMixing(
+            tuple(_atom(a, f"mixing.atoms[{i}]") for i, a in enumerate(atoms)),
+            tuple(_number_list(doc, "weights", "mixing")),
+        )
     raise SchemaError(f"mixing.kind: unknown mixing kind {kind!r}")
 
 
@@ -147,15 +171,14 @@ def load_bundled_model(name: str) -> tuple[MrpModel, dict]:
 def _parse_bound(v, path: str, side: str) -> float:
     if v is None:
         return -math.inf if side == "lo" else math.inf
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise SchemaError(f"{path}: bound must be a number or null, got {v!r}")
     return float(v)
 
 
 def _count(doc: dict, key: str, path: str) -> int:
     v = doc[key]
-    is_number = isinstance(v, (int, float)) and not isinstance(v, bool)
-    if not (is_number and math.isfinite(v) and v == int(v) and v >= 0):
+    if not (_is_number(v) and math.isfinite(v) and v == int(v) and v >= 0):
         raise SchemaError(f"{path}.{key}: expected a nonnegative integer, got {v!r}")
     return int(v)
 

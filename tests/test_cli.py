@@ -60,6 +60,20 @@ def test_simulate_poisson_kernel_model_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mixing", [
+    {"kind": "dirac", "point": "x"},
+    {"kind": "discrete", "atoms": ["x"], "weights": [1.0]},
+])
+def test_simulate_non_numeric_mixing_atom_exits_2(tmp_path, capsys, mixing):
+    model = tmp_path / "bad_atom.json"
+    model.write_text(json.dumps({"kernel": {"family": "exponential"}, "mixing": mixing}))
+    out = tmp_path / "x.csv"
+    code = run(["simulate", "--model", str(model), "--out", str(out)])
+    assert code == 2
+    assert "expected a number or a list of numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_missing_model_exits_2(tmp_path):
     code = run(["simulate", "--model", str(tmp_path / "none.json"), "--out",
                 str(tmp_path / "x.csv")])

@@ -127,3 +127,50 @@ def test_model_round_trip_through_to_dict():
     doc = {"kernel": model.kernel.to_dict(), "mixing": model.mixing.to_dict()}
     again, _ = parse_model_document(json.loads(json.dumps(doc)))
     assert again.model_hash() == model.model_hash()
+
+
+def _mixing_doc(mixing):
+    return {"kernel": {"family": "exponential"}, "mixing": mixing}
+
+
+@pytest.mark.parametrize("mixing,where", [
+    ({"kind": "dirac", "point": "x"}, r"mixing\.point"),
+    ({"kind": "dirac", "point": True}, r"mixing\.point"),
+    ({"kind": "dirac", "point": None}, r"mixing\.point"),
+    ({"kind": "dirac", "point": []}, r"mixing\.point"),
+    ({"kind": "dirac", "point": [1.0, "x"]}, r"mixing\.point"),
+    ({"kind": "dirac", "point": [[1.0]]}, r"mixing\.point"),
+    ({"kind": "discrete", "atoms": ["x"], "weights": [1.0]}, r"mixing\.atoms\[0\]"),
+    ({"kind": "discrete", "atoms": [1.0, False], "weights": [0.5, 0.5]}, r"mixing\.atoms\[1\]"),
+    ({"kind": "discrete", "atoms": 1.0, "weights": [1.0]}, r"mixing\.atoms"),
+    ({"kind": "discrete", "atoms": [1.0], "weights": ["1"]}, r"mixing\.weights"),
+    ({"kind": "discrete", "atoms": [1.0], "weights": 1.0}, r"mixing\.weights"),
+])
+def test_mixing_atoms_and_weights_must_be_numbers(mixing, where):
+    with pytest.raises(SchemaError, match=where):
+        parse_model_document(_mixing_doc(mixing))
+
+
+@pytest.mark.parametrize("mixing", [
+    {"kind": "dirac", "point": 2},
+    {"kind": "dirac", "point": 1.5},
+    {"kind": "discrete", "atoms": [1, 2.5], "weights": [0.25, 0.75]},
+])
+def test_numeric_mixing_atoms_accepted_and_hash_unchanged(mixing):
+    from mrplab.construction import build_model
+    from mrplab.kernels import DiracMixing, DiscreteMixing, KernelSpec
+
+    model, _ = parse_model_document(_mixing_doc(mixing))
+    if mixing["kind"] == "dirac":
+        direct = DiracMixing(mixing["point"])
+    else:
+        direct = DiscreteMixing(tuple(mixing["atoms"]), tuple(mixing["weights"]))
+    assert model.model_hash() == build_model(KernelSpec("exponential"), direct).model_hash()
+
+
+def test_two_dimensional_dirac_point_accepted():
+    two_d, _ = parse_model_document({
+        "kernel": {"family": "gamma", "shape": "theta2"},
+        "mixing": {"kind": "dirac", "point": [1.0, 2]},
+    })
+    assert two_d.mixing.point == (1.0, 2.0)
