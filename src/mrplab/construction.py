@@ -395,22 +395,18 @@ def ensemble_csv_text(ensemble: Ensemble) -> str:
     if workers > 1:
         import multiprocessing
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
 
-        # fork children inherit the arrays through initargs without pickling
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_render_init,
-            initargs=args,
-        ) as pool:
-            parts = list(pool.map(_render_worker, spans))
-    else:
-        parts = [_render_block(*args, lo, hi) for lo, hi in spans]
-    return "".join([head, *parts])
+            # fork children inherit the arrays through initargs without pickling
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_render_init,
+                initargs=args,
+            ) as pool:
+                return "".join([head, *pool.map(_render_worker, spans)])
+    return "".join([head, *(_render_block(*args, lo, hi) for lo, hi in spans)])
 
 
 def write_ensemble(ensemble: Ensemble, csv_path: str, manifest_path: Optional[str] = None) -> str:

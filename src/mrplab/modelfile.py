@@ -58,13 +58,6 @@ def _atom(v, path: str):
     return v
 
 
-def _number_list(doc: dict, key: str, path: str) -> list:
-    v = doc[key]
-    if not isinstance(v, list) or not all(map(_is_number, v)):
-        raise SchemaError(f"{path}.{key}: expected a list of numbers, got {v!r}")
-    return v
-
-
 def _parse_kernel(doc: dict) -> KernelSpec:
     _require_keys(doc, {"family", "rate_map", "shape"}, {"family"}, "kernel")
     family = doc["family"]
@@ -120,12 +113,13 @@ def _parse_mixing(doc: dict):
         )
     if kind == "discrete":
         _require_keys(doc, {"kind", "atoms", "weights"}, {"kind", "atoms", "weights"}, "mixing")
-        atoms = doc["atoms"]
+        atoms, weights = doc["atoms"], doc["weights"]
         if not isinstance(atoms, list):
             raise SchemaError(f"mixing.atoms: expected a list, got {atoms!r}")
+        if not isinstance(weights, list) or not all(map(_is_number, weights)):
+            raise SchemaError(f"mixing.weights: expected a list of numbers, got {weights!r}")
         return DiscreteMixing(
-            tuple(_atom(a, f"mixing.atoms[{i}]") for i, a in enumerate(atoms)),
-            tuple(_number_list(doc, "weights", "mixing")),
+            tuple(_atom(a, f"mixing.atoms[{i}]") for i, a in enumerate(atoms)), tuple(weights)
         )
     raise SchemaError(f"mixing.kind: unknown mixing kind {kind!r}")
 
