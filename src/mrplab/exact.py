@@ -7,10 +7,12 @@
 
 by adaptive Gauss-Kronrod quadrature over the mixing support (an exact sum
 for atomic mixing).  ``cylinder_probability_density_form`` evaluates the same
-quantity for gamma-kernel models through nested density integrals instead of
-CDF factors; it exists as an independent second evaluation route, and any
-disagreement between the two routes beyond combined tolerance indicates a
-convention error in the model rather than something to renormalize away.
+quantity for gamma-kernel models with per-theta factors that integrate the
+kernel density instead of calling the CDF special function.  Both routes
+share one mixing integration (`_integrate_mixing`) and stay independent in
+the per-theta factor; any disagreement between them beyond combined
+tolerance indicates a convention error in the model rather than something
+to renormalize away.
 
 Each marginal of the mixing measure brings its own quadrature rule
 (`Marginal.integrate`): unbounded supports are compactified with
@@ -34,7 +36,7 @@ from .errors import (
     ParameterDomainError,
     UnsupportedModelError,
 )
-from .kernels import KernelSpec, Marginal, kernel_cdf_batch
+from .kernels import SHAPE_FROM_THETA2, KernelSpec, Marginal, kernel_cdf_batch
 from .quadrature import adaptive_gauss_kronrod
 
 
@@ -95,23 +97,31 @@ class ExactResult:
 # ---------------------------------------------------------------------------
 
 
-def _box_factor_batch(spec: KernelSpec, thetas: np.ndarray, query: BoxQuery) -> np.ndarray:
-    """prod_k [F_k(b_k; theta) - F_k(a_k; theta)] for each theta, from one CDF call.
-
-    The upper bounds of all coordinates and the lower bounds that carry mass
-    below them are evaluated together as the columns of one batch.
-    """
-    r = query.dim
+def _box_columns(query: BoxQuery) -> tuple[list, list, list]:
+    """(kernel indices, points, lower) of a box's factor columns: the upper
+    bounds of all coordinates, then the lower bounds of the coordinates in
+    `lower`, those that carry mass below them."""
     lower = [k for k, (lo, _) in enumerate(query.bounds) if lo > 0.0]
-    indices = list(range(1, r + 1)) + [k + 1 for k in lower]
+    indices = list(range(1, query.dim + 1)) + [k + 1 for k in lower]
     xs = [hi for _, hi in query.bounds] + [query.bounds[k][0] for k in lower]
-    cdf = kernel_cdf_batch(spec, indices, thetas, xs)
-    factors = cdf[:, :r]
-    factors[:, lower] -= cdf[:, r:]
+    return indices, xs, lower
+
+
+def _box_product(columns: np.ndarray, lower: list) -> np.ndarray:
+    """prod_k [upper_k - lower_k] per row of a batch laid out by `_box_columns`."""
+    r = columns.shape[1] - len(lower)
+    factors = columns[:, :r]
+    factors[:, lower] -= columns[:, r:]
     out = factors[:, 0]
     for k in range(1, r):
         out = out * factors[:, k]
     return out
+
+
+def _box_factor_batch(spec: KernelSpec, thetas: np.ndarray, query: BoxQuery) -> np.ndarray:
+    """prod_k [F_k(b_k; theta) - F_k(a_k; theta)] for each theta, from one CDF call."""
+    indices, xs, lower = _box_columns(query)
+    return _box_product(kernel_cdf_batch(spec, indices, thetas, xs), lower)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +162,7 @@ def _peak_breakpoints(m: Marginal, k: float, lam: float) -> list:
     return [float(near[0]), float(grid[top]), float(near[-1])]
 
 
-def _integrate_mixing(model: MrpModel, g_batch, cfg: QuadratureConfig, peak=None):
+def _integrate_mixing(model: MrpModel, g_batch, cfg: QuadratureConfig, peak=None, clip=None):
     """integral of g(theta) d(mixing); g_batch maps a theta batch to values.
 
     Returns (value, error_bound, converged, method).  For two-dimensional
@@ -160,12 +170,15 @@ def _integrate_mixing(model: MrpModel, g_batch, cfg: QuadratureConfig, peak=None
     quadrature: outer over the second coordinate, inner over the first.
     `peak = (k, lam)` says that g is shaped like theta**k * exp(-lam*theta);
     one-dimensional mixing then adds panel edges around the integrand's peak.
+    `clip`, one (lo, hi) interval per mixing dimension inside the support,
+    restricts the integral to that box.
     """
     mixing = model.mixing
+    clips = clip or (None, None)
     if mixing.dim == 1:
         m = mixing.marginals[0]
         breaks = _peak_breakpoints(m, *peak) if peak else ()
-        res = _integrate_marginal(m, g_batch, cfg, breakpoints=breaks)
+        res = _integrate_marginal(m, g_batch, cfg, clip=clips[0], breakpoints=breaks)
         return res.scalar_value, res.scalar_error, res.converged, "quadrature-gk15"
     if mixing.dim > 2:
         raise UnsupportedModelError("product mixing beyond two dimensions is not supported")
@@ -180,12 +193,12 @@ def _integrate_mixing(model: MrpModel, g_batch, cfg: QuadratureConfig, peak=None
             th = np.column_stack([np.repeat(t1s, t2s.size), np.tile(t2s, t1s.size)])
             return g_batch(th).reshape(t1s.size, t2s.size)
 
-        res = _integrate_marginal(m1, g1, inner_cfg)
+        res = _integrate_marginal(m1, g1, inner_cfg, clip=clips[0])
         state["err"] = max(state["err"], float(res.error.max()))
         state["ok"] = state["ok"] and res.converged
         return res.value
 
-    res2 = _integrate_marginal(m2, outer_integrand, cfg)
+    res2 = _integrate_marginal(m2, outer_integrand, cfg, clip=clips[1])
     return (
         res2.scalar_value,
         res2.scalar_error + state["err"],
@@ -315,51 +328,52 @@ def count_pmf(
 # ---------------------------------------------------------------------------
 
 
-def _gamma_mass_below_vec(rates: np.ndarray, shape: float, x: float, cfg: QuadratureConfig):
-    """integral over (0, x] of the gamma density, vector valued over rates.
+def _gamma_mass_below_vec(rates, shapes, xs, cfg: QuadratureConfig):
+    """Gamma(rate, shape) mass of (0, x] per lane, by quadrature of the density.
 
-    Computed by quadrature of the density (not the CDF special function):
-    substituting u = omega**shape makes the integrand smooth at the origin:
+    The arguments broadcast to one lane shape.  Substituting
+    omega = x * v**(1/s) puts every lane on [0, 1], smooth at the origin,
 
-        G(x) = rate**s / Gamma(s) * (1/s) * integral_0^{x**s} exp(-rate*u**(1/s)) du.
+        G(x) = (rate*x)**s / Gamma(s+1) * integral_0^1 exp(-rate*x*v**(1/s)) dv,
+
+    so all lanes share one vector-valued adaptive integral.  Returns (mass,
+    per-lane error bound, converged); x <= 0 holds mass 0 and x = inf mass 1.
     """
-    if x <= 0.0:
-        return np.zeros(rates.shape[0]), 0.0, True
-    s = shape
-    consts = np.exp(s * np.log(rates) - math.lgamma(s)) / s
+    rates, shapes, xs = np.broadcast_arrays(rates, shapes, xs)
+    mass = np.where(xs > 0.0, 1.0, 0.0)
+    err = np.zeros(mass.shape)
+    lanes = (xs > 0.0) & (xs < math.inf)
+    if not lanes.any():
+        return mass, err, True
+    c, s = rates[lanes] * xs[lanes], shapes[lanes]
+    inv_s = 1.0 / s
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", under="ignore"):
-            w = u[:, None] ** (1.0 / s)
-            return np.exp(-rates[None, :] * w)
+    def integrand(v: np.ndarray) -> np.ndarray:
+        with np.errstate(under="ignore"):
+            return np.exp(-c * v[:, None] ** inv_s)
 
-    if math.isfinite(x):
-        res = adaptive_gauss_kronrod(
-            integrand, 0.0, x**s, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-            max_subdivisions=cfg.max_subdivisions,
+    res = adaptive_gauss_kronrod(
+        integrand, 0.0, 1.0, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+        max_subdivisions=cfg.max_subdivisions,
+    )
+    uniq, inv = np.unique(s, return_inverse=True)  # few distinct shapes, many lanes
+    const = np.exp(s * np.log(c) - np.array([math.lgamma(v + 1.0) for v in uniq])[inv])
+    mass[lanes] = const * res.value
+    err[lanes] = const * res.error
+    return mass, err, res.converged
+
+
+def _theta_clip(mixing, theta_set) -> tuple:
+    """`theta_set` as one (lo, hi) per mixing dimension, cut to the support (maybe empty)."""
+    try:
+        sets = [(float(lo), float(hi)) for lo, hi in ([theta_set] if mixing.dim == 1 else theta_set)]
+    except (TypeError, ValueError):
+        sets = []
+    if len(sets) != mixing.dim or not all(lo < hi for lo, hi in sets):  # false for a NaN bound
+        raise ConfigurationError(
+            f"theta_set needs {mixing.dim} interval(s) (lo, hi) with lo < hi, got {theta_set!r}"
         )
-        return consts * res.value, float(np.max(consts * res.error)), res.converged
-    return np.ones(rates.shape[0]), 0.0, True  # total mass is the analytic constant
-
-
-def _density_form_factors(
-    spec: KernelSpec, rates: np.ndarray, shape: float, query: BoxQuery, cfg: QuadratureConfig
-):
-    """prod_k integral over C_k of the per-index density, vector over theta nodes."""
-    out = np.ones(rates.shape[0])
-    err = 0.0
-    ok = True
-    for k, (lo, hi) in enumerate(query.bounds, start=1):
-        rk = rates * spec.rate_map.multiplier(k)
-        upper, e1, ok1 = _gamma_mass_below_vec(rk, shape, hi, cfg)
-        if lo > 0.0:
-            lower, e2, ok2 = _gamma_mass_below_vec(rk, shape, lo, cfg)
-        else:
-            lower, e2, ok2 = 0.0, 0.0, True
-        out = out * (upper - lower)
-        err += e1 + e2
-        ok = ok and ok1 and ok2
-    return out, err, ok
+    return tuple((max(lo, a), min(hi, b)) for (lo, hi), (a, b) in zip(sets, mixing.support_box()))
 
 
 def cylinder_probability_density_form(
@@ -368,14 +382,19 @@ def cylinder_probability_density_form(
     cfg: Optional[QuadratureConfig] = None,
     theta_set=None,
 ) -> ExactResult:
-    """Box probability for gamma-kernel models through nested density integrals.
+    """Box probability for gamma-kernel models through density integrals.
 
     Supported configurations: a constant gamma kernel with fixed shape under
     one-dimensional product mixing (gamma mixing among them), or with shape
     tied to the second parameter component under two-dimensional product
-    mixing.  `theta_set` optionally restricts the
-    parameter region (an interval, or a pair of intervals), turning the
-    result into P(W in box, Theta in E); the default is the full support.
+    mixing.  The per-theta factor integrates the kernel density, independent
+    of the CDF special function; the mixing integral is the one
+    `joint_interarrival_probability` uses.  `theta_set` restricts the
+    parameter region, turning the result into P(W in box, Theta in E): an
+    interval (lo, hi) under one-dimensional mixing, a pair of them under
+    two-dimensional mixing; the default is the full support.  A wrong number
+    of intervals, a NaN bound or lo >= hi raises ConfigurationError; a set
+    that misses the support gives 0.
     """
     cfg = cfg or DEFAULT_CONFIG
     spec = model.kernel
@@ -385,55 +404,27 @@ def cylinder_probability_density_form(
             "density-form evaluation supports constant gamma kernel families under "
             "product mixing only"
         )
+    method = "density-form-gk15" if mixing.dim == 1 else "density-form-gk15-iterated"
+    clip = None if theta_set is None else _theta_clip(mixing, theta_set)
+    if clip and any(lo >= hi for lo, hi in clip):
+        return ExactResult(0.0, 0.0, method)
     inner_cfg = _tighter(cfg)
-    state = {"err": 0.0, "ok": True}
+    indices, xs, lower = _box_columns(query)
+    mult = np.array([spec.rate_map.multiplier(k) for k in indices])
+    factor_err, factor_ok = 0.0, True
 
-    if mixing.dim == 1:
-        s = float(spec.shape)
-        clip = None
-        if theta_set is not None:
-            lo, hi = theta_set
-            clip = (max(0.0, float(lo)), float(hi))
+    def g(thetas: np.ndarray) -> np.ndarray:
+        # a theta's factor error bound is the sum of its columns' bounds
+        nonlocal factor_err, factor_ok
+        rates = (thetas[:, 0] if thetas.ndim == 2 else thetas)[:, None] * mult
+        shapes = thetas[:, 1:2] if spec.shape == SHAPE_FROM_THETA2 else float(spec.shape)
+        mass, err, ok = _gamma_mass_below_vec(rates, shapes, xs, inner_cfg)
+        factor_err, factor_ok = max(factor_err, float(err.sum(axis=1).max())), factor_ok and ok
+        return _box_product(mass, lower)
 
-        def g(thetas: np.ndarray) -> np.ndarray:
-            rates = thetas * spec.rate_map.a
-            vals, err, ok = _density_form_factors(spec, rates, s, query, inner_cfg)
-            state["err"] = max(state["err"], err)
-            state["ok"] = state["ok"] and ok
-            return vals
-
-        res = _integrate_marginal(mixing.marginals[0], g, cfg, clip=clip)
-        value, err, ok = res.scalar_value, res.scalar_error + state["err"], res.converged and state["ok"]
-        method = "density-form-gk15"
-    else:  # build_model matched the two-dimensional mixing with a theta2-shaped kernel
-        m1, m2 = mixing.marginals
-        clip1 = clip2 = None
-        if theta_set is not None:
-            (lo1, hi1), (lo2, hi2) = theta_set
-            clip1 = (max(0.0, float(lo1)), float(hi1))
-            clip2 = (max(0.0, float(lo2)), float(hi2))
-
-        def outer_integrand(t2s: np.ndarray) -> np.ndarray:
-            vals = np.empty_like(t2s)
-            for j, t2 in enumerate(t2s):
-
-                def g1(t1s: np.ndarray) -> np.ndarray:
-                    rates = t1s * spec.rate_map.a
-                    v, err, ok = _density_form_factors(spec, rates, float(t2), query, inner_cfg)
-                    state["err"] = max(state["err"], err)
-                    state["ok"] = state["ok"] and ok
-                    return v
-
-                res1 = _integrate_marginal(m1, g1, inner_cfg, clip=clip1)
-                state["err"] = max(state["err"], res1.scalar_error)
-                state["ok"] = state["ok"] and res1.converged
-                vals[j] = res1.scalar_value
-            return vals
-
-        res = _integrate_marginal(m2, outer_integrand, cfg, clip=clip2)
-        value, err, ok = res.scalar_value, res.scalar_error + state["err"], res.converged and state["ok"]
-        method = "density-form-gk15-iterated"
-    if not ok:
+    value, err, ok, _ = _integrate_mixing(model, g, cfg, clip=clip)
+    err += factor_err
+    if not (ok and factor_ok):
         raise AccuracyError(
             f"density-form quadrature did not converge (best {value!r} +/- {err!r})", value, err
         )

@@ -17,6 +17,7 @@ from mrplab.errors import (
 from mrplab.exact import (
     DEFAULT_CONFIG,
     BoxQuery,
+    ExactResult,
     QuadratureConfig,
     _integrate_marginal,
     count_pmf,
@@ -341,11 +342,19 @@ def test_route_equivalence_gamma_half():
 
 def test_route_equivalence_bivariate():
     model, _ = load_bundled_model("bivariate")
-    queries = [BoxQuery.upper(1.0), BoxQuery(((0.3, 1.5), (0.0, 2.0)))]
+    queries = [
+        BoxQuery.upper(1.0),
+        BoxQuery(((0.3, 1.5), (0.0, 2.0))),
+        BoxQuery(((0.0, 0.4),)),
+        BoxQuery(((0.05, 0.3), (0.0, 5.0))),
+        BoxQuery(((1.2, math.inf), (0.3, 0.9))),
+        BoxQuery(((0.0, 2.5), (0.7, 1.1), (0.2, math.inf))),
+    ]
     for q in queries:
         a = joint_interarrival_probability(model, q)
         b = cylinder_probability_density_form(model, q)
         assert abs(a.value - b.value) < 1e-8
+        assert abs(a.value - b.value) <= a.error + b.error
 
 
 def test_density_form_theta_restriction():
@@ -390,6 +399,84 @@ def test_density_form_unsupported_configs():
     dirac_model = build_model(KernelSpec("gamma", shape=1.3), DiracMixing(1.1))
     with pytest.raises(UnsupportedModelError):
         cylinder_probability_density_form(dirac_model, BoxQuery.upper(1.0))
+
+
+def test_density_form_method_strings():
+    q = BoxQuery.upper(1.0)
+    assert cylinder_probability_density_form(load_bundled_model("gamma_half")[0], q).method == (
+        "density-form-gk15"
+    )
+    assert cylinder_probability_density_form(load_bundled_model("bivariate")[0], q).method == (
+        "density-form-gk15-iterated"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, theta_set",
+    [
+        ("bivariate", (0.0, 1.0)),  # one interval for two mixing dimensions
+        ("gamma_half", ((0.0, 1.0), (0.0, 1.0))),  # two intervals for one
+        ("bivariate", ((0.0, 1.0), (0.3, 0.5), (0.0, 1.0))),
+        ("gamma_half", (1.0, 0.5)),
+        ("gamma_half", (0.5, 0.5)),
+        ("gamma_half", (math.nan, 1.0)),
+        ("bivariate", ((0.0, 1.0), (0.3, math.nan))),
+        ("gamma_half", "ab"),
+    ],
+)
+def test_density_form_theta_set_rejects_malformed(name, theta_set):
+    model, _ = load_bundled_model(name)
+    with pytest.raises(ConfigurationError):
+        cylinder_probability_density_form(model, BoxQuery.upper(1.0), theta_set=theta_set)
+
+
+@pytest.mark.parametrize(
+    "name, theta_set, method",
+    [
+        ("bivariate", ((0.0, 1.0), (5.0, 10.0)), "density-form-gk15-iterated"),  # theta2 in (0.2, 0.8)
+        ("gamma_half", (-3.0, -1.0), "density-form-gk15"),
+        ("gamma_half", (-3.0, 0.0), "density-form-gk15"),
+    ],
+)
+def test_density_form_theta_set_missing_support_is_zero(name, theta_set, method):
+    model, _ = load_bundled_model(name)
+    res = cylinder_probability_density_form(model, BoxQuery.upper(1.0), theta_set=theta_set)
+    assert res == ExactResult(0.0, 0.0, method)
+
+
+def test_density_form_theta_set_splits_bivariate_mass():
+    model, _ = load_bundled_model("bivariate")
+    q = BoxQuery(((0.3, 1.5), (0.0, 2.0)))
+    full = cylinder_probability_density_form(model, q)
+    wide = cylinder_probability_density_form(model, q, theta_set=((-1.0, math.inf), (0.0, 1.0)))
+    parts = [
+        cylinder_probability_density_form(model, q, theta_set=((0.0, math.inf), e))
+        for e in ((0.1, 0.45), (0.45, 0.9))
+    ]
+    assert abs(wide.value - full.value) <= wide.error + full.error
+    total = parts[0].value + parts[1].value
+    assert abs(total - full.value) <= parts[0].error + parts[1].error + full.error
+
+
+@pytest.mark.parametrize("name", ["gamma_half", "bivariate"])
+def test_density_form_nonconvergence_carries_best_estimate(name):
+    model, _ = load_bundled_model(name)
+    q = BoxQuery(((0.3, 1.5), (0.0, 2.0)))
+    with pytest.raises(AccuracyError) as exc:
+        cylinder_probability_density_form(model, q, QuadratureConfig(max_subdivisions=2))
+    ref = joint_interarrival_probability(model, q)
+    assert math.isfinite(exc.value.value) and exc.value.error_estimate > 0.0
+    assert abs(exc.value.value - ref.value) <= exc.value.error_estimate + ref.error
+
+
+@given(hs.floats(0.3, 5.0), hs.floats(0.2, 5.0), hs.floats(0.01, 12.0))
+@example(1.7, 2.3, 0.8)
+@settings(max_examples=60, deadline=None)
+def test_density_form_error_bound_is_honest(g, a, w):
+    # a gamma kernel of shape 1 is exponential: P(W_1 <= w) = 1 - (g/(g+w))**a
+    model = build_model(KernelSpec("gamma", shape=1.0), GammaMixing(g, a))
+    res = cylinder_probability_density_form(model, BoxQuery.upper(w))
+    assert abs(res.value - -math.expm1(a * math.log(g / (g + w)))) <= res.error
 
 
 def test_count_pmf_bivariate_model_monte_carlo_oracle():
