@@ -42,7 +42,6 @@ from .errors import (
 from .exact import (
     BoxQuery,
     ExactResult,
-    QuadratureConfig,
     count_pmf,
     cylinder_probability_density_form,
     example16_closed_form,
@@ -71,6 +70,7 @@ from .modelfile import (
     load_model_file,
     load_queries_file,
 )
+from .quadrature import QuadratureConfig
 from .report import VerificationReport
 from .rng import UniformStream, child_seed
 from .special import regularized_incomplete_gamma

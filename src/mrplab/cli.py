@@ -33,13 +33,9 @@ from .errors import (
     MrplabError,
     SchemaError,
 )
-from .exact import (
-    BoxQuery,
-    QuadratureConfig,
-    count_pmf,
-    joint_interarrival_probability,
-)
+from .exact import BoxQuery, count_pmf, joint_interarrival_probability
 from .modelfile import load_model_file, load_queries_file
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .stats import (
     WITNESS_BOXES,
     conditional_iid_test,
@@ -83,7 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--model", required=True)
     ex.add_argument("--queries", required=True, help="JSON list of box/count queries")
     ex.add_argument("--out", required=True, help="output CSV path")
-    ex.add_argument("--tol", type=float, default=1e-10, help="relative quadrature tolerance")
+    ex.add_argument(
+        "--tol", type=float, default=DEFAULT_CONFIG.rel_tol, help="relative quadrature tolerance"
+    )
 
     ver = sub.add_parser("verify", help="run a verification suite, write a JSON report")
     ver.add_argument("--model", required=True)
@@ -93,8 +91,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--paths", type=int, default=20000)
     ver.add_argument("--events", type=int, default=3)
     ver.add_argument("--level", type=float, default=0.01)
-    ver.add_argument("--tol", type=float, default=1e-10)
+    ver.add_argument("--tol", type=float, default=DEFAULT_CONFIG.rel_tol)
     return parser
+
+
+def _quadrature_config(args) -> QuadratureConfig:
+    """The quadrature settings of a command: relative tolerance --tol, absolute 1e-2 of it."""
+    return QuadratureConfig(rel_tol=args.tol, abs_tol=args.tol * 1e-2)
 
 
 def _cmd_simulate(args) -> int:
@@ -107,7 +110,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_exact(args) -> int:
     model, _meta = load_model_file(args.model)
     queries = load_queries_file(args.queries)
-    cfg = QuadratureConfig(rel_tol=args.tol, abs_tol=args.tol * 1e-2)
+    cfg = _quadrature_config(args)
     lines = ["query_id,probability,error_estimate,method"]
     accuracy_failed = False
     for q in queries:
@@ -177,7 +180,7 @@ def _cmd_verify(args) -> int:
             )
         elif name == "mc-vs-exact":
             queries = _default_mc_queries(model, args.events)
-            cfg = QuadratureConfig(rel_tol=args.tol, abs_tol=args.tol * 1e-2)
+            cfg = _quadrature_config(args)
             exact_values = [joint_interarrival_probability(model, q, cfg) for q in queries]
             reports.append(mc_vs_exact(ensemble(), queries, exact_values))
         elif name == "mixed-poisson":

@@ -23,22 +23,6 @@ from .errors import IngestionError, InvalidInterarrivalError, OutOfHorizonError
 from .report import VerificationReport
 
 
-def compensated_cumsum(values: np.ndarray) -> np.ndarray:
-    """Neumaier prefix sums of a 1-D array (correctly rounded in practice)."""
-    out = np.empty(len(values), dtype=np.float64)
-    s = 0.0
-    c = 0.0
-    for i, v in enumerate(np.asarray(values, dtype=np.float64)):
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        s = t
-        out[i] = s + c
-    return out
-
-
 def compensated_cumsum_rows(w: np.ndarray) -> np.ndarray:
     """Row-wise Neumaier prefix sums of an (n, k) array, vectorized over rows."""
     w = np.asarray(w, dtype=np.float64)
@@ -53,6 +37,11 @@ def compensated_cumsum_rows(w: np.ndarray) -> np.ndarray:
         s = t
         out[:, j] = s + c
     return out
+
+
+def compensated_cumsum(values: np.ndarray) -> np.ndarray:
+    """Neumaier prefix sums of a 1-D array (correctly rounded in practice)."""
+    return compensated_cumsum_rows(np.asarray(values, dtype=np.float64).reshape(1, -1))[0]
 
 
 def arrivals_from_interarrivals(interarrivals: Sequence[float]) -> np.ndarray:

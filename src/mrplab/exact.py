@@ -18,14 +18,19 @@ Each marginal of the mixing measure brings its own quadrature rule
 (`Marginal.integrate`): unbounded supports are compactified with
 theta = c*u/(1-u), and gamma and beta marginals are integrated in power
 coordinates such as v = theta**shape, which absorb the density's power
-singularities exactly.
+singularities exactly; a gamma marginal of shape >= 1, whose density is
+bounded, is integrated in theta itself over a bounded interval.
+
+Every route takes one `QuadratureConfig` (tolerances and panel limit; see
+`quadrature`, which owns it and its defaults) and passes it whole to the
+marginals' rules; a nested inner integral runs at `cfg.tighter()`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +42,10 @@ from .errors import (
     UnsupportedModelError,
 )
 from .kernels import SHAPE_FROM_THETA2, KernelSpec, Marginal, kernel_cdf_batch
-from .quadrature import adaptive_gauss_kronrod
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, adaptive_gauss_kronrod
+
+# the largest box dimension a query may have
+MAX_BOX_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -66,23 +74,6 @@ class BoxQuery:
 
     def permuted(self, perm: Sequence[int]) -> "BoxQuery":
         return BoxQuery(tuple(self.bounds[p] for p in perm))
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and limits for the mixture quadratures."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-    max_box_dim: int = 16
-
-    def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ConfigurationError("tolerances must be positive")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -129,15 +120,6 @@ def _box_factor_batch(spec: KernelSpec, thetas: np.ndarray, query: BoxQuery) -> 
 # ---------------------------------------------------------------------------
 
 
-def _integrate_marginal(m: Marginal, g, cfg: QuadratureConfig, clip=None, breakpoints=()):
-    """integral of density_m(x)*g(x) by the marginal's own rule, at cfg's tolerances."""
-    return m.integrate(g, clip, breakpoints, cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions)
-
-
-def _tighter(cfg: QuadratureConfig, factor: float = 0.1) -> QuadratureConfig:
-    return replace(cfg, rel_tol=cfg.rel_tol * factor, abs_tol=cfg.abs_tol * factor)
-
-
 def _peak_breakpoints(m: Marginal, k: float, lam: float) -> list:
     """Panel edges around the peak of density_m(theta) * theta**k * exp(-lam*theta).
 
@@ -178,12 +160,12 @@ def _integrate_mixing(model: MrpModel, g_batch, cfg: QuadratureConfig, peak=None
     if mixing.dim == 1:
         m = mixing.marginals[0]
         breaks = _peak_breakpoints(m, *peak) if peak else ()
-        res = _integrate_marginal(m, g_batch, cfg, clip=clips[0], breakpoints=breaks)
+        res = m.integrate(g_batch, cfg, clips[0], breaks)
         return res.scalar_value, res.scalar_error, res.converged, "quadrature-gk15"
     if mixing.dim > 2:
         raise UnsupportedModelError("product mixing beyond two dimensions is not supported")
     m1, m2 = mixing.marginals
-    inner_cfg = _tighter(cfg)
+    inner_cfg = cfg.tighter()
     state = {"err": 0.0, "ok": True}
 
     def outer_integrand(t2s: np.ndarray) -> np.ndarray:
@@ -193,12 +175,12 @@ def _integrate_mixing(model: MrpModel, g_batch, cfg: QuadratureConfig, peak=None
             th = np.column_stack([np.repeat(t1s, t2s.size), np.tile(t2s, t1s.size)])
             return g_batch(th).reshape(t1s.size, t2s.size)
 
-        res = _integrate_marginal(m1, g1, inner_cfg, clip=clips[0])
+        res = m1.integrate(g1, inner_cfg, clips[0])
         state["err"] = max(state["err"], float(res.error.max()))
         state["ok"] = state["ok"] and res.converged
         return res.value
 
-    res2 = _integrate_marginal(m2, outer_integrand, cfg, clip=clips[1])
+    res2 = m2.integrate(outer_integrand, cfg, clips[1])
     return (
         res2.scalar_value,
         res2.scalar_error + state["err"],
@@ -222,7 +204,7 @@ def _atomic_sum(model: MrpModel, g_batch) -> tuple[float, str]:
 
 
 def joint_interarrival_probability(
-    model: MrpModel, query: BoxQuery, cfg: Optional[QuadratureConfig] = None
+    model: MrpModel, query: BoxQuery, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> ExactResult:
     """P(W_1 in (a_1,b_1], ..., W_r in (a_r,b_r]) for the mixture model.
 
@@ -231,11 +213,8 @@ def joint_interarrival_probability(
     the quadrature error; non-convergence raises :class:`AccuracyError`
     carrying the best estimate.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    if query.dim > cfg.max_box_dim:
-        raise ConfigurationError(
-            f"box dimension {query.dim} exceeds the configured cap {cfg.max_box_dim}"
-        )
+    if query.dim > MAX_BOX_DIM:
+        raise ConfigurationError(f"box dimension {query.dim} exceeds the cap {MAX_BOX_DIM}")
     spec = model.kernel
 
     def g(thetas: np.ndarray) -> np.ndarray:
@@ -278,7 +257,7 @@ def _poisson_weight_batch(spec: KernelSpec, thetas: np.ndarray, n: int, t: float
 
 
 def count_pmf(
-    model: MrpModel, t: float, n: int, cfg: Optional[QuadratureConfig] = None
+    model: MrpModel, t: float, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> ExactResult:
     """P(N_t = n) for a proper (constant-family) model.
 
@@ -288,7 +267,6 @@ def count_pmf(
     the bracket is the Poisson weight, which is integrated directly: the
     difference of two CDFs near 1 would lose every digit of a small pmf.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not model.is_proper_mrp:
         raise UnsupportedModelError(
             "count law has no product form for an index-dependent kernel family"
@@ -352,12 +330,10 @@ def _gamma_mass_below_vec(rates, shapes, xs, cfg: QuadratureConfig):
         with np.errstate(under="ignore"):
             return np.exp(-c * v[:, None] ** inv_s)
 
-    res = adaptive_gauss_kronrod(
-        integrand, 0.0, 1.0, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-        max_subdivisions=cfg.max_subdivisions,
-    )
+    res = adaptive_gauss_kronrod(integrand, 0.0, 1.0, cfg)
     uniq, inv = np.unique(s, return_inverse=True)  # few distinct shapes, many lanes
-    const = np.exp(s * np.log(c) - np.array([math.lgamma(v + 1.0) for v in uniq])[inv])
+    with np.errstate(divide="ignore"):  # c = 0 (a zero rate) holds mass 0
+        const = np.exp(s * np.log(c) - np.array([math.lgamma(v + 1.0) for v in uniq])[inv])
     mass[lanes] = const * res.value
     err[lanes] = const * res.error
     return mass, err, res.converged
@@ -379,7 +355,7 @@ def _theta_clip(mixing, theta_set) -> tuple:
 def cylinder_probability_density_form(
     model: MrpModel,
     query: BoxQuery,
-    cfg: Optional[QuadratureConfig] = None,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
     theta_set=None,
 ) -> ExactResult:
     """Box probability for gamma-kernel models through density integrals.
@@ -396,7 +372,6 @@ def cylinder_probability_density_form(
     of intervals, a NaN bound or lo >= hi raises ConfigurationError; a set
     that misses the support gives 0.
     """
-    cfg = cfg or DEFAULT_CONFIG
     spec = model.kernel
     mixing = model.mixing
     if spec.family != "gamma" or not spec.is_constant_family or mixing.is_atomic:
@@ -408,7 +383,7 @@ def cylinder_probability_density_form(
     clip = None if theta_set is None else _theta_clip(mixing, theta_set)
     if clip and any(lo >= hi for lo, hi in clip):
         return ExactResult(0.0, 0.0, method)
-    inner_cfg = _tighter(cfg)
+    inner_cfg = cfg.tighter()
     indices, xs, lower = _box_columns(query)
     mult = np.array([spec.rate_map.multiplier(k) for k in indices])
     factor_err, factor_ok = 0.0, True

@@ -37,7 +37,13 @@ from .errors import (
     ParameterDomainError,
     UnsupportedOperationError,
 )
-from .quadrature import QuadratureResult, adaptive_gauss_kronrod, integrate_half_line
+from .quadrature import (
+    DEFAULT_CONFIG,
+    QuadratureConfig,
+    QuadratureResult,
+    adaptive_gauss_kronrod,
+    integrate_half_line,
+)
 from .rng import StreamBank, UniformStream
 from .special import regularized_incomplete_gamma
 
@@ -47,7 +53,7 @@ KERNEL_FAMILIES = ("exponential", "gamma")
 SHAPE_FROM_THETA2 = "theta2"
 
 # a gamma marginal's initial tail breakpoint lies where its density falls
-# below peak * abs_tol * _TAIL_CUT_RATIO
+# below peak * cfg.abs_tol * _TAIL_CUT_RATIO
 _TAIL_CUT_RATIO = 1e-3
 
 
@@ -324,7 +330,7 @@ class Marginal:
         raise NotImplementedError
 
     def integrate(
-        self, g, clip=None, breakpoints=(), rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=2000
+        self, g, cfg: QuadratureConfig = DEFAULT_CONFIG, clip=None, breakpoints=()
     ) -> QuadratureResult:
         """integral of density(x) * g(x) over the support, or its part inside `clip`.
 
@@ -334,13 +340,13 @@ class Marginal:
         """
         raise NotImplementedError
 
-    def _integrate_density(self, g, lo, hi, breakpoints, **kw) -> QuadratureResult:
+    def _integrate_density(self, g, lo, hi, cfg, breakpoints) -> QuadratureResult:
         """integral of density(x) * g(x) over [lo, hi] in x coordinates."""
 
         def f(x):
             return _weighted(self.density_batch(x), g(x))
 
-        return adaptive_gauss_kronrod(f, lo, hi, breakpoints=breakpoints, **kw)
+        return adaptive_gauss_kronrod(f, lo, hi, cfg, breakpoints)
 
     def contains(self, x: float) -> bool:
         lo, hi = self.support()
@@ -374,13 +380,11 @@ class UniformMarginal(Marginal):
     def sample_batch(self, bank):
         return self.lo + bank.draw() * (self.hi - self.lo)
 
-    def integrate(self, g, clip=None, breakpoints=(), rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=2000):
+    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, breakpoints=()):
         lo, hi = self.support()
         if clip is not None:
             lo, hi = max(lo, clip[0]), min(hi, clip[1])
-        return self._integrate_density(
-            g, lo, hi, breakpoints, rel_tol=rel_tol, abs_tol=abs_tol, max_subdivisions=max_subdivisions
-        )
+        return self._integrate_density(g, lo, hi, cfg, breakpoints)
 
     def to_dict(self):
         return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
@@ -422,11 +426,11 @@ class GammaMarginal(Marginal):
         n = len(bank)
         return _gamma_from_bank(bank, np.full(n, self.shape), np.full(n, self.rate))
 
-    def _tail_cut(self, abs_tol: float) -> float:
+    def _tail_cut(self, cfg: QuadratureConfig) -> float:
         mean = self.mean()
         ref = max(mean, (self.shape - 1.0) / self.rate if self.shape > 1.0 else mean)
         peak = float(self.density_batch(np.array([ref]))[0])
-        threshold = peak * abs_tol * _TAIL_CUT_RATIO
+        threshold = peak * cfg.abs_tol * _TAIL_CUT_RATIO
         cut = max(ref, mean)
         for _ in range(80):
             cut *= 2.0
@@ -434,14 +438,13 @@ class GammaMarginal(Marginal):
                 break
         return cut
 
-    def integrate(self, g, clip=None, breakpoints=(), rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=2000):
+    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, breakpoints=()):
         lo = 0.0 if clip is None else max(0.0, clip[0])
         hi = math.inf if clip is None else clip[1]
         a, gam = self.shape, self.rate
-        kw = dict(rel_tol=rel_tol, abs_tol=abs_tol, max_subdivisions=max_subdivisions)
-        cut = self._tail_cut(abs_tol)
-        if a >= 1.0 and lo > 0.0 and math.isfinite(hi):
-            return self._integrate_density(g, lo, hi, [self.mean(), cut, *breakpoints], **kw)
+        cut = self._tail_cut(cfg)
+        if a >= 1.0 and math.isfinite(hi):  # the density is bounded
+            return self._integrate_density(g, lo, hi, cfg, [self.mean(), cut, *breakpoints])
         # v = x**a coordinates absorb the power factor of the density exactly
         const = math.exp(a * math.log(gam) - math.lgamma(a)) / a
 
@@ -453,11 +456,9 @@ class GammaMarginal(Marginal):
         vlo = lo**a
         vbreaks = [p**a for p in breakpoints]
         if math.isfinite(hi):
-            return adaptive_gauss_kronrod(fv, vlo, hi**a, breakpoints=[self.mean() ** a, *vbreaks], **kw)
-        return integrate_half_line(
-            fv, vlo, max(self.mean() ** a - vlo, self.mean() ** a * 0.5),
-            theta_breakpoints=[cut**a, *vbreaks], **kw
-        )
+            return adaptive_gauss_kronrod(fv, vlo, hi**a, cfg, [self.mean() ** a, *vbreaks])
+        scale = max(self.mean() ** a - vlo, self.mean() ** a * 0.5)
+        return integrate_half_line(fv, vlo, scale, cfg, [cut**a, *vbreaks])
 
     def to_dict(self):
         return {"kind": "gamma", "rate": self.rate, "shape": self.shape}
@@ -500,12 +501,11 @@ class BetaMarginal(Marginal):
         g2 = _gamma_from_bank(bank, np.full(n, self.b), ones)
         return g1 / (g1 + g2)
 
-    def integrate(self, g, clip=None, breakpoints=(), rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=2000):
+    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, breakpoints=()):
         lo = 0.0 if clip is None else max(0.0, clip[0])
         hi = 1.0 if clip is None else min(1.0, clip[1])
-        kw = dict(rel_tol=rel_tol, abs_tol=abs_tol, max_subdivisions=max_subdivisions)
         if lo > 0.0 and hi < 1.0:
-            return self._integrate_density(g, lo, hi, breakpoints, **kw)
+            return self._integrate_density(g, lo, hi, cfg, breakpoints)
         # split at the midpoint and desingularize each endpoint with a power substitution
         a, b = self.a, self.b
         norm = math.exp(-self._log_norm())
@@ -519,10 +519,9 @@ class BetaMarginal(Marginal):
             x = 1.0 - v ** (1.0 / b)
             return _weighted(norm / b * np.maximum(x, 0.0) ** (a - 1.0), g(x))
 
-        r1 = adaptive_gauss_kronrod(left, lo**a, mid**a, breakpoints=[p**a for p in breakpoints], **kw)
+        r1 = adaptive_gauss_kronrod(left, lo**a, mid**a, cfg, [p**a for p in breakpoints])
         r2 = adaptive_gauss_kronrod(
-            right, (1.0 - hi) ** b, (1.0 - mid) ** b,
-            breakpoints=[(1.0 - p) ** b for p in breakpoints], **kw
+            right, (1.0 - hi) ** b, (1.0 - mid) ** b, cfg, [(1.0 - p) ** b for p in breakpoints]
         )
         return QuadratureResult(
             r1.value + r2.value, r1.error + r2.error, r1.n_panels + r2.n_panels,
@@ -745,7 +744,7 @@ def verify_mixing_mass(mu: MixingMeasure, tol: float = 1e-8) -> float:
 
     Atomic kinds are exact by construction (validated at build time); each
     marginal of a product is integrated by the rule the exact routes use,
-    and the product of the masses must match 1 within tol.
+    at `DEFAULT_CONFIG`, and the product of the masses must match 1 within tol.
     """
     if mu.is_atomic:
         return 1.0

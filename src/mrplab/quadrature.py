@@ -6,6 +6,10 @@ per-component error, so every component of the result meets the tolerance.
 The per-panel error estimate is the raw |K15 - G7| difference, which is a
 deliberately conservative bound for smooth integrands.
 
+The tolerances and the panel limit are one `QuadratureConfig`, defined here
+and passed whole down to the panel loop; `DEFAULT_CONFIG` holds the package's
+defaults, which the exact routes and the mixing-mass check share.
+
 Half-line domains are handled by the compactifying map ``theta = c*u/(1-u)``
 with ``u`` in (0, 1); ``c`` should be a scale comparable to the integrand's
 mass location (callers use the mixing mean).  The map covers the whole tail,
@@ -16,10 +20,12 @@ initial breakpoints.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 # 15-point Kronrod nodes on [-1, 1] (positive half) with the embedded
 # 7-point Gauss rule; weights from the QUADPACK tables.
@@ -62,6 +68,26 @@ GAUSS_WEIGHTS = np.zeros(15)
 GAUSS_WEIGHTS[1:14:2] = np.concatenate([_WG_HALF[:3], _WG_HALF[3:4], _WG_HALF[2::-1]])
 
 
+@dataclass(frozen=True)
+class QuadratureConfig:
+    """Tolerances and panel limit of every adaptive integration in the package."""
+
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+    max_subdivisions: int = 2000
+
+    def __post_init__(self):
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):  # false for NaN too
+            raise ConfigurationError("tolerances must be positive")
+
+    def tighter(self, factor: float = 0.1) -> "QuadratureConfig":
+        """Both tolerances scaled by `factor`, for an integral nested inside another."""
+        return replace(self, rel_tol=self.rel_tol * factor, abs_tol=self.abs_tol * factor)
+
+
+DEFAULT_CONFIG = QuadratureConfig()
+
+
 @dataclass
 class QuadratureResult:
     """Value and a conservative error bound of an adaptive integration."""
@@ -95,13 +121,10 @@ def adaptive_gauss_kronrod(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    *,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-    max_subdivisions: int = 2000,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
     breakpoints: Sequence[float] = (),
 ) -> QuadratureResult:
-    """Integrate `f` over [a, b] adaptively.
+    """Integrate `f` over [a, b] adaptively, to the tolerances of `cfg`.
 
     `f` must accept an ndarray of nodes and return either a same-length array
     (scalar integrand) or an ``(n_nodes, m)`` array (vector integrand).
@@ -123,10 +146,10 @@ def adaptive_gauss_kronrod(
 
     n_panels = len(heap)
     while True:
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total_value))
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_value))
         if np.all(total_error <= tol):
             return QuadratureResult(total_value, total_error, n_panels, True)
-        if n_panels >= max_subdivisions:
+        if n_panels >= cfg.max_subdivisions:
             return QuadratureResult(total_value, total_error, n_panels, False)
         _, _, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -141,52 +164,22 @@ def adaptive_gauss_kronrod(
         n_panels += 1
 
 
-def half_line_map(lower: float, scale: float):
-    """Return (phi, jacobian) for theta = lower + scale*u/(1-u) on u in (0, 1)."""
-    if scale <= 0.0:
-        raise ValueError("half-line map scale must be positive")
-
-    def phi(u: np.ndarray) -> np.ndarray:
-        return lower + scale * u / (1.0 - u)
-
-    def jac(u: np.ndarray) -> np.ndarray:
-        return scale / (1.0 - u) ** 2
-
-    return phi, jac
-
-
-def half_line_breakpoint(lower: float, scale: float, theta: float) -> float:
-    """u-coordinate of a given theta under `half_line_map`."""
-    t = max(theta - lower, 0.0)
-    return t / (t + scale)
-
-
 def integrate_half_line(
     f: Callable[[np.ndarray], np.ndarray],
     lower: float,
     scale: float,
-    *,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-    max_subdivisions: int = 2000,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
     theta_breakpoints: Sequence[float] = (),
 ) -> QuadratureResult:
-    """Integrate `f` over (lower, inf) via the compactifying map."""
-    phi, jac = half_line_map(lower, scale)
+    """Integrate `f` over (lower, inf) via theta = lower + scale*u/(1-u) on u in (0, 1)."""
+    if scale <= 0.0:
+        raise ValueError("half-line map scale must be positive")
 
     def g(u: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", under="ignore"):
-            vals = np.asarray(f(phi(u)), dtype=np.float64)
-            w = jac(u)
+            vals = np.asarray(f(lower + scale * u / (1.0 - u)), dtype=np.float64)
+            w = scale / (1.0 - u) ** 2
             return vals * (w[:, None] if vals.ndim == 2 else w)
 
-    bp = [half_line_breakpoint(lower, scale, t) for t in theta_breakpoints]
-    return adaptive_gauss_kronrod(
-        g,
-        0.0,
-        1.0,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        max_subdivisions=max_subdivisions,
-        breakpoints=bp,
-    )
+    ts = [max(theta - lower, 0.0) for theta in theta_breakpoints]
+    return adaptive_gauss_kronrod(g, 0.0, 1.0, cfg, [t / (t + scale) for t in ts])

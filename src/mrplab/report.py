@@ -56,25 +56,3 @@ class VerificationReport:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def to_text(self) -> str:
-        rows = [
-            ("check", self.check),
-            ("result", "PASS" if self.passed else "FAIL"),
-        ]
-        if self.statistic is not None:
-            rows.append(("statistic", f"{self.statistic:.6g}"))
-        if self.reference is not None:
-            rows.append(("reference", f"{self.reference:.6g}"))
-        if self.p_value is not None:
-            rows.append(("p_value", f"{self.p_value:.4g}"))
-        if self.level is not None:
-            rows.append(("level", f"{self.level:g}"))
-        for k, v in self.seeds.items():
-            rows.append((f"seed:{k}", str(v)))
-        for k, v in self.sample_sizes.items():
-            rows.append((f"n:{k}", str(v)))
-        width = max(len(k) for k, _ in rows)
-        lines = [f"{k.ljust(width)}  {v}" for k, v in rows]
-        lines.extend(f"caveat: {c}" for c in self.caveats)
-        return "\n".join(lines)

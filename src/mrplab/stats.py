@@ -396,27 +396,26 @@ def _simulate_counts_at(model: MrpModel, times: np.ndarray, n_paths: int, root_s
     return thetas, counts
 
 
-def _merge_expected_bins(observed: np.ndarray, probs: np.ndarray, n: int, min_expected: float = 5.0):
-    """Merge count values into bins with expected counts >= min_expected."""
-    obs_bins, exp_bins = [], []
-    o_acc = 0.0
-    e_acc = 0.0
-    for o, p in zip(observed, probs):
-        o_acc += o
-        e_acc += n * p
-        if e_acc >= min_expected:
-            obs_bins.append(o_acc)
-            exp_bins.append(e_acc)
-            o_acc = 0.0
-            e_acc = 0.0
-    if e_acc > 0.0 or o_acc > 0.0:
-        if exp_bins:
-            obs_bins[-1] += o_acc
-            exp_bins[-1] += e_acc
+def _merge_bins(expected: np.ndarray, *observed: np.ndarray, min_expected: float = 5.0):
+    """Merge adjacent count values, left to right, into bins with expected count >= min_expected.
+
+    Each bin accumulates one value at a time; the leftover after the last
+    full bin joins that bin.  The observed arrays are merged in lockstep.
+    Returns the merged expected array followed by the merged observed ones.
+    """
+    bins = []
+    acc = np.zeros(1 + len(observed))
+    for col in np.column_stack([expected, *observed]):
+        acc = acc + col
+        if acc[0] >= min_expected:
+            bins.append(acc)
+            acc = np.zeros_like(acc)
+    if acc.any():
+        if bins:
+            bins[-1] = bins[-1] + acc
         else:
-            obs_bins.append(o_acc)
-            exp_bins.append(e_acc)
-    return np.asarray(obs_bins), np.asarray(exp_bins)
+            bins.append(acc)
+    return tuple(np.array(bins).reshape(-1, acc.size).T)
 
 
 def _chi2_gof_counts(values: np.ndarray, model: MrpModel, t: float, n: int):
@@ -427,7 +426,7 @@ def _chi2_gof_counts(values: np.ndarray, model: MrpModel, t: float, n: int):
     tail = max(1.0 - probs.sum(), 0.0)
     observed = np.append(observed, 0.0)
     probs = np.append(probs, tail)
-    obs_b, exp_b = _merge_expected_bins(observed, probs, n)
+    exp_b, obs_b = _merge_bins(n * probs, observed)
     if len(obs_b) < 2:
         return 0.0, 1.0, 1
     stat = float(np.sum((obs_b - exp_b) ** 2 / exp_b))
@@ -441,33 +440,15 @@ def _chi2_two_sample_counts(x: np.ndarray, y: np.ndarray):
     o1 = np.bincount(x, minlength=kmax + 1).astype(np.float64)
     o2 = np.bincount(y, minlength=kmax + 1).astype(np.float64)
     n1, n2 = o1.sum(), o2.sum()
-    pooled = (o1 + o2) / (n1 + n2)
-    # merge boundaries chosen so the smaller sample's expected count is >= 5
-    edges = []
-    e_acc = 0.0
-    start = 0
-    nmin = min(n1, n2)
-    for k in range(kmax + 1):
-        e_acc += nmin * pooled[k]
-        if e_acc >= 5.0:
-            edges.append((start, k))
-            start = k + 1
-            e_acc = 0.0
-    if start <= kmax:
-        if edges:
-            s, _ = edges[-1]
-            edges[-1] = (s, kmax)
-        else:
-            edges.append((0, kmax))
-    b1 = np.array([o1[s : e + 1].sum() for s, e in edges])
-    b2 = np.array([o2[s : e + 1].sum() for s, e in edges])
-    if len(edges) < 2:
+    # bins chosen so the smaller sample's expected count is >= 5
+    _, b1, b2 = _merge_bins(min(n1, n2) * ((o1 + o2) / (n1 + n2)), o1, o2)
+    if len(b1) < 2:
         return 0.0, 1.0, 1
     stat = 0.0
     for og, ng in ((b1, n1), (b2, n2)):
         eg = ng * (b1 + b2) / (n1 + n2)
         stat += float(np.sum((og - eg) ** 2 / eg))
-    df = len(edges) - 1
+    df = len(b1) - 1
     return stat, chi_square_sf(stat, float(df)), df
 
 

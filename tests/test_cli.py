@@ -119,6 +119,17 @@ def test_exact_empty_queries(tmp_path):
     assert out.read_text().splitlines() == ["query_id,probability,error_estimate,method"]
 
 
+@pytest.mark.parametrize("tol", ["0", "-1e-10", "nan"])
+def test_exact_bad_tolerance_exits_2(tmp_path, capsys, tol):
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps([{"id": "w1", "bounds": [[None, 1.0]]}]))
+    out = tmp_path / "res.csv"
+    argv = ["exact", "--model", GH, "--queries", str(queries), "--out", str(out), f"--tol={tol}"]
+    assert run(argv) == 2
+    assert "tolerances must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exact_count_queries(tmp_path):
     queries = tmp_path / "q.json"
     queries.write_text(json.dumps([{"id": "p0", "type": "count", "t": 1.0, "n": 0}]))

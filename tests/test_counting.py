@@ -11,6 +11,7 @@ from mrplab.counting import (
     arrivals_from_counting,
     arrivals_from_interarrivals,
     compensated_cumsum,
+    compensated_cumsum_rows,
     count_at,
     counts_on_grid,
     export_step_csv,
@@ -59,6 +60,14 @@ def test_compensated_cumsum_matches_fsum_on_adversarial_data():
     mine = compensated_cumsum(w)
     ref = np.array([math.fsum(w[: i + 1]) for i in range(len(w))])
     assert np.array_equal(mine, ref)
+
+
+def test_compensated_cumsum_is_the_row_form_bitwise():
+    rng = np.random.default_rng(1)
+    w = rng.standard_normal((3, 20_000)) * np.exp(rng.uniform(-30, 30, (3, 20_000)))
+    rows = compensated_cumsum_rows(w)
+    for row, sums in zip(w, rows):
+        assert np.array_equal(compensated_cumsum(row).view(np.int64), sums.view(np.int64))
 
 
 def test_count_at_examples():

@@ -1,11 +1,13 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 from scipy.integrate import quad
+from scipy.special import gammainc
 
 from mrplab.construction import build_model, simulate_ensemble
 from mrplab.errors import (
@@ -18,8 +20,8 @@ from mrplab.exact import (
     DEFAULT_CONFIG,
     BoxQuery,
     ExactResult,
+    MAX_BOX_DIM,
     QuadratureConfig,
-    _integrate_marginal,
     count_pmf,
     cylinder_probability_density_form,
     example16_closed_form,
@@ -171,10 +173,10 @@ def test_vector_valued_integrand_matches_component_integrals(marginal):
     def g(x):
         return np.exp(-np.outer(x, cs))
 
-    vec = _integrate_marginal(marginal, g, DEFAULT_CONFIG)
+    vec = marginal.integrate(g, DEFAULT_CONFIG)
     assert vec.value.shape == (15,)
     for j, c in enumerate(cs):
-        one = _integrate_marginal(marginal, lambda x, c=c: np.exp(-c * x), DEFAULT_CONFIG)
+        one = marginal.integrate(lambda x, c=c: np.exp(-c * x), DEFAULT_CONFIG)
         assert abs(vec.value[j] - one.scalar_value) <= 1e-10
         assert abs(vec.value[j] - one.scalar_value) <= vec.error[j] + one.scalar_error + 1e-12
 
@@ -208,11 +210,11 @@ def test_sigma_additivity_on_split_interval():
 
 def test_box_dimension_cap():
     model = example16_model()
-    q = BoxQuery(tuple((0.0, 1.0) for _ in range(17)))
+    q = BoxQuery(tuple((0.0, 1.0) for _ in range(MAX_BOX_DIM + 1)))
     with pytest.raises(ConfigurationError):
         joint_interarrival_probability(model, q)
-    cfg = QuadratureConfig(max_box_dim=20)
-    assert joint_interarrival_probability(model, q, cfg).value >= 0.0
+    q = BoxQuery(tuple((0.0, 1.0) for _ in range(MAX_BOX_DIM)))
+    assert joint_interarrival_probability(model, q).value >= 0.0
 
 
 def test_invalid_box_rejected():
@@ -368,13 +370,24 @@ def test_density_form_theta_restriction():
         model, BoxQuery(((0.0, math.inf), (0.0, math.inf)))
     )
     assert abs(total.value - 1.0) < 1e-8
-    # restricted parameter set equals the mixing mass of E
-    from mrplab.special import regularized_incomplete_gamma
+    # restricted parameter set equals the mixing mass of E, within the bound
+    for hi in (1e-3, 0.75, 9.0):
+        e_mass = cylinder_probability_density_form(
+            model, BoxQuery(((0.0, math.inf),)), theta_set=(0.0, hi)
+        )
+        assert abs(e_mass.value - gammainc(1.5, 2.0 * hi)) <= min(e_mass.error, 1e-8)
 
-    e_mass = cylinder_probability_density_form(
-        model, BoxQuery(((0.0, math.inf),)), theta_set=(0.0, 0.75)
-    )
-    assert abs(e_mass.value - regularized_incomplete_gamma(1.5, 2.0 * 0.75)) < 1e-8
+
+@pytest.mark.parametrize("hi", [1e-250, 5e-324])
+def test_density_form_tiny_clip_is_near_zero(hi):
+    # theta**1.5 underflows to 0 on these clips, so they must not be mapped to
+    # v = theta**shape coordinates; theta = 0 nodes give a zero kernel rate
+    model, _ = load_bundled_model("gamma_half")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = cylinder_probability_density_form(model, BoxQuery.upper(1.0), theta_set=(0.0, hi))
+    assert res.method == "density-form-gk15"
+    assert 0.0 <= res.value <= 1e-300 and 0.0 <= res.error < 1e-100
 
 
 @pytest.mark.parametrize(

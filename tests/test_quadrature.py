@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mrplab.quadrature import adaptive_gauss_kronrod, integrate_half_line
+from mrplab.quadrature import QuadratureConfig, adaptive_gauss_kronrod, integrate_half_line
 
 
 def test_polynomial_exact():
@@ -45,7 +45,7 @@ def test_breakpoints_do_not_change_value():
 def test_nonconvergence_flagged():
     # needle the subdivision limit cannot resolve
     f = lambda x: 1.0 / np.sqrt(np.abs(x - 0.3123456) + 1e-14)
-    r = adaptive_gauss_kronrod(f, 0.0, 1.0, max_subdivisions=3)
+    r = adaptive_gauss_kronrod(f, 0.0, 1.0, QuadratureConfig(max_subdivisions=3))
     assert not r.converged
     assert r.scalar_error > 0.0
 

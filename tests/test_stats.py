@@ -24,6 +24,7 @@ from mrplab.kernels import (
 from mrplab.rng import UniformStream
 from mrplab.stats import (
     _default_probe_boxes,
+    _merge_bins,
     _uniform_group_ids,
     conditional_iid_test,
     exchangeability_test,
@@ -279,6 +280,15 @@ def test_mc_vs_exact_detects_wrong_reference():
 # ---------------------------------------------------------------------------
 # mixed-Poisson checks
 # ---------------------------------------------------------------------------
+
+
+def test_merge_bins_leftover_joins_the_last_full_bin():
+    expected = np.array([3.0, 2.5, 6.0, 1.0, 0.5])
+    e, o1, o2 = _merge_bins(expected, np.array([1.0, 4.0, 7.0, 2.0, 3.0]), np.arange(5.0))
+    assert (e.tolist(), o1.tolist(), o2.tolist()) == ([5.5, 7.5], [5.0, 12.0], [1.0, 9.0])
+    # no full bin: everything is one bin
+    e, o = _merge_bins(np.array([1.0, 2.0]), np.array([4.0, 0.0]))
+    assert (e.tolist(), o.tolist()) == ([3.0], [4.0])
 
 
 def test_mixed_poisson_gamma_mixing_passes():
