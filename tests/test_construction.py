@@ -153,6 +153,24 @@ def test_bench_model_csv_bytes_pinned(name, size, csv_hash):
     assert hashlib.sha256(text.encode()).hexdigest().startswith(csv_hash)
 
 
+# sha256 prefixes of the bytes of sample_conditional_interarrivals at the
+# mixing mean, 1e5 x 3, root seed 5 (more than one ensemble chunk)
+PINNED_CONDITIONAL = {
+    "gamma_half": "e826f99e571c04e5",
+    "bivariate": "25fd17fcb06996a6",
+    "expgamma": "dada00e43820ad31",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONDITIONAL))
+def test_conditional_interarrivals_bytes_pinned(name):
+    models = {**BENCH_MODELS, "expgamma": (EXP, GammaMixing(2.0, 1.5))}
+    model = build_model(*models[name])
+    w = sample_conditional_interarrivals(model, model.mixing.mean_point(), 100_000, 3, 5)
+    assert w.shape == (100_000, 3)
+    assert hashlib.sha256(w.tobytes()).hexdigest().startswith(PINNED_CONDITIONAL[name])
+
+
 # ---------------------------------------------------------------------------
 # sample_path / sample_conditional_path
 # ---------------------------------------------------------------------------

@@ -370,6 +370,20 @@ def test_simulated_counts_match_exact_pmf():
         assert abs(p_hat - p) <= 4.0 * se
 
 
+def test_simulated_counts_bytes_pinned():
+    # expgamma at the times the CLI's mixed-Poisson suite reads (t_grid
+    # 0.5, 1, 2 and h = 0.5); sha256 prefixes of the counts and the thetas
+    import hashlib
+
+    from mrplab.stats import _simulate_counts_at
+
+    model = build_model(KernelSpec("exponential"), GammaMixing(2.0, 1.5))
+    thetas, counts = _simulate_counts_at(model, np.array([0.5, 1.0, 1.5, 2.0, 2.5]), 100_000, 9)
+    assert counts.shape == (5, 100_000) and counts.dtype == np.int64
+    assert hashlib.sha256(counts.tobytes()).hexdigest().startswith("95437fed7be9b72b")
+    assert hashlib.sha256(thetas.tobytes()).hexdigest().startswith("20187d44249b652d")
+
+
 def test_exchangeability_prefix_cap():
     ens = simulate_ensemble(example16_model(), 200, 6, root_seed=15)
     with pytest.raises(ConfigurationError):
