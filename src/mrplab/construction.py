@@ -9,8 +9,8 @@ possible downstream.
 
 Ensembles are reproducible: path ``i`` owns the child stream ``i`` of the
 root seed (see :mod:`mrplab.rng`), so results are bitwise identical however
-paths are chunked or threaded.  Infinite interarrival sequences are truncated
-at a fixed per-path length, recorded in the ensemble metadata.
+paths are chunked.  Infinite interarrival sequences are truncated at a fixed
+per-path length, recorded in the ensemble metadata.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -44,17 +43,6 @@ MAX_ENSEMBLE_DRAWS = 50_000_000
 _CHUNK = 65_536
 
 SEED_RULE = "splitmix64-child-v1"
-
-
-def resolve_threads(threads: Optional[int] = None) -> int:
-    """Worker count for ensemble generation and CSV rendering, capped by MRPLAB_THREADS."""
-    cap = os.environ.get("MRPLAB_THREADS")
-    cap = max(1, int(cap)) if cap else None
-    if threads is None:
-        threads = cap if cap is not None else 1
-    if cap is not None:
-        threads = min(threads, cap)
-    return max(1, int(threads))
 
 
 @dataclass(frozen=True)
@@ -157,13 +145,42 @@ def _as_stream(rng: Union[int, UniformStream]) -> UniformStream:
     return rng if isinstance(rng, UniformStream) else UniformStream(int(rng))
 
 
-def _draw_interarrivals(kernel: KernelSpec, thetas: np.ndarray, n_events: int, bank: StreamBank) -> np.ndarray:
+def _in_support(model: MrpModel, theta) -> tuple:
+    pt = _as_theta_tuple(theta)
+    if not model.mixing.contains(pt):
+        raise ParameterDomainError(f"theta {pt} is outside the mixing support")
+    return pt
+
+
+def _draw(model: MrpModel, bank: StreamBank, n_events: int, theta=None):
+    """One path per lane of `bank`: (thetas (lanes, dim), interarrivals (lanes, n_events)).
+
+    Each lane draws its parameter from the mixing measure, or takes the fixed
+    `theta`, and then its interarrivals 1..n_events from the kernel at that
+    parameter.
+    """
+    if theta is None:
+        thetas = model.mixing.sample_batch(bank)
+    else:
+        thetas = np.tile(np.asarray(theta, dtype=np.float64), (len(bank), 1))
+    kernel_thetas = thetas if model.param_dim > 1 else thetas[:, 0]
     w = np.empty((len(bank), n_events), dtype=np.float64)
     for k in range(1, n_events + 1):
-        w[:, k - 1] = kernel_sample_batch(kernel, k, thetas, bank)
+        w[:, k - 1] = kernel_sample_batch(model.kernel, k, kernel_thetas, bank)
     if not np.all(w > 0.0):
         raise InvalidInterarrivalError("sampler produced a nonpositive interarrival")
-    return w
+    return thetas, w
+
+
+def _draw_paths(model: MrpModel, n_paths: int, n_events: int, root_seed: int, theta=None):
+    """`_draw` on child streams 0..n_paths-1 of the root seed, `_CHUNK` paths at a time."""
+    thetas = np.empty((n_paths, model.param_dim), dtype=np.float64)
+    w = np.empty((n_paths, n_events), dtype=np.float64)
+    for lo in range(0, n_paths, _CHUNK):
+        hi = min(lo + _CHUNK, n_paths)
+        bank = StreamBank.from_root(root_seed, hi - lo, offset=lo)
+        thetas[lo:hi], w[lo:hi] = _draw(model, bank, n_events, theta)
+    return thetas, w
 
 
 def sample_path(model: MrpModel, n_events: int, rng: Union[int, UniformStream]) -> MrpPath:
@@ -174,10 +191,8 @@ def sample_path(model: MrpModel, n_events: int, rng: Union[int, UniformStream]) 
     """
     if n_events < 1:
         raise ConfigurationError("n_events must be >= 1")
-    stream = _as_stream(rng)
-    thetas = model.mixing.sample_batch(stream.bank)
-    w = _draw_interarrivals(model.kernel, thetas, n_events, stream.bank)
-    return MrpPath.from_interarrivals(tuple(thetas[0]), w[0])
+    thetas, w = _draw(model, _as_stream(rng).bank, n_events)
+    return MrpPath.from_interarrivals(thetas[0], w[0])
 
 
 def sample_conditional_path(
@@ -186,14 +201,8 @@ def sample_conditional_path(
     """One path under a fixed parameter (the disintegrated, conditional law)."""
     if n_events < 1:
         raise ConfigurationError("n_events must be >= 1")
-    pt = _as_theta_tuple(theta)
-    if not model.mixing.contains(pt):
-        raise ParameterDomainError(f"theta {pt} is outside the mixing support")
-    stream = _as_stream(rng)
-    thetas = np.asarray([pt], dtype=np.float64)
-    if model.param_dim == 1:
-        thetas = thetas[:, 0]
-    w = _draw_interarrivals(model.kernel, thetas, n_events, stream.bank)
+    pt = _in_support(model, theta)
+    _, w = _draw(model, _as_stream(rng).bank, n_events, pt)
     return MrpPath.from_interarrivals(pt, w[0])
 
 
@@ -205,14 +214,8 @@ def sample_conditional_interarrivals(
     Sample ``i`` uses child stream ``i`` of the root seed, matching
     `sample_conditional_path` draw for draw.
     """
-    pt = _as_theta_tuple(theta)
-    if not model.mixing.contains(pt):
-        raise ParameterDomainError(f"theta {pt} is outside the mixing support")
-    bank = StreamBank.from_root(root_seed, n_samples)
-    th = np.tile(np.asarray(pt, dtype=np.float64), (n_samples, 1))
-    if model.param_dim == 1:
-        th = th[:, 0]
-    return _draw_interarrivals(model.kernel, th, n_events, bank)
+    pt = _in_support(model, theta)
+    return _draw_paths(model, n_samples, n_events, root_seed, pt)[1]
 
 
 @dataclass(frozen=True)
@@ -229,12 +232,6 @@ class Ensemble:
     created_at: str = ""
     metadata: dict = field(default_factory=dict)
 
-    def path(self, i: int) -> MrpPath:
-        arr = np.empty(self.n_events + 1)
-        arr[0] = 0.0
-        arr[1:] = self.arrivals[i]
-        return MrpPath(tuple(self.thetas[i]), self.interarrivals[i], arr)
-
     def manifest(self) -> dict:
         return {
             "schema_version": 1,
@@ -250,25 +247,12 @@ class Ensemble:
         }
 
 
-def _simulate_chunk(model: MrpModel, lo: int, hi: int, n_events: int, root_seed: int):
-    bank = StreamBank.from_root(root_seed, hi - lo, offset=lo)
-    thetas = model.mixing.sample_batch(bank)
-    w = _draw_interarrivals(model.kernel, thetas if model.param_dim > 1 else thetas[:, 0], n_events, bank)
-    return lo, thetas, w
-
-
-def simulate_ensemble(
-    model: MrpModel,
-    n_paths: int,
-    n_events: int,
-    root_seed: int,
-    threads: Optional[int] = None,
-) -> Ensemble:
+def simulate_ensemble(model: MrpModel, n_paths: int, n_events: int, root_seed: int) -> Ensemble:
     """Simulate `n_paths` independent truncated paths.
 
     Per-path seeds derive deterministically from the root seed, so the result
     is a pure function of (model, n_paths, n_events, root_seed) regardless of
-    chunking or thread schedule.
+    chunking.
     """
     if n_paths < 1 or n_events < 1:
         raise ConfigurationError("n_paths and n_events must be >= 1")
@@ -277,27 +261,7 @@ def simulate_ensemble(
             f"requested {n_paths} x {n_events} draws exceeds the "
             f"{MAX_ENSEMBLE_DRAWS} ensemble capacity"
         )
-    workers = resolve_threads(threads)
-    spans = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    dim = model.param_dim
-    thetas = np.empty((n_paths, dim), dtype=np.float64)
-    w = np.empty((n_paths, n_events), dtype=np.float64)
-
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_simulate_chunk, model, lo, hi, n_events, root_seed)
-                for lo, hi in spans
-            ]
-            for fut in futures:
-                lo, th, wc = fut.result()
-                thetas[lo : lo + th.shape[0]] = th
-                w[lo : lo + wc.shape[0]] = wc
-    else:
-        for lo, hi in spans:
-            lo, th, wc = _simulate_chunk(model, lo, hi, n_events, root_seed)
-            thetas[lo : lo + th.shape[0]] = th
-            w[lo : lo + wc.shape[0]] = wc
+    thetas, w = _draw_paths(model, n_paths, n_events, root_seed)
 
     from datetime import datetime, timezone
 
@@ -376,6 +340,12 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _render_workers(n_blocks: int) -> int:
+    """CSV render workers: the available cores, capped by MRPLAB_THREADS and the block count."""
+    cap = os.environ.get("MRPLAB_THREADS")
+    return max(1, min(_available_cores(), int(cap) if cap else n_blocks, n_blocks))
+
+
 def ensemble_csv_text(ensemble: Ensemble) -> str:
     """Render the ensemble as CSV (path_id, theta components, k, w, t).
 
@@ -391,7 +361,7 @@ def ensemble_csv_text(ensemble: Ensemble) -> str:
     spans = [(lo, min(lo + _RENDER_BLOCK, n)) for lo in range(0, n, _RENDER_BLOCK)]
     template = "".join(f"%s{k + 1},%r,%r\n" for k in range(ensemble.n_events))
     args = (template, ensemble.thetas, ensemble.interarrivals, ensemble.arrivals)
-    workers = min(resolve_threads(_available_cores()), len(spans))
+    workers = _render_workers(len(spans))
     if workers > 1:
         import multiprocessing
 

@@ -278,22 +278,28 @@ def _gamma_from_bank(bank: StreamBank, shapes: np.ndarray, rates: np.ndarray, la
     return x / rates
 
 
-def kernel_sample_batch(spec: KernelSpec, index: int, thetas: np.ndarray, bank: StreamBank) -> np.ndarray:
-    """One draw of the index-n kernel member per bank lane, at per-lane thetas."""
+def kernel_sample_batch(
+    spec: KernelSpec, index: int, thetas: np.ndarray, bank: StreamBank, lanes=None
+) -> np.ndarray:
+    """One draw of the index-n kernel member per bank lane, at per-lane thetas.
+
+    With `lanes` (an index array) only those lanes draw, one theta row each,
+    and only their stream counters advance.
+    """
     index = _check_index(index)
     th = np.asarray(thetas, dtype=np.float64)
     rates = (th[:, 0] if th.ndim == 2 else th) * spec.rate_map.multiplier(index)
     if np.any(rates <= 0.0):
         raise ParameterDomainError("kernel rate parameter must be positive for every lane")
     if spec.family == "exponential":
-        return _exponential_from_bank(bank, rates)
+        return _exponential_from_bank(bank, rates, lanes)
     if spec.shape == SHAPE_FROM_THETA2:
         shapes = th[:, 1]
         if np.any(shapes <= 0.0):
             raise ParameterDomainError("kernel shape parameter must be positive for every lane")
     else:
         shapes = np.full(rates.shape, float(spec.shape))
-    return _gamma_from_bank(bank, shapes, rates)
+    return _gamma_from_bank(bank, shapes, rates, lanes)
 
 
 def kernel_sample(spec: KernelSpec, index: int, theta, rng: UniformStream) -> float:

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .exact import BoxQuery, ExactResult, count_pmf
-from .kernels import _exponential_from_bank, kernel_cdf_batch
+from .kernels import kernel_cdf_batch, kernel_sample_batch
 from .report import VerificationReport
 from .rng import StreamBank, UniformStream
 from .special import chi_square_sf, ks_one_sample_pvalue
@@ -380,14 +380,13 @@ def _simulate_counts_at(model: MrpModel, times: np.ndarray, n_paths: int, root_s
     """Counts N_t per path at each requested time, via renewal simulation."""
     bank = StreamBank.from_root(root_seed, n_paths)
     thetas = model.mixing.sample_batch(bank)[:, 0]
-    rates = thetas * model.kernel.rate_map.a
     horizon = float(np.max(times))
     t_sum = np.zeros(n_paths)
     counts = np.zeros((len(times), n_paths), dtype=np.int64)
     active = np.ones(n_paths, dtype=bool)
     while active.any():
         lanes = np.flatnonzero(active)
-        w = _exponential_from_bank(bank, rates[lanes], lanes)
+        w = kernel_sample_batch(model.kernel, 1, thetas[lanes], bank, lanes)
         t_sum[lanes] += w
         reached = t_sum[lanes]
         for i, t in enumerate(times):

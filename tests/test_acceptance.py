@@ -126,7 +126,7 @@ def test_criterion_1_exact_route_paper_values(tmp_path):
 def test_criterion_2_monte_carlo_route():
     model, _ = load_bundled_model("example16")
     t0 = time.perf_counter()
-    ens = simulate_ensemble(model, 1_000_000, 2, root_seed=20260809, threads=1)
+    ens = simulate_ensemble(model, 1_000_000, 2, root_seed=20260809)
     w = ens.interarrivals
     f21 = float(np.mean((w[:, 0] <= 2.0) & (w[:, 1] <= 1.0)))
     f12 = float(np.mean((w[:, 0] <= 1.0) & (w[:, 1] <= 2.0)))

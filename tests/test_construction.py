@@ -285,25 +285,17 @@ def test_ensemble_reproducible_bitwise(tmp_path):
     assert files[0] == files[1]
 
 
-def test_ensemble_thread_schedule_invariant(monkeypatch):
+def test_draws_chunk_invariant(monkeypatch):
     from mrplab import construction
 
-    model = example16_model()
-    base = simulate_ensemble(model, 1000, 3, root_seed=5, threads=1)
+    model = build_model(*BENCH_MODELS["bivariate"])
+    base = simulate_ensemble(model, 1000, 3, root_seed=5)
+    cond = sample_conditional_interarrivals(model, (1.0, 0.5), 1000, 3, 5)
     monkeypatch.setattr(construction, "_CHUNK", 128)
-    threaded = simulate_ensemble(model, 1000, 3, root_seed=5, threads=4)
-    assert np.array_equal(base.interarrivals, threaded.interarrivals)
-    assert np.array_equal(base.thetas, threaded.thetas)
-
-
-def test_threads_env_cap(monkeypatch):
-    from mrplab.construction import resolve_threads
-
-    monkeypatch.setenv("MRPLAB_THREADS", "2")
-    assert resolve_threads(8) == 2
-    assert resolve_threads(None) == 2
-    monkeypatch.delenv("MRPLAB_THREADS")
-    assert resolve_threads(None) == 1
+    chunked = simulate_ensemble(model, 1000, 3, root_seed=5)
+    assert np.array_equal(base.interarrivals, chunked.interarrivals)
+    assert np.array_equal(base.thetas, chunked.thetas)
+    assert np.array_equal(cond, sample_conditional_interarrivals(model, (1.0, 0.5), 1000, 3, 5))
 
 
 def test_disjoint_seeds_give_consistent_marginals():
@@ -425,6 +417,18 @@ def test_csv_render_serial_equals_parallel(render_ensemble, monkeypatch):
     assert serial == default == forced
     assert serial.count("\n") == 1 + 20_000 * 3
     assert multiprocessing.active_children() == []
+
+
+def test_csv_render_worker_count(monkeypatch):
+    from mrplab import construction
+
+    monkeypatch.setattr(construction, "_available_cores", lambda: 3)
+    monkeypatch.delenv("MRPLAB_THREADS", raising=False)
+    assert [construction._render_workers(b) for b in (1, 2, 5)] == [1, 2, 3]
+    monkeypatch.setenv("MRPLAB_THREADS", "2")
+    assert [construction._render_workers(b) for b in (1, 5)] == [1, 2]
+    monkeypatch.setenv("MRPLAB_THREADS", "0")
+    assert construction._render_workers(5) == 1
 
 
 def test_csv_render_without_fork_is_serial(render_ensemble, monkeypatch):

@@ -229,6 +229,22 @@ def test_sampling_cdf_consistency_ks():
         assert failures == 0, f"{spec.family}: {failures} seeds exceeded the KS 0.001 critical value"
 
 
+@pytest.mark.parametrize("spec", [EXP, GAMMA_HALF, KernelSpec("gamma", shape=SHAPE_FROM_THETA2)])
+def test_sample_batch_on_lanes_equals_full_bank(spec):
+    # the selected lanes draw what a full-bank draw gives them; the others keep their counters
+    thetas = np.column_stack([np.linspace(0.5, 2.0, 10), np.linspace(0.3, 3.0, 10)])
+    if spec.param_dim == 1:
+        thetas = thetas[:, 0]
+    lanes = np.array([1, 4, 5, 9])
+    full = kernel_sample_batch(spec, 2, thetas, StreamBank.from_root(21, 10))
+    bank = StreamBank.from_root(21, 10)
+    part = kernel_sample_batch(spec, 2, thetas[lanes], bank, lanes)
+    assert np.array_equal(part, full[lanes])
+    others = np.setdiff1d(np.arange(10), lanes)
+    assert np.all(bank.counters[others] == 0)
+    assert np.all(bank.counters[lanes] > 0)
+
+
 def test_scalar_batch_bitwise_identical():
     # same stream, same consumption: scalar call equals lane 0 of a batch
     for spec, theta in [(EXP, 1.5), (GAMMA_HALF, 0.8), (KernelSpec("gamma", shape=2.2), 1.1)]:
