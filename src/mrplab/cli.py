@@ -60,6 +60,14 @@ EXIT_CAPACITY = 3
 EXIT_ACCURACY = 4
 
 
+def _level(text: str) -> float:
+    """A significance level: a number strictly between 0 and 1."""
+    value = float(text)
+    if not 0.0 < value < 1.0:  # false for NaN too
+        raise argparse.ArgumentTypeError(f"level must lie strictly between 0 and 1, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mrplab",
@@ -90,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--out", required=True, help="output JSON report path")
     ver.add_argument("--paths", type=int, default=20000)
     ver.add_argument("--events", type=int, default=3)
-    ver.add_argument("--level", type=float, default=0.01)
+    ver.add_argument("--level", type=_level, default=0.01)
     ver.add_argument("--tol", type=float, default=DEFAULT_CONFIG.rel_tol)
     return parser
 

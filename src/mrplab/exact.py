@@ -19,7 +19,7 @@ Each marginal of the mixing measure brings its own quadrature rule
 theta = c*u/(1-u), and gamma and beta marginals are integrated in power
 coordinates such as v = theta**shape, which absorb the density's power
 singularities exactly; a gamma marginal of shape >= 1, whose density is
-bounded, is integrated in theta itself over a bounded interval.
+bounded, is integrated in theta itself.
 
 Every route takes one `QuadratureConfig` (tolerances and panel limit; see
 `quadrature`, which owns it and its defaults) and passes it whole to the

@@ -347,11 +347,16 @@ class Marginal:
         raise NotImplementedError
 
     def _integrate_density(self, g, lo, hi, cfg, breakpoints) -> QuadratureResult:
-        """integral of density(x) * g(x) over [lo, hi] in x coordinates."""
+        """integral of density(x) * g(x) over [lo, hi] in x coordinates.
+
+        hi = inf maps the half line onto (0, 1) at the scale of the mean.
+        """
 
         def f(x):
             return _weighted(self.density_batch(x), g(x))
 
+        if hi == math.inf:
+            return integrate_half_line(f, lo, self.mean(), cfg, breakpoints)
         return adaptive_gauss_kronrod(f, lo, hi, cfg, breakpoints)
 
     def contains(self, x: float) -> bool:
@@ -449,7 +454,7 @@ class GammaMarginal(Marginal):
         hi = math.inf if clip is None else clip[1]
         a, gam = self.shape, self.rate
         cut = self._tail_cut(cfg)
-        if a >= 1.0 and math.isfinite(hi):  # the density is bounded
+        if a >= 1.0:  # the density is bounded
             return self._integrate_density(g, lo, hi, cfg, [self.mean(), cut, *breakpoints])
         # v = x**a coordinates absorb the power factor of the density exactly
         const = math.exp(a * math.log(gam) - math.lgamma(a)) / a

@@ -74,6 +74,19 @@ def test_simulate_non_numeric_mixing_atom_exits_2(tmp_path, capsys, mixing):
     assert not out.exists()
 
 
+def test_simulate_large_mixing_shape_model(tmp_path):
+    # a gamma mixing of shape 140 passes the mass check and simulates
+    model = tmp_path / "shape140.json"
+    model.write_text(json.dumps({
+        "kernel": {"family": "exponential"},
+        "mixing": {"kind": "gamma", "rate": 1.0, "shape": 140.0},
+    }))
+    out = tmp_path / "x.csv"
+    assert run(["simulate", "--model", str(model), "--paths", "10", "--events", "2",
+                "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 10 * 2
+
+
 def test_simulate_missing_model_exits_2(tmp_path):
     code = run(["simulate", "--model", str(tmp_path / "none.json"), "--out",
                 str(tmp_path / "x.csv")])
@@ -231,6 +244,15 @@ def test_verify_unknown_suite_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "usage" in err or "invalid choice" in err
+
+
+@pytest.mark.parametrize("level", ["nan", "0", "1", "2", "-1"])
+def test_verify_bad_level_exits_2(tmp_path, capsys, level):
+    out = tmp_path / "r.json"
+    code = run(["verify", "--model", GH, "--suite", "all", f"--level={level}", "--out", str(out)])
+    assert code == 2
+    assert "level must lie strictly between 0 and 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_conditional_iid_suite(tmp_path):

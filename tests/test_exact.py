@@ -38,6 +38,7 @@ from mrplab.kernels import (
     RateMap,
     UniformMarginal,
     kernel_cdf,
+    verify_mixing_mass,
 )
 from mrplab.modelfile import load_bundled_model
 
@@ -152,6 +153,22 @@ def test_quadrature_error_estimate_bounds_truth(g, a, w):
     res = joint_interarrival_probability(model, BoxQuery.upper(w))
     ref = -math.expm1(a * math.log(g / (g + w)))
     assert abs(res.value - ref) <= max(res.error, 1e-12)
+
+
+@given(hs.floats(1e-3, 1e3), hs.floats(1.0, 1e3), hs.floats(0.01, 10.0))
+@example(1.0, 50.0, 1.0)
+@example(1.0, 140.0, 1.0)
+@settings(max_examples=60, deadline=None)
+def test_large_mixing_shape_mass_and_box_are_honest(g, a, x):
+    # a gamma mixing marginal of shape >= 1 is integrated in theta coordinates
+    # on the half line; w = x * g / a puts P(W_1 <= w) between 0.01 and 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(verify_mixing_mass(GammaMixing(g, a)) - 1.0) <= 1e-8
+        model = build_model(KernelSpec("exponential"), GammaMixing(g, a))
+        w = x * g / a
+        res = joint_interarrival_probability(model, BoxQuery.upper(w))
+    assert abs(res.value - -math.expm1(a * math.log(g / (g + w)))) <= res.error
 
 
 @given(hs.floats(0.01, 8.0), hs.floats(0.01, 8.0))
