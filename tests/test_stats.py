@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -21,6 +22,7 @@ from mrplab.kernels import (
     RateMap,
     kernel_cdf,
 )
+from mrplab.modelfile import load_bundled_model
 from mrplab.rng import UniformStream
 from mrplab.stats import (
     _default_probe_boxes,
@@ -172,6 +174,78 @@ def test_exchangeability_reproducible():
     assert r1.statistic == r2.statistic
     assert r1.p_value == r2.p_value
     assert r1.to_json() == r2.to_json()
+
+
+# sha256 prefixes of exchangeability_test(ensemble, r, n_permutations).to_json()
+# on the bundled models, 5000 x 4, root seed 11; 300 replicas take two chunks
+PINNED_EXCHANGEABILITY = {
+    ("gamma_half", 2, 199): "47d00c7d2af20861",
+    ("gamma_half", 2, 300): "f8a0a3960d1cb7a9",
+    ("gamma_half", 3, 199): "e82e5e2aac2ecbbc",
+    ("gamma_half", 3, 300): "ebbacb793ed9dcc9",
+    ("gamma_half", 4, 199): "1dc6c9ce642d1dea",
+    ("gamma_half", 4, 300): "16e14a88e6cc90e9",
+    ("bivariate", 2, 199): "035ef0ffd49d31fc",
+    ("bivariate", 2, 300): "111ab7e8ac66f657",
+    ("bivariate", 3, 199): "0de479bc429684fb",
+    ("bivariate", 3, 300): "f07a589e6ac1a167",
+    ("bivariate", 4, 199): "37f2bc394937bf12",
+    ("bivariate", 4, 300): "66ab40d59accd989",
+    ("example16", 2, 199): "738bb9a52a2dcb6e",
+    ("example16", 2, 300): "cd989eb7dc040261",
+    ("example16", 3, 199): "5c6bb5c81aa48994",
+    ("example16", 3, 300): "dcc06d012e8103eb",
+    ("example16", 4, 199): "c7106b3fe820c698",
+    ("example16", 4, 300): "b27a86218dade074",
+}
+PINNED_CUSTOM_PROBES = [(0.5, 1.0, 2.0), (1.0, 0.3, 0.3)]
+PINNED_CUSTOM_REPORT = "9f3f300447d70683"  # gamma_half, r = 3, 199 replicas
+
+
+def _bundled_ensemble(name):
+    model, _meta = load_bundled_model(name)
+    return simulate_ensemble(model, 5000, 4, root_seed=11)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,r,m", sorted(PINNED_EXCHANGEABILITY))
+def test_exchangeability_report_pinned(name, r, m):
+    rep = exchangeability_test(_bundled_ensemble(name), r=r, n_permutations=m)
+    assert _sha(rep.to_json().encode()) == PINNED_EXCHANGEABILITY[name, r, m]
+
+
+def test_exchangeability_custom_probes_report_pinned():
+    rep = exchangeability_test(_bundled_ensemble("gamma_half"), r=3, probe_boxes=PINNED_CUSTOM_PROBES)
+    assert _sha(rep.to_json().encode()) == PINNED_CUSTOM_REPORT
+
+
+# sha256 prefixes of _uniform_group_ids(UniformStream(1000 * g + n), n, g)
+# followed by the stream's next word, which pins where the draw leaves it
+PINNED_GROUP_IDS = {
+    (2, 1): "4e227e52f672a9ff",
+    (2, 63): "800b584f6b88e3cd",
+    (2, 65): "f7a36b9e3cde9824",
+    (2, 199007): "c804fd8b7364f054",
+    (6, 1): "0fbbd969373eaeab",
+    (6, 63): "0f9065bbf47807d7",
+    (6, 65): "58bb773f8ff4ac3e",
+    (6, 199007): "54f784cd522d4768",
+    (24, 1): "8d68ec8649afdd0d",
+    (24, 63): "fff51cd88b93030c",
+    (24, 65): "dac0417ded600eb2",
+    (24, 199007): "0d920974945f7460",
+}
+
+
+@pytest.mark.parametrize("g,n", sorted(PINNED_GROUP_IDS))
+def test_uniform_group_ids_pinned(g, n):
+    stream = UniformStream(1000 * g + n)
+    ids = _uniform_group_ids(stream, n, g)
+    assert ids.dtype == np.int8 and ids.shape == (n,)
+    assert _sha(ids.tobytes() + stream.raw_words(1).tobytes()) == PINNED_GROUP_IDS[g, n]
 
 
 def test_exchangeability_calibration_200_seeds():
