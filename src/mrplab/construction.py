@@ -340,10 +340,21 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
+def render_worker_cap() -> Optional[int]:
+    """The MRPLAB_THREADS cap on CSV render workers, or None when it is unset or empty."""
+    cap = os.environ.get("MRPLAB_THREADS")
+    if not cap:
+        return None
+    try:
+        return int(cap)
+    except ValueError:
+        raise ConfigurationError(f"MRPLAB_THREADS must be an integer, got {cap!r}") from None
+
+
 def _render_workers(n_blocks: int) -> int:
     """CSV render workers: the available cores, capped by MRPLAB_THREADS and the block count."""
-    cap = os.environ.get("MRPLAB_THREADS")
-    return max(1, min(_available_cores(), int(cap) if cap else n_blocks, n_blocks))
+    cap = render_worker_cap()
+    return max(1, min(_available_cores(), n_blocks if cap is None else cap, n_blocks))
 
 
 def ensemble_csv_text(ensemble: Ensemble) -> str:

@@ -128,5 +128,9 @@ class UniformStream:
         self.bank.counters[0] = np.uint64(c + n)
         return _mix64_np(np.uint64(self.seed) + js * _U64_PHI)
 
+    def skip(self, n: int) -> None:
+        """Advance the stream by n positions without drawing them."""
+        self.bank.counters[0] += np.uint64(n)
+
     def spawn(self, index: int) -> "UniformStream":
         return UniformStream(child_seed(self.seed, index))

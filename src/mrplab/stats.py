@@ -7,7 +7,11 @@ each path's first r interarrivals independently -- exactly the invariance
 the null hypothesis asserts.  Probe thresholds default to quartiles of the
 pooled first-r interarrivals (a permutation-invariant function of the data,
 which keeps the randomization test exact) on a tensor grid, plus the fixed
-witness boxes (2,1)/(1,2) when r = 2.
+witness boxes (2,1)/(1,2) when r = 2.  Both the statistic and the null see
+the data only through the cell of each path in the grid the thresholds cut,
+so the null is computed from integer counts of paths per cell and replica.
+Its permutations come from one uniform stream in path blocks, which bounds
+its memory by one block whatever the number of paths.
 
 All tests are deterministic given their seeds; reports record the seeds and
 sample sizes needed to reproduce every statistic bitwise.
@@ -65,27 +69,64 @@ def _default_probe_boxes(w: np.ndarray, r: int) -> list[tuple]:
     return list(seen)
 
 
-def _uniform_group_ids(stream: UniformStream, n: int, n_group: int) -> np.ndarray:
-    """n i.i.d. integers uniform on {0, ..., n_group-1} from packed stream words.
+# paths per block of the resampling null: a block holds its group ids, one
+# byte per path and replica, and their count-table keys
+_BLOCK_PATHS = 4096
+# replicas drawn in one session of the resampling stream
+_REPLICA_CHUNK = 256
+# the most cells the probe thresholds may cut the first-r space into; the
+# null's count table holds one int64 per cell and replica of a session
+_MAX_CELLS = 1 << 14
 
-    Exactly uniform: single bits for a two-element group, otherwise bytes with
-    rejection above the largest multiple of the group size.
+
+def _group_id_blocks(
+    stream: UniformStream, n_paths: int, m: int, n_group: int, block: Optional[int] = None
+):
+    """One draw session of n_paths * m ids uniform on {0, ..., n_group-1}, in path blocks.
+
+    Yields int8 arrays of shape (paths in block, m); path i, replica j is id
+    i*m + j of the session.  The ids are exactly uniform: the bits of the
+    stream words for a two-element group, otherwise their bytes below the
+    largest multiple of the group size, reduced modulo it, in stream order.
+    Words come in draws: a first draw sized for every id of the session,
+    then draws sized for the shortfall.  The session ends at the end of its
+    last draw, so neither the ids nor the stream position after them depends
+    on the block size.
     """
-    if n_group == 2:
-        words = stream.raw_words((n + 63) // 64)
-        bits = np.unpackbits(words.view(np.uint8))[:n]
-        return bits.astype(np.int8)
-    out = np.empty(n, dtype=np.int8)
+    block = block or _BLOCK_PATHS
+    total = n_paths * m
     cap = (256 // n_group) * n_group
-    filled = 0
-    while filled < n:
-        todo = n - filled
-        words = stream.raw_words((todo + 7) // 8 + 4)
-        raw = words.view(np.uint8)
-        vals = raw[raw < cap][:todo] % n_group
-        out[filled : filled + vals.size] = vals
-        filled += vals.size
-    return out
+    ids_per_word = 64 if n_group == 2 else 8
+    carry = np.empty(0, dtype=np.int8)
+    drawn = 0  # ids produced so far, carried ones included
+    left = 0  # words left in the current draw
+    for lo in range(0, n_paths, block):
+        want = (min(lo + block, n_paths) - lo) * m
+        parts = [carry]
+        have = carry.size
+        while have < want:
+            if left == 0:
+                todo = total - drawn
+                left = -(-todo // 64) if n_group == 2 else (todo + 7) // 8 + 4
+            # enough words for the shortfall at the expected acceptance rate
+            k = min(left, (want - have) * 256 // (cap * ids_per_word) + 1)
+            raw = stream.raw_words(k).view(np.uint8)
+            left -= k
+            if n_group == 2:
+                got = np.unpackbits(raw).view(np.int8)
+            else:
+                got = raw[raw < cap]
+                # the remainder by subtraction: numpy divides uint8 by a
+                # scalar far faster than it takes a remainder
+                got = (got - got // n_group * n_group).view(np.int8)
+            drawn += got.size
+            parts.append(got)
+            have += got.size
+        ids = np.concatenate(parts)
+        carry = ids[want:]
+        if lo + block >= n_paths:
+            stream.skip(left)  # before the last yield, so a consumer need not resume
+        yield ids[:want].reshape(-1, m)
 
 
 def _cdf_discrepancy_pairs(base_boxes, perms):
@@ -106,7 +147,7 @@ def _cdf_discrepancy_pairs(base_boxes, perms):
             bp = tuple(b[j] for j in p)
             if bp != b:
                 pairs.append((i0, idx(bp)))
-    return pairs, eval_boxes, index
+    return pairs, eval_boxes
 
 
 def exchangeability_test(
@@ -133,6 +174,10 @@ def exchangeability_test(
     level : float
         Rejection level; the report fails exactly when the resampling
         p-value is below it.
+
+    Raises ConfigurationError when a probe threshold is NaN or when the
+    distinct thresholds cut the first-r space into more than 2**14 cells
+    (at r = 4, more than 10 distinct values).
     """
     if r < 2:
         raise DegenerateTestError("exchangeability needs a prefix length of at least 2")
@@ -167,53 +212,78 @@ def exchangeability_test(
 
     group = list(itertools.permutations(range(r)))
     stat_perms = [p for p in group if p != tuple(range(r))]
-    pairs, eval_boxes, index = _cdf_discrepancy_pairs(base_boxes, stat_perms)
+    pairs, eval_boxes = _cdf_discrepancy_pairs(base_boxes, stat_perms)
     if not pairs:
         raise DegenerateTestError(
             "every probe box is symmetric under coordinate permutations, so the "
             "statistic is identically 0"
         )
 
-    v = np.empty((len(eval_boxes), n), dtype=np.float32)
-    for e, box in enumerate(eval_boxes):
-        v[e] = np.all(w <= np.asarray(box)[None, :], axis=1)
+    # the statistic and every replica depend on the data only through the
+    # cell of each path in the grid that the sorted probe thresholds cut:
+    # bin k of a path counts the thresholds below its k-th interarrival, and
+    # the path lies in a box exactly when each bin is at most the index of
+    # the box's threshold in that coordinate
+    boxes = np.asarray(eval_boxes, dtype=np.float64)
+    if np.isnan(boxes).any():
+        raise ConfigurationError("probe box thresholds must not be NaN")
+    thresholds = np.unique(boxes)
+    n_bins = thresholds.size + 1
+    n_cells = n_bins**r
+    if n_cells > _MAX_CELLS:
+        raise ConfigurationError(
+            f"the probe thresholds cut {n_cells} cells, more than {_MAX_CELLS}; "
+            "use fewer distinct threshold values"
+        )
+    radix = n_bins ** np.arange(r)
+    cell = np.searchsorted(thresholds, w) @ radix
+    digits = np.arange(n_cells)[:, None] // radix % n_bins
+    in_box = np.all(digits[None] <= np.searchsorted(thresholds, boxes)[:, None], axis=2)
 
-    fhat = v.mean(axis=1, dtype=np.float64)
+    ncell = np.bincount(cell, minlength=n_cells)
+    counts = in_box.astype(np.int64) @ ncell
+    fhat = counts / n
     p1 = np.array([a for a, _ in pairs])
     p2 = np.array([b for _, b in pairs])
     d_obs = float(np.abs(fhat[p1] - fhat[p2]).max())
-    # the null is compared in integer box counts, which float32 holds exactly
-    # below 2**24 paths, so a replica that ties the statistic counts as one
-    row_sums_id = v.sum(axis=1, dtype=np.float64)
-    k_obs = float(np.abs(row_sums_id[p1] - row_sums_id[p2]).max())
+    k_obs = float(np.abs(counts[p1] - counts[p2]).max())
 
     if resample_seed is None:
         resample_seed = aux_seed(root, 0)
     stream = UniformStream(resample_seed)
 
-    # row map for each group element: eval box e under data-permutation sigma
-    # contributes the indicator of box_e o sigma^{-1}
-    inv = {p: tuple(np.argsort(p)) for p in group}
-    rowmap = {}
-    for gi, sig in enumerate(group):
-        si = inv[sig]
-        rowmap[gi] = np.array([index[tuple(box[j] for j in si)] for box in eval_boxes])
-
+    # replica j gives path i the group element sigma = group[id], which
+    # moves the path to the cell with bins (bin[sigma[0]], ..., bin[sigma[r-1]]);
+    # the paths per moved cell and replica give every replica's box counts
     n_group = len(group)
+    moved = digits[:, np.array(group)] @ radix  # (cell, id) -> moved cell
     k_null = np.empty(n_permutations)
-    chunk = 256
-    done = 0
-    while done < n_permutations:
-        m = min(chunk, n_permutations - done)
-        assign = _uniform_group_ids(stream, n * m, n_group).reshape(n, m)
-        # C = sum_sigma V[rowmap_sigma] @ onehot_sigma; the identity term is
-        # folded in through the complement so only n_group-1 GEMMs remain
-        c = np.tile(row_sums_id[rowmap[0]][:, None].astype(np.float32), (1, m))
-        for gi in range(1, n_group):
-            mask = (assign == gi).astype(np.float32)
-            c += (v[rowmap[gi]] - v[rowmap[0]]) @ mask
-        k_null[done : done + m] = np.abs(c[p1] - c[p2]).max(axis=0)
-        done += m
+    for done in range(0, n_permutations, _REPLICA_CHUNK):
+        m = min(_REPLICA_CHUNK, n_permutations - done)
+        blocks = zip(range(0, n, _BLOCK_PATHS), _group_id_blocks(stream, n, m, n_group))
+        if n_group == 2:
+            # paths per cell that swap, one float32 product per block (exact:
+            # a block holds fewer than 2**24 paths)
+            swaps = np.zeros((n_cells, m))
+            for lo, ids in blocks:
+                onehot = np.zeros((n_cells, len(ids)), dtype=np.float32)
+                onehot[cell[lo : lo + len(ids)], np.arange(len(ids))] = 1.0
+                swaps += onehot @ ids.astype(np.float32)
+            swaps = swaps.astype(np.int64)
+            table = ncell[:, None] - swaps
+            np.add.at(table, moved[:, 1], swaps)
+        else:
+            # key moved cell * m + replica: a block's keys run in order
+            moved_key = (moved * m).ravel()
+            cell_key = cell * n_group
+            table = np.zeros(n_cells * m, dtype=np.int64)
+            for lo, ids in blocks:
+                keys = moved_key[cell_key[lo : lo + len(ids), None] + ids]
+                keys += np.arange(m)
+                table += np.bincount(keys.ravel(), minlength=table.size)
+            table = table.reshape(n_cells, m)
+        c = table.T @ in_box.T
+        k_null[done : done + m] = np.abs(c[:, p1] - c[:, p2]).max(axis=1)
 
     n_ge = int(np.sum(k_null >= k_obs))
     d_null = k_null / n

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from mrplab.modelfile import load_bundled_model
 from mrplab.rng import UniformStream
 from mrplab.stats import (
     _default_probe_boxes,
+    _group_id_blocks,
     _merge_bins,
-    _uniform_group_ids,
     conditional_iid_test,
     exchangeability_test,
     mc_vs_exact,
@@ -129,6 +130,11 @@ def test_exchangeability_rejects_non_finite_data(bad):
     exchangeability_test(w3, r=2)
 
 
+def _group_ids(stream, n_paths, m, n_group, block=0):
+    """The (n_paths, m) ids of one draw session, its path blocks joined."""
+    return np.concatenate(list(_group_id_blocks(stream, n_paths, m, n_group, block)))
+
+
 def _integer_null_exceedances(w, r, n_permutations, resample_seed):
     """n_ge recomputed in int64 box counts by permuting the data itself.
 
@@ -147,8 +153,7 @@ def _integer_null_exceedances(w, r, n_permutations, resample_seed):
         )
 
     n = w.shape[0]
-    ids = _uniform_group_ids(UniformStream(resample_seed), n * n_permutations, len(group))
-    ids = ids.reshape(n, n_permutations)
+    ids = _group_ids(UniformStream(resample_seed), n, n_permutations, len(group))
     sigma = np.asarray(group)
     k_obs = stat(w)
     k_null = [stat(np.take_along_axis(w, sigma[ids[:, j]], axis=1)) for j in range(n_permutations)]
@@ -222,8 +227,8 @@ def test_exchangeability_custom_probes_report_pinned():
     assert _sha(rep.to_json().encode()) == PINNED_CUSTOM_REPORT
 
 
-# sha256 prefixes of _uniform_group_ids(UniformStream(1000 * g + n), n, g)
-# followed by the stream's next word, which pins where the draw leaves it
+# sha256 prefixes of the n ids of one draw session on UniformStream(1000 * g + n)
+# followed by the stream's next word, which pins where the session leaves it
 PINNED_GROUP_IDS = {
     (2, 1): "4e227e52f672a9ff",
     (2, 63): "800b584f6b88e3cd",
@@ -243,9 +248,71 @@ PINNED_GROUP_IDS = {
 @pytest.mark.parametrize("g,n", sorted(PINNED_GROUP_IDS))
 def test_uniform_group_ids_pinned(g, n):
     stream = UniformStream(1000 * g + n)
-    ids = _uniform_group_ids(stream, n, g)
-    assert ids.dtype == np.int8 and ids.shape == (n,)
+    ids = _group_ids(stream, n, 1, g)
+    assert ids.dtype == np.int8 and ids.shape == (n, 1)
     assert _sha(ids.tobytes() + stream.raw_words(1).tobytes()) == PINNED_GROUP_IDS[g, n]
+
+
+@pytest.mark.parametrize(
+    "g,n,block",
+    [(g, 199007, b) for g in (2, 6, 24) for b in (997, 4096, 10**6)] + [(24, 65, 1), (6, 65, 7)],
+)
+def test_group_id_blocks_join_to_the_pinned_session(g, n, block):
+    stream = UniformStream(1000 * g + n)
+    ids = _group_ids(stream, n, 1, g, block)
+    assert _sha(ids.tobytes() + stream.raw_words(1).tobytes()) == PINNED_GROUP_IDS[g, n]
+
+
+@pytest.mark.parametrize("g", [2, 6, 24])
+def test_group_id_blocks_do_not_depend_on_block_size(g):
+    # 1000 paths x 199 replicas: the same ids and the same stream position
+    # after the session, whatever the block size
+    whole_stream = UniformStream(g)
+    whole = _group_ids(whole_stream, 1000, 199, g, 1000)
+    for block in (1, 7, 333, 10**6):
+        stream = UniformStream(g)
+        assert np.array_equal(_group_ids(stream, 1000, 199, g, block), whole)
+        assert stream.bank.counters[0] == whole_stream.bank.counters[0]
+
+
+def test_exchangeability_does_not_depend_on_block_size(monkeypatch):
+    from mrplab import stats
+
+    ens = _bundled_ensemble("bivariate")
+    for block in (1, 333, 4096):
+        monkeypatch.setattr(stats, "_BLOCK_PATHS", block)
+        for r, m in ((2, 300), (3, 199), (4, 199)):
+            rep = exchangeability_test(ens, r=r, n_permutations=m)
+            assert _sha(rep.to_json().encode()) == PINNED_EXCHANGEABILITY["bivariate", r, m]
+
+
+def test_exchangeability_memory_is_bounded_by_a_path_block():
+    # the null never holds a paths x replicas array: at 1e5 paths its
+    # traced peak stays far below one float32 mask of 1e5 x 199 (76 MiB)
+    model, _meta = load_bundled_model("gamma_half")
+    ens = simulate_ensemble(model, 100_000, 3, root_seed=1)
+    tracemalloc.start()
+    try:
+        exchangeability_test(ens, r=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
+def test_exchangeability_probe_threshold_limits():
+    w = -np.log(UniformStream(4).uniforms(300 * 4).reshape(300, 4))
+    with pytest.raises(ConfigurationError, match="NaN"):
+        exchangeability_test(w, r=2, probe_boxes=[(np.nan, 1.0)])
+    # 11 distinct thresholds cut 12**4 > 2**14 cells at r = 4
+    boxes = [(k + 1.0, 0.5, 0.25, 0.125) for k in range(8)]
+    with pytest.raises(ConfigurationError, match="cells"):
+        exchangeability_test(w, r=4, probe_boxes=boxes)
+    # infinite thresholds bound nothing: the (inf, 1) box is the marginal
+    # event {w2 <= 1}, and (-inf, 1) is empty
+    rep = exchangeability_test(w, r=2, probe_boxes=[(np.inf, 1.0), (-np.inf, 1.0)])
+    share = np.mean(w[:, 1] <= 1.0) - np.mean(w[:, 0] <= 1.0)
+    assert rep.statistic == abs(share)
 
 
 def test_exchangeability_calibration_200_seeds():
