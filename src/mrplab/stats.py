@@ -79,9 +79,7 @@ _REPLICA_CHUNK = 256
 _MAX_CELLS = 1 << 14
 
 
-def _group_id_blocks(
-    stream: UniformStream, n_paths: int, m: int, n_group: int, block: Optional[int] = None
-):
+def _group_id_blocks(stream: UniformStream, n_paths: int, m: int, n_group: int):
     """One draw session of n_paths * m ids uniform on {0, ..., n_group-1}, in path blocks.
 
     Yields int8 arrays of shape (paths in block, m); path i, replica j is id
@@ -93,15 +91,14 @@ def _group_id_blocks(
     last draw, so neither the ids nor the stream position after them depends
     on the block size.
     """
-    block = block or _BLOCK_PATHS
     total = n_paths * m
     cap = (256 // n_group) * n_group
     ids_per_word = 64 if n_group == 2 else 8
     carry = np.empty(0, dtype=np.int8)
     drawn = 0  # ids produced so far, carried ones included
     left = 0  # words left in the current draw
-    for lo in range(0, n_paths, block):
-        want = (min(lo + block, n_paths) - lo) * m
+    for lo in range(0, n_paths, _BLOCK_PATHS):
+        want = (min(lo + _BLOCK_PATHS, n_paths) - lo) * m
         parts = [carry]
         have = carry.size
         while have < want:
@@ -124,7 +121,7 @@ def _group_id_blocks(
             have += got.size
         ids = np.concatenate(parts)
         carry = ids[want:]
-        if lo + block >= n_paths:
+        if lo + _BLOCK_PATHS >= n_paths:
             stream.skip(left)  # before the last yield, so a consumer need not resume
         yield ids[:want].reshape(-1, m)
 
@@ -273,7 +270,8 @@ def exchangeability_test(
             table = ncell[:, None] - swaps
             np.add.at(table, moved[:, 1], swaps)
         else:
-            # key moved cell * m + replica: a block's keys run in order
+            # key = moved cell * m + replica, so a path's m keys fall in
+            # neighbouring bins of the count table
             moved_key = (moved * m).ravel()
             cell_key = cell * n_group
             table = np.zeros(n_cells * m, dtype=np.int64)

@@ -24,6 +24,7 @@ from mrplab.kernels import (
     kernel_cdf,
 )
 from mrplab.modelfile import load_bundled_model
+from mrplab import stats
 from mrplab.rng import UniformStream
 from mrplab.stats import (
     _default_probe_boxes,
@@ -130,9 +131,9 @@ def test_exchangeability_rejects_non_finite_data(bad):
     exchangeability_test(w3, r=2)
 
 
-def _group_ids(stream, n_paths, m, n_group, block=0):
+def _group_ids(stream, n_paths, m, n_group):
     """The (n_paths, m) ids of one draw session, its path blocks joined."""
-    return np.concatenate(list(_group_id_blocks(stream, n_paths, m, n_group, block)))
+    return np.concatenate(list(_group_id_blocks(stream, n_paths, m, n_group)))
 
 
 def _integer_null_exceedances(w, r, n_permutations, resample_seed):
@@ -245,39 +246,35 @@ PINNED_GROUP_IDS = {
 }
 
 
-@pytest.mark.parametrize("g,n", sorted(PINNED_GROUP_IDS))
-def test_uniform_group_ids_pinned(g, n):
+@pytest.mark.parametrize(
+    "g,n,block",
+    [(g, n, 4096) for g, n in sorted(PINNED_GROUP_IDS)]
+    + [(g, 199007, b) for g in (2, 6, 24) for b in (997, 10**6)]
+    + [(24, 65, 1), (6, 65, 7)],
+)
+def test_uniform_group_ids_pinned(g, n, block, monkeypatch):
+    # the session's path blocks, joined, give the pinned bytes at any block size
+    monkeypatch.setattr(stats, "_BLOCK_PATHS", block)
     stream = UniformStream(1000 * g + n)
     ids = _group_ids(stream, n, 1, g)
     assert ids.dtype == np.int8 and ids.shape == (n, 1)
     assert _sha(ids.tobytes() + stream.raw_words(1).tobytes()) == PINNED_GROUP_IDS[g, n]
 
 
-@pytest.mark.parametrize(
-    "g,n,block",
-    [(g, 199007, b) for g in (2, 6, 24) for b in (997, 4096, 10**6)] + [(24, 65, 1), (6, 65, 7)],
-)
-def test_group_id_blocks_join_to_the_pinned_session(g, n, block):
-    stream = UniformStream(1000 * g + n)
-    ids = _group_ids(stream, n, 1, g, block)
-    assert _sha(ids.tobytes() + stream.raw_words(1).tobytes()) == PINNED_GROUP_IDS[g, n]
-
-
 @pytest.mark.parametrize("g", [2, 6, 24])
-def test_group_id_blocks_do_not_depend_on_block_size(g):
+def test_group_id_blocks_do_not_depend_on_block_size(g, monkeypatch):
     # 1000 paths x 199 replicas: the same ids and the same stream position
     # after the session, whatever the block size
     whole_stream = UniformStream(g)
-    whole = _group_ids(whole_stream, 1000, 199, g, 1000)
+    whole = _group_ids(whole_stream, 1000, 199, g)
     for block in (1, 7, 333, 10**6):
+        monkeypatch.setattr(stats, "_BLOCK_PATHS", block)
         stream = UniformStream(g)
-        assert np.array_equal(_group_ids(stream, 1000, 199, g, block), whole)
+        assert np.array_equal(_group_ids(stream, 1000, 199, g), whole)
         assert stream.bank.counters[0] == whole_stream.bank.counters[0]
 
 
 def test_exchangeability_does_not_depend_on_block_size(monkeypatch):
-    from mrplab import stats
-
     ens = _bundled_ensemble("bivariate")
     for block in (1, 333, 4096):
         monkeypatch.setattr(stats, "_BLOCK_PATHS", block)
