@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mrplab import stats
 from mrplab.construction import build_model, simulate_ensemble
 from mrplab.errors import (
     ConfigurationError,
@@ -24,7 +25,6 @@ from mrplab.kernels import (
     kernel_cdf,
 )
 from mrplab.modelfile import load_bundled_model
-from mrplab import stats
 from mrplab.rng import UniformStream
 from mrplab.stats import (
     _default_probe_boxes,
