@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import warnings
@@ -518,3 +519,94 @@ def test_count_pmf_bivariate_model_monte_carlo_oracle():
         p_hat = float(np.mean(counts == n))
         se = math.sqrt(p * (1 - p) / ens.n_paths)
         assert abs(p_hat - p) <= 4.0 * se
+
+
+# ---------------------------------------------------------------------------
+# pinned results
+# ---------------------------------------------------------------------------
+
+_B1 = BoxQuery.upper(1.0)
+_B2 = BoxQuery(((0.3, 1.5), (-math.inf, 2.0)))
+_B3 = BoxQuery(((0.1, 0.9), (0.5, math.inf), (-math.inf, 1.2)))
+_COUNTS = ((1.0, 0), (2.0, 3), (5.0, 12))
+
+
+def _pinned_calls():
+    """group -> list of zero-argument calls, each giving an ExactResult or a mass."""
+    models = {name: load_bundled_model(name)[0] for name in ("gamma_half", "bivariate", "example16")}
+    models["expgamma"] = build_model(KernelSpec("exponential"), GammaMixing(2.0, 1.5))
+    atomic = [
+        build_model(KernelSpec("exponential"), DiracMixing(1.5)),
+        build_model(KernelSpec("gamma", shape=0.5), DiracMixing(1.3)),
+        build_model(KernelSpec("exponential"), DiscreteMixing((0.5, 2.0), (0.25, 0.75))),
+        build_model(
+            KernelSpec("gamma", shape="theta2"),
+            DiscreteMixing(((1.0, 0.5), (2.0, 1.5)), (0.4, 0.6)),
+        ),
+    ]
+    beta_uniform = build_model(
+        KernelSpec("gamma", shape="theta2"),
+        ProductRectangleMixing((BetaMarginal(0.7, 2.5), UniformMarginal(0.2, 0.8))),
+    )
+    jip, cpmf, dens = joint_interarrival_probability, count_pmf, cylinder_probability_density_form
+    gh, bv = models["gamma_half"], models["bivariate"]
+    return {
+        "box": [
+            lambda m=m, q=q: jip(models[m], q)
+            for m in ("gamma_half", "example16", "expgamma") for q in (_B1, _B2, _B3)
+        ] + [lambda q=q: jip(bv, q) for q in (_B1, _B2)],
+        "count": [
+            lambda m=m, t=t, n=n: cpmf(models[m], t, n)
+            for m in ("gamma_half", "expgamma") for t, n in _COUNTS
+        ] + [lambda: cpmf(models["expgamma"], 10.0, 40), lambda: cpmf(bv, 2.0, 3)],
+        "atomic": [
+            call for m in atomic for call in (
+                *(lambda m=m, q=q: jip(m, q) for q in (_B1, _B2, _B3)),
+                *(lambda m=m, t=t, n=n: cpmf(m, t, n) for t, n in _COUNTS),
+            )
+        ],
+        "beta_uniform": [lambda: jip(beta_uniform, _B1), lambda: cpmf(beta_uniform, 2.0, 2)],
+        "density": [
+            lambda: dens(gh, _B1),
+            lambda: dens(gh, _B2),
+            lambda: dens(gh, _B2, theta_set=(0.5, 2.0)),
+            lambda: dens(bv, _B1),
+            lambda: dens(bv, _B1, theta_set=((0.0, 1.0), (0.3, 0.6))),
+        ],
+        "mass": [
+            lambda mu=mu: verify_mixing_mass(mu)
+            for mu in (
+                DiracMixing(1.5),
+                DiscreteMixing((0.5, 2.0), (0.25, 0.75)),
+                DiscreteMixing(((1.0, 0.5), (2.0, 1.5)), (0.4, 0.6)),
+                GammaMixing(2.0, 1.5),
+                GammaMixing(0.7, 0.3),
+                ProductRectangleMixing((BetaMarginal(0.7, 2.5),)),
+                ProductRectangleMixing((UniformMarginal(0.2, 0.8),)),
+                ProductRectangleMixing((GammaMarginal(2.0, 2.0), UniformMarginal(0.2, 0.8))),
+            )
+        ],
+    }
+
+
+def _pinned_repr(result) -> str:
+    if isinstance(result, ExactResult):
+        return repr((float(result.value), float(result.error), result.method))
+    return repr(float(result))
+
+
+# sha256 prefixes of the newline-joined reprs of each group's results
+PINNED_RESULTS = {
+    "box": "568c37b9acced047",
+    "count": "d9cf121d1b261af7",
+    "atomic": "5bde8da8d420bca6",
+    "beta_uniform": "982b6f1184082a01",
+    "density": "1e6641f2397d04b9",
+    "mass": "a2ed13f040781261",
+}
+
+
+@pytest.mark.parametrize("group", sorted(PINNED_RESULTS))
+def test_exact_results_pinned(group):
+    text = "\n".join(_pinned_repr(call()) for call in _pinned_calls()[group])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_RESULTS[group], text
