@@ -5,25 +5,19 @@
     P(W in box) = integral of  prod_k [F_k(b_k; theta) - F_k(a_k; theta)]
                   over the mixing measure,
 
-by adaptive Gauss-Kronrod quadrature over the mixing support (an exact sum
-for atomic mixing).  ``cylinder_probability_density_form`` evaluates the same
-quantity for gamma-kernel models with per-theta factors that integrate the
-kernel density instead of calling the CDF special function.  Both routes
-share one mixing integration (`_integrate_mixing`) and stay independent in
-the per-theta factor; any disagreement between them beyond combined
-tolerance indicates a convention error in the model rather than something
-to renormalize away.
-
-Each marginal of the mixing measure brings its own quadrature rule
-(`Marginal.integrate`): unbounded supports are compactified with
-theta = c*u/(1-u), and gamma and beta marginals are integrated in power
-coordinates such as v = theta**shape, which absorb the density's power
-singularities exactly; a gamma marginal of shape >= 1, whose density is
-bounded, is integrated in theta itself.
+and ``count_pmf`` the count law the same way.  ``cylinder_probability_density_form``
+evaluates the box probability for gamma-kernel models with per-theta factors
+that integrate the kernel density instead of calling the CDF special
+function.  Each route is a per-theta integrand and one call of the mixing
+measure's own integral (`MixingMeasure.integrate`: an exact sum over atoms,
+or adaptive Gauss-Kronrod quadrature by each marginal's rule); the routes
+stay independent in the per-theta factor, so any disagreement between them
+beyond combined tolerance indicates a convention error in the model rather
+than something to renormalize away.
 
 Every route takes one `QuadratureConfig` (tolerances and panel limit; see
 `quadrature`, which owns it and its defaults) and passes it whole to the
-marginals' rules; a nested inner integral runs at `cfg.tighter()`.
+mixing integral; a nested inner integral runs at `cfg.tighter()`.
 """
 
 from __future__ import annotations
@@ -41,11 +35,12 @@ from .errors import (
     ParameterDomainError,
     UnsupportedModelError,
 )
-from .kernels import SHAPE_FROM_THETA2, KernelSpec, Marginal, kernel_cdf_batch
+from .kernels import SHAPE_FROM_THETA2, KernelSpec, Marginal, MixingMeasure, kernel_cdf_batch
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, adaptive_gauss_kronrod
 
 # the largest box dimension a query may have
 MAX_BOX_DIM = 16
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,7 @@ def _box_factor_batch(spec: KernelSpec, thetas: np.ndarray, query: BoxQuery) -> 
 
 
 # ---------------------------------------------------------------------------
-# integration of a bounded function against the mixing measure
+# mixing integrals: peak panel edges, method names, the convergence check
 # ---------------------------------------------------------------------------
 
 
@@ -144,58 +139,23 @@ def _peak_breakpoints(m: Marginal, k: float, lam: float) -> list:
     return [float(near[0]), float(grid[top]), float(near[-1])]
 
 
-def _integrate_mixing(model: MrpModel, g_batch, cfg: QuadratureConfig, peak=None, clip=None):
-    """integral of g(theta) d(mixing); g_batch maps a theta batch to values.
-
-    Returns (value, error_bound, converged, method).  For two-dimensional
-    product mixing the double integral is iterated one-dimensional adaptive
-    quadrature: outer over the second coordinate, inner over the first.
-    `peak = (k, lam)` says that g is shaped like theta**k * exp(-lam*theta);
-    one-dimensional mixing then adds panel edges around the integrand's peak.
-    `clip`, one (lo, hi) interval per mixing dimension inside the support,
-    restricts the integral to that box.
-    """
-    mixing = model.mixing
-    clips = clip or (None, None)
-    if mixing.dim == 1:
-        m = mixing.marginals[0]
-        breaks = _peak_breakpoints(m, *peak) if peak else ()
-        res = m.integrate(g_batch, cfg, clips[0], breaks)
-        return res.scalar_value, res.scalar_error, res.converged, "quadrature-gk15"
-    if mixing.dim > 2:
-        raise UnsupportedModelError("product mixing beyond two dimensions is not supported")
-    m1, m2 = mixing.marginals
-    inner_cfg = cfg.tighter()
-    state = {"err": 0.0, "ok": True}
-
-    def outer_integrand(t2s: np.ndarray) -> np.ndarray:
-        # one vector-valued inner integral: component j is the inner integral
-        # at the outer node t2s[j]
-        def g1(t1s: np.ndarray) -> np.ndarray:
-            th = np.column_stack([np.repeat(t1s, t2s.size), np.tile(t2s, t1s.size)])
-            return g_batch(th).reshape(t1s.size, t2s.size)
-
-        res = m1.integrate(g1, inner_cfg, clips[0])
-        state["err"] = max(state["err"], float(res.error.max()))
-        state["ok"] = state["ok"] and res.converged
-        return res.value
-
-    res2 = m2.integrate(outer_integrand, cfg, clips[1])
-    return (
-        res2.scalar_value,
-        res2.scalar_error + state["err"],
-        res2.converged and state["ok"],
-        "quadrature-gk15-iterated",
-    )
+def _method(mixing: MixingMeasure, route: str = "quadrature") -> str:
+    """How a route's mixing integral is taken: a sum over atoms or a (2-D iterated) GK15 rule."""
+    if mixing.is_atomic:
+        return "point-mass" if mixing.kind == "dirac" else "discrete-sum"
+    return f"{route}-gk15" + ("-iterated" if mixing.dim > 1 else "")
 
 
-def _atomic_sum(model: MrpModel, g_batch) -> tuple[float, str]:
-    """sum_i w_i g(atom_i) over atomic mixing, and the method name."""
-    mixing = model.mixing
-    th = np.asarray(mixing.atoms, dtype=np.float64)
-    th = th if model.param_dim > 1 else th[:, 0]
-    method = "point-mass" if mixing.kind == "dirac" else "discrete-sum"
-    return float(np.dot(mixing.weights, g_batch(th))), method
+def _checked(value: float, err: float, converged: bool, method: str, cfg) -> ExactResult:
+    """The route's result, or AccuracyError carrying the best estimate."""
+    if not converged:
+        raise AccuracyError(
+            f"{method} did not converge within {cfg.max_subdivisions} subdivisions "
+            f"(best estimate {value!r} +/- {err!r})",
+            value,
+            err,
+        )
+    return ExactResult(value, err, method)
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +175,11 @@ def joint_interarrival_probability(
     """
     if query.dim > MAX_BOX_DIM:
         raise ConfigurationError(f"box dimension {query.dim} exceeds the cap {MAX_BOX_DIM}")
-    spec = model.kernel
-
-    def g(thetas: np.ndarray) -> np.ndarray:
-        return _box_factor_batch(spec, thetas, query)
-
-    if model.mixing.is_atomic:
-        p, method = _atomic_sum(model, g)
-        return ExactResult(p, 4.0 * np.finfo(float).eps * query.dim * len(model.mixing.atoms), method)
-    value, err, ok, method = _integrate_mixing(model, g, cfg)
-    if not ok:
-        raise AccuracyError(
-            f"quadrature did not converge within {cfg.max_subdivisions} subdivisions "
-            f"(best estimate {value!r} +/- {err!r})",
-            value,
-            err,
-        )
-    return ExactResult(value, err, method)
+    spec, mixing = model.kernel, model.mixing
+    res = mixing.integrate(lambda thetas: _box_factor_batch(spec, thetas, query), cfg)
+    # an atomic sum is exact up to the rounding of its factors
+    err = 4.0 * _EPS * query.dim * len(mixing.atoms) if mixing.is_atomic else res.scalar_error
+    return _checked(res.scalar_value, err, res.converged, _method(mixing), cfg)
 
 
 def example16_closed_form(w1: float, w2: float) -> float:
@@ -278,7 +226,7 @@ def count_pmf(
     n = int(n)
     if t == 0.0:
         return ExactResult(1.0 if n == 0 else 0.0, 0.0, "boundary")
-    spec = model.kernel
+    spec, mixing = model.kernel, model.mixing
 
     def g(thetas: np.ndarray) -> np.ndarray:
         if spec.family == "exponential":
@@ -287,18 +235,14 @@ def count_pmf(
         cdf = kernel_cdf_batch(spec, 1, thetas, [t, t], n_terms=[n, n + 1])
         return cdf[:, 0] - cdf[:, 1]
 
-    if model.mixing.is_atomic:
-        p, method = _atomic_sum(model, g)
-        return ExactResult(p, 8.0 * np.finfo(float).eps, method)
-    # given theta the count weight peaks near theta = n * shape / (a * t)
-    shape = 1.0 if spec.family == "exponential" else spec.shape
-    peak = (n * shape, spec.rate_map.a * t) if n > 0 and model.param_dim == 1 else None
-    value, err, ok, method = _integrate_mixing(model, g, cfg, peak)
-    if not ok:
-        raise AccuracyError(
-            f"count pmf quadrature did not converge (best {value!r} +/- {err!r})", value, err
-        )
-    return ExactResult(value, err, method)
+    breaks = ()
+    if n > 0 and mixing.dim == 1 and not mixing.is_atomic:
+        # given theta the count weight peaks near theta = n * shape / (a * t)
+        shape = 1.0 if spec.family == "exponential" else spec.shape
+        breaks = _peak_breakpoints(mixing.marginals[0], n * shape, spec.rate_map.a * t)
+    res = mixing.integrate(g, cfg, breakpoints=breaks)
+    err = 8.0 * _EPS if mixing.is_atomic else res.scalar_error
+    return _checked(res.scalar_value, err, res.converged, _method(mixing), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +323,7 @@ def cylinder_probability_density_form(
             "density-form evaluation supports constant gamma kernel families under "
             "product mixing only"
         )
-    method = "density-form-gk15" if mixing.dim == 1 else "density-form-gk15-iterated"
+    method = _method(mixing, "density-form")
     clip = None if theta_set is None else _theta_clip(mixing, theta_set)
     if clip and any(lo >= hi for lo, hi in clip):
         return ExactResult(0.0, 0.0, method)
@@ -397,10 +341,7 @@ def cylinder_probability_density_form(
         factor_err, factor_ok = max(factor_err, float(err.sum(axis=1).max())), factor_ok and ok
         return _box_product(mass, lower)
 
-    value, err, ok, _ = _integrate_mixing(model, g, cfg, clip=clip)
-    err += factor_err
-    if not (ok and factor_ok):
-        raise AccuracyError(
-            f"density-form quadrature did not converge (best {value!r} +/- {err!r})", value, err
-        )
-    return ExactResult(value, err, method)
+    res = mixing.integrate(g, cfg, clip)
+    return _checked(
+        res.scalar_value, res.scalar_error + factor_err, res.converged and factor_ok, method, cfg
+    )

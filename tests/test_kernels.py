@@ -9,6 +9,7 @@ from hypothesis import strategies as hs
 from mrplab.errors import (
     ConfigurationError,
     ParameterDomainError,
+    UnsupportedModelError,
     UnsupportedOperationError,
 )
 from mrplab.kernels import (
@@ -332,6 +333,22 @@ def test_mixing_mass_is_the_marginal_integral_of_one(marginal):
     res = marginal.integrate(np.ones_like)
     assert res.converged and abs(res.scalar_value - 1.0) <= 1e-10
     assert verify_mixing_mass(ProductRectangleMixing((marginal,))) == res.scalar_value
+
+
+def test_mixing_measures_integrate_themselves():
+    mu = DiscreteMixing(((1.0, 0.5), (2.0, 1.5)), (0.4, 0.6))
+    res = mu.integrate(lambda th: th[:, 0] * th[:, 1])
+    assert res.converged and res.scalar_error == 0.0
+    assert res.scalar_value == pytest.approx(0.4 * 0.5 + 0.6 * 3.0, rel=1e-15)
+    inside = mu.integrate(lambda th: np.ones(len(th)), clip=((0.0, 1.5), (0.0, 1.0)))
+    assert inside.scalar_value == 0.4
+    # E[theta1 * theta2] under Gamma(rate 2, shape 3) x Uniform(0.2, 0.8)
+    prod = ProductRectangleMixing((GammaMarginal(2.0, 3.0), UniformMarginal(0.2, 0.8)))
+    res = prod.integrate(lambda th: th[:, 0] * th[:, 1])
+    assert res.converged and abs(res.scalar_value - 1.5 * 0.5) <= res.scalar_error
+    cube = ProductRectangleMixing((UniformMarginal(0.2, 0.8),) * 3)
+    with pytest.raises(UnsupportedModelError):
+        cube.integrate(lambda th: np.ones(len(th)))
 
 
 def test_dirac_is_a_one_atom_discrete_measure():
