@@ -147,7 +147,7 @@ def _method(mixing: MixingMeasure, route: str = "quadrature") -> str:
 
 
 def _checked(value: float, err: float, converged: bool, method: str, cfg) -> ExactResult:
-    """The route's result, or AccuracyError carrying the best estimate."""
+    """The route's result in Python floats, or AccuracyError carrying the best estimate."""
     if not converged:
         raise AccuracyError(
             f"{method} did not converge within {cfg.max_subdivisions} subdivisions "
@@ -155,7 +155,7 @@ def _checked(value: float, err: float, converged: bool, method: str, cfg) -> Exa
             value,
             err,
         )
-    return ExactResult(value, err, method)
+    return ExactResult(float(value), float(err), method)
 
 
 # ---------------------------------------------------------------------------

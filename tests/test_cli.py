@@ -209,6 +209,33 @@ def test_exact_dirac_model_matches_closed_form_cdf(tmp_path):
     assert rows[0]["method"] == "point-mass"
 
 
+@pytest.mark.parametrize("mixing", [
+    {"kind": "dirac", "point": 1.5},
+    {"kind": "discrete", "atoms": [0.5, 2.0], "weights": [0.25, 0.75]},
+])
+def test_exact_atomic_model_writes_plain_floats(tmp_path, mixing):
+    # a numpy scalar's repr (np.float64(...)) once reached the error column
+    model = tmp_path / "atomic.json"
+    model.write_text(json.dumps({"kernel": {"family": "exponential"}, "mixing": mixing}))
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps([
+        {"id": "a", "bounds": [[None, 0.8]]},
+        {"id": "b", "bounds": [[0.2, 1.0], [0.5, None]]},
+        {"id": "c0", "type": "count", "t": 1.0, "n": 0},
+        {"id": "c3", "type": "count", "t": 2.0, "n": 3},
+    ]))
+    out = tmp_path / "res.csv"
+    assert run(["exact", "--model", str(model), "--queries", str(queries),
+                "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for row in rows:
+        assert 0.0 < float(row["probability"]) < 1.0
+        assert 0.0 < float(row["error_estimate"]) < 1e-14
+        assert len(row) == 4 and None not in row
+
+
 def test_verify_gamma_half_all_suites_pass(tmp_path):
     out = tmp_path / "rep.json"
     code = run(["verify", "--model", GH, "--suite", "all",
