@@ -31,6 +31,8 @@ from .errors import (
     ParameterDomainError,
 )
 from .kernels import (
+    GAMMA_SHAPE_FLOOR,
+    SHAPE_FROM_THETA2,
     KernelSpec,
     MixingMeasure,
     kernel_sample_batch,
@@ -75,8 +77,9 @@ def build_model(kernel: KernelSpec, mixing: MixingMeasure) -> MrpModel:
     Raises
     ------
     ConfigurationError
-        On dimension mismatch, support outside the admissible region, or a
-        mixing density whose quadrature mass deviates from 1.
+        On dimension mismatch, support outside the admissible region, gamma
+        kernel shapes reaching below `GAMMA_SHAPE_FLOOR`, or a mixing
+        measure whose mass deviates from 1.
     """
     if mixing.dim != kernel.param_dim:
         raise ConfigurationError(
@@ -95,6 +98,15 @@ def build_model(kernel: KernelSpec, mixing: MixingMeasure) -> MrpModel:
                 raise ConfigurationError(
                     f"atom {atom} lies outside the kernel-admissible region"
                 )
+    if kernel.family == "gamma":
+        # the lowest shape a draw can have: the fixed one, or the lower end of
+        # the second parameter component's support
+        shape = mixing.support_box()[1][0] if kernel.shape == SHAPE_FROM_THETA2 else kernel.shape
+        if shape < GAMMA_SHAPE_FLOOR:
+            raise ConfigurationError(
+                f"gamma kernel shapes reach down to {shape}, below the sampler's floor "
+                f"{GAMMA_SHAPE_FLOOR:.4f}"
+            )
     verify_mixing_mass(mixing)
     warnings = ()
     if not kernel.is_constant_family:

@@ -221,8 +221,8 @@ def count_pmf(
         )
     if n < 0 or n != int(n):
         raise ConfigurationError(f"count must be a nonnegative integer, got {n!r}")
-    if t < 0.0:
-        raise ConfigurationError(f"time must be nonnegative, got {t!r}")
+    if not 0.0 <= t < math.inf:  # false for NaN too
+        raise ConfigurationError(f"time must be finite and nonnegative, got {t!r}")
     n = int(n)
     if t == 0.0:
         return ExactResult(1.0 if n == 0 else 0.0, 0.0, "boundary")

@@ -55,6 +55,11 @@ KERNEL_FAMILIES = ("exponential", "gamma")
 # shape tag tying a gamma kernel's shape to the second parameter component
 SHAPE_FROM_THETA2 = "theta2"
 
+# the smallest gamma kernel shape a model may draw with: a shape s < 1 draw
+# is scaled by u**(1/s), and the smallest stream uniform, 2**-54, keeps that
+# factor a normal double (>= 2**-1022) only for s >= 54/1022
+GAMMA_SHAPE_FLOOR = 54.0 / 1022.0
+
 # a gamma marginal's initial tail breakpoint lies where its density falls
 # below peak * cfg.abs_tol * _TAIL_CUT_RATIO
 _TAIL_CUT_RATIO = 1e-3
@@ -113,8 +118,8 @@ class KernelSpec:
                     raise ConfigurationError(
                         f"gamma shape must be a positive number or {SHAPE_FROM_THETA2!r}"
                     )
-            elif not self.shape > 0.0:
-                raise ConfigurationError(f"gamma shape must be positive, got {self.shape}")
+            elif not 0.0 < self.shape < math.inf:
+                raise ConfigurationError(f"gamma shape must be positive and finite, got {self.shape}")
         elif self.shape is not None:
             raise ConfigurationError(f"{self.family} kernel takes no shape parameter")
 
@@ -411,9 +416,9 @@ class GammaMarginal(Marginal):
     kind: str = field(default="gamma", init=False)
 
     def __post_init__(self):
-        if not (self.rate > 0.0 and self.shape > 0.0):
+        if not (0.0 < self.rate < math.inf and 0.0 < self.shape < math.inf):
             raise ConfigurationError(
-                f"gamma marginal needs positive rate and shape, got ({self.rate}, {self.shape})"
+                f"gamma marginal needs positive finite rate and shape, got ({self.rate}, {self.shape})"
             )
 
     def support(self):
@@ -485,8 +490,10 @@ class BetaMarginal(Marginal):
     kind: str = field(default="beta", init=False)
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ConfigurationError(f"beta marginal needs positive (a, b), got ({self.a}, {self.b})")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise ConfigurationError(
+                f"beta marginal needs positive finite (a, b), got ({self.a}, {self.b})"
+            )
 
     def support(self):
         return (0.0, 1.0)
@@ -712,8 +719,8 @@ class DiscreteMixing(MixingMeasure):
             raise ConfigurationError("discrete atoms must share one dimension")
         if not all(math.isfinite(v) for a in atoms for v in a):
             raise ConfigurationError("discrete atoms must be finite")
-        if any(w < 0.0 for w in weights):
-            raise ConfigurationError("discrete weights must be nonnegative")
+        if not all(0.0 <= w < math.inf for w in weights):  # false for NaN too
+            raise ConfigurationError(f"discrete weights must be finite and nonnegative, got {weights}")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ConfigurationError(
                 f"discrete weights must sum to 1 exactly, got {sum(weights)!r}"

@@ -236,6 +236,38 @@ def test_exact_atomic_model_writes_plain_floats(tmp_path, mixing):
         assert len(row) == 4 and None not in row
 
 
+_EXP_GAMMA = {"kernel": {"family": "exponential"}, "mixing": {"kind": "gamma", "rate": 2.0, "shape": 1.5}}
+_BOX = {"id": "b", "bounds": [[None, 1.0]]}
+
+
+@pytest.mark.parametrize("model, query", [
+    ({"kernel": {"family": "exponential"},
+      "mixing": {"kind": "discrete", "atoms": [0.5, 2.0], "weights": [math.nan, 1.0]}}, _BOX),
+    ({"kernel": {"family": "gamma", "shape": math.inf}, "mixing": _EXP_GAMMA["mixing"]}, _BOX),
+    ({"kernel": {"family": "gamma", "shape": 1e-3}, "mixing": _EXP_GAMMA["mixing"]}, _BOX),
+    ({"kernel": {"family": "exponential"},
+      "mixing": {"kind": "gamma", "rate": math.inf, "shape": 1.5}}, _BOX),
+    ({"kernel": {"family": "exponential"}, "mixing": {"kind": "product_rectangle", "marginals": [
+        {"kind": "beta", "a": math.inf, "b": 2.0}]}}, _BOX),
+    (_EXP_GAMMA, {"id": "c", "type": "count", "t": math.nan, "n": 1}),
+    (_EXP_GAMMA, {"id": "c", "type": "count", "t": math.inf, "n": 1}),
+])
+def test_nonfinite_or_unsimulable_input_exits_2_without_output(tmp_path, capsys, model, query):
+    # json reads NaN and Infinity; each such number is a usage error
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps([query]))
+    out = tmp_path / "out.csv"
+    if query is _BOX:  # a model fault: simulate refuses it too
+        argv = ["simulate", "--model", str(path), "--paths", "10", "--events", "2"]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+    assert run(["exact", "--model", str(path), "--queries", str(queries), "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_gamma_half_all_suites_pass(tmp_path):
     out = tmp_path / "rep.json"
     code = run(["verify", "--model", GH, "--suite", "all",

@@ -22,6 +22,8 @@ from mrplab.errors import (
     ParameterDomainError,
 )
 from mrplab.kernels import (
+    GAMMA_SHAPE_FLOOR,
+    BetaMarginal,
     DiracMixing,
     DiscreteMixing,
     GammaMarginal,
@@ -81,6 +83,33 @@ def test_dimension_mismatch_rejected():
         build_model(KernelSpec("gamma", shape="theta2"), GammaMixing(2.0, 1.0))
     with pytest.raises(ConfigurationError):
         build_model(EXP, ProductRectangleMixing((UniformMarginal(0, 1), UniformMarginal(0, 1))))
+
+
+@pytest.mark.parametrize(
+    "kernel, mixing",
+    [
+        (KernelSpec("gamma", shape=1e-3), GammaMixing(2.0, 1.5)),
+        (KernelSpec("gamma", shape=0.05), GammaMixing(2.0, 1.5)),
+        # a "theta2" shape drawn from a support or atoms that reach below the floor
+        (KernelSpec("gamma", shape="theta2"),
+         ProductRectangleMixing((GammaMarginal(2.0, 2.0), GammaMarginal(2.0, 3.0)))),
+        (KernelSpec("gamma", shape="theta2"),
+         ProductRectangleMixing((GammaMarginal(2.0, 2.0), BetaMarginal(2.0, 2.0)))),
+        (KernelSpec("gamma", shape="theta2"),
+         ProductRectangleMixing((GammaMarginal(2.0, 2.0), UniformMarginal(0.01, 0.8)))),
+        (KernelSpec("gamma", shape="theta2"), DiscreteMixing(((1.0, 0.5), (2.0, 0.01)), (0.5, 0.5))),
+    ],
+)
+def test_gamma_kernel_shape_floor(kernel, mixing):
+    with pytest.raises(ConfigurationError, match="floor"):
+        build_model(kernel, mixing)
+
+
+def test_gamma_kernel_at_the_shape_floor_simulates():
+    # at shape 1e-3 about half the law's mass lies below the smallest double
+    model = build_model(KernelSpec("gamma", shape=GAMMA_SHAPE_FLOOR), GammaMixing(2.0, 1.5))
+    ens = simulate_ensemble(model, 1000, 2, root_seed=3)
+    assert np.all(ens.interarrivals > 0.0)
 
 
 def test_support_admissibility_enforced():

@@ -329,6 +329,13 @@ def test_count_pmf_sums_to_one():
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, -math.inf])
+def test_count_pmf_rejects_bad_time(t):
+    model = build_model(KernelSpec("exponential"), GammaMixing(2.0, 1.0))
+    with pytest.raises(ConfigurationError, match="time"):
+        count_pmf(model, t, 1)
+
+
 def test_count_pmf_boundary_and_errors():
     model = build_model(KernelSpec("exponential"), GammaMixing(2.0, 1.0))
     assert count_pmf(model, 0.0, 0).value == 1.0

@@ -335,6 +335,25 @@ def test_mixing_mass_is_the_marginal_integral_of_one(marginal):
     assert verify_mixing_mass(ProductRectangleMixing((marginal,))) == res.scalar_value
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: KernelSpec("gamma", shape=math.inf),
+        lambda: KernelSpec("gamma", shape=math.nan),
+        lambda: GammaMarginal(math.inf, 1.5),
+        lambda: GammaMarginal(2.0, math.inf),
+        lambda: GammaMixing(math.inf, 1.5),
+        lambda: BetaMarginal(math.inf, 2.0),
+        lambda: BetaMarginal(0.7, math.nan),
+        lambda: DiscreteMixing((0.5, 2.0), (math.nan, 1.0)),
+        lambda: DiscreteMixing((0.5, 2.0), (math.inf, -math.inf)),
+    ],
+)
+def test_nonfinite_parameters_rejected(make):
+    with pytest.raises(ConfigurationError):
+        make()
+
+
 def test_mixing_measures_integrate_themselves():
     mu = DiscreteMixing(((1.0, 0.5), (2.0, 1.5)), (0.4, 0.6))
     res = mu.integrate(lambda th: th[:, 0] * th[:, 1])
