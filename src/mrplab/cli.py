@@ -22,7 +22,6 @@ import numpy as np
 from .construction import (
     atomic_write_text,
     aux_seed,
-    render_worker_cap,
     sample_path,
     simulate_ensemble,
     write_ensemble,
@@ -110,7 +109,6 @@ def _quadrature_config(args) -> QuadratureConfig:
 
 
 def _cmd_simulate(args) -> int:
-    render_worker_cap()  # a malformed cap is a usage error before any simulation
     model, _meta = load_model_file(args.model)
     ensemble = simulate_ensemble(model, args.paths, args.events, args.seed)
     write_ensemble(ensemble, args.out)

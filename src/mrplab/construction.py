@@ -352,21 +352,9 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def render_worker_cap() -> Optional[int]:
-    """The MRPLAB_THREADS cap on CSV render workers, or None when it is unset or empty."""
-    cap = os.environ.get("MRPLAB_THREADS")
-    if not cap:
-        return None
-    try:
-        return int(cap)
-    except ValueError:
-        raise ConfigurationError(f"MRPLAB_THREADS must be an integer, got {cap!r}") from None
-
-
 def _render_workers(n_blocks: int) -> int:
-    """CSV render workers: the available cores, capped by MRPLAB_THREADS and the block count."""
-    cap = render_worker_cap()
-    return max(1, min(_available_cores(), n_blocks if cap is None else cap, n_blocks))
+    """CSV render workers: the available cores, capped by the block count."""
+    return max(1, min(_available_cores(), n_blocks))
 
 
 def ensemble_csv_text(ensemble: Ensemble) -> str:
@@ -374,8 +362,8 @@ def ensemble_csv_text(ensemble: Ensemble) -> str:
 
     Floats are written with shortest round-trip repr, so identical ensembles
     produce byte-identical files.  Blocks of paths are rendered on the
-    available cores (capped by MRPLAB_THREADS) in forked processes; the bytes
-    do not depend on the worker count.
+    available cores in forked processes; the bytes do not depend on the
+    worker count.
     """
     dim = ensemble.thetas.shape[1]
     theta_cols = ["theta"] if dim == 1 else [f"theta{j + 1}" for j in range(dim)]

@@ -87,16 +87,6 @@ def test_simulate_large_mixing_shape_model(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 10 * 2
 
 
-@pytest.mark.parametrize("cap", ["abc", "1.5", " "])
-def test_simulate_bad_thread_cap_exits_2_before_simulating(tmp_path, capsys, monkeypatch, cap):
-    monkeypatch.setenv("MRPLAB_THREADS", cap)
-    simulated = []
-    monkeypatch.setattr(cli, "simulate_ensemble", lambda *a, **k: simulated.append(a))
-    out = tmp_path / "x.csv"
-    code = run(["simulate", "--model", E16, "--paths", "10", "--events", "2", "--out", str(out)])
-    assert code == 2
-    assert "MRPLAB_THREADS" in capsys.readouterr().err
-    assert simulated == [] and not out.exists()
 
 
 def test_simulate_missing_model_exits_2(tmp_path):

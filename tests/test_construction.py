@@ -440,7 +440,7 @@ def test_csv_render_serial_equals_parallel(render_ensemble, monkeypatch):
     forced = ensemble_csv_text(render_ensemble)
     if "fork" in multiprocessing.get_all_start_methods():
         assert calls == []  # every block was rendered in a worker
-    monkeypatch.setenv("MRPLAB_THREADS", "1")
+    monkeypatch.setattr(construction, "_available_cores", lambda: 1)
     serial = ensemble_csv_text(render_ensemble)
     assert calls == [(0, 8192), (8192, 16384), (16384, 20000)]
     assert serial == default == forced
@@ -452,12 +452,9 @@ def test_csv_render_worker_count(monkeypatch):
     from mrplab import construction
 
     monkeypatch.setattr(construction, "_available_cores", lambda: 3)
-    monkeypatch.delenv("MRPLAB_THREADS", raising=False)
     assert [construction._render_workers(b) for b in (1, 2, 5)] == [1, 2, 3]
-    monkeypatch.setenv("MRPLAB_THREADS", "2")
-    assert [construction._render_workers(b) for b in (1, 5)] == [1, 2]
-    monkeypatch.setenv("MRPLAB_THREADS", "0")
-    assert construction._render_workers(5) == 1
+    monkeypatch.setattr(construction, "_available_cores", lambda: 1)
+    assert [construction._render_workers(b) for b in (1, 5)] == [1, 1]
 
 
 def test_csv_render_without_fork_is_serial(render_ensemble, monkeypatch):
