@@ -177,6 +177,31 @@ def _rate_and_shape(spec: KernelSpec, index: int, theta: tuple) -> tuple[float, 
 # ---------------------------------------------------------------------------
 
 
+def _stirling_remainder(s: float) -> float:
+    """R(s) = lgamma(s) - [(s - 1/2) log s - s + log(2 pi)/2]; its series above s = 15."""
+    if s <= 15.0:
+        return math.lgamma(s) - (s - 0.5) * math.log(s) + s - 0.5 * math.log(2.0 * math.pi)
+    r = 1.0 / (s * s)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0 - r / 1188.0)))) / s
+
+
+def _gamma_log_density(rate: float, shape: float, x):
+    """log of the Gamma(rate, shape) density at x > 0 (scalar or array).
+
+    With t = rate*x/shape and Stirling's formula for lgamma(shape),
+
+        log f = log(rate) - log(2 pi shape)/2 - R(shape) + (shape-1) log t - shape (t-1),
+
+    so no two large terms cancel: the textbook form does, shape*log(rate) and
+    lgamma(shape) among them, and loses digits at shapes of 1e4 and above.
+    """
+    t = rate * np.asarray(x, dtype=np.float64) / shape
+    with np.errstate(divide="ignore"):  # t is 0 only where rate*x/shape underflows
+        power = (shape - 1.0) * np.log(t) if shape != 1.0 else 0.0
+    const = math.log(rate) - 0.5 * math.log(2.0 * math.pi * shape) - _stirling_remainder(shape)
+    return const + power - shape * (t - 1.0)
+
+
 def kernel_cdf(spec: KernelSpec, index: int, theta, x: float) -> float:
     """CDF of the index-n member of the kernel family at parameter theta.
 
@@ -232,12 +257,7 @@ def kernel_pdf(spec: KernelSpec, index: int, theta, x: float) -> float:
         return 0.0
     if spec.family == "exponential":
         return rate * math.exp(-rate * x)
-    return math.exp(
-        shape * math.log(rate)
-        - math.lgamma(shape)
-        + (shape - 1.0) * math.log(x)
-        - rate * x
-    )
+    return math.exp(_gamma_log_density(rate, shape, x))
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +453,7 @@ class GammaMarginal(Marginal):
         pos = x > 0.0
         if pos.any():
             with np.errstate(under="ignore"):
-                out[pos] = np.exp(
-                    self.shape * math.log(self.rate)
-                    - math.lgamma(self.shape)
-                    + (self.shape - 1.0) * np.log(x[pos])
-                    - self.rate * x[pos]
-                )
+                out[pos] = np.exp(_gamma_log_density(self.rate, self.shape, x[pos]))
         return out
 
     def sample_batch(self, bank):
