@@ -104,12 +104,6 @@ def _box_product(columns: np.ndarray, lower: list) -> np.ndarray:
     return out
 
 
-def _box_factor_batch(spec: KernelSpec, thetas: np.ndarray, query: BoxQuery) -> np.ndarray:
-    """prod_k [F_k(b_k; theta) - F_k(a_k; theta)] for each theta, from one CDF call."""
-    indices, xs, lower = _box_columns(query)
-    return _box_product(kernel_cdf_batch(spec, indices, thetas, xs), lower)
-
-
 # ---------------------------------------------------------------------------
 # mixing integrals: peak panel edges, method names, the convergence check
 # ---------------------------------------------------------------------------
@@ -176,7 +170,13 @@ def joint_interarrival_probability(
     if query.dim > MAX_BOX_DIM:
         raise ConfigurationError(f"box dimension {query.dim} exceeds the cap {MAX_BOX_DIM}")
     spec, mixing = model.kernel, model.mixing
-    res = mixing.integrate(lambda thetas: _box_factor_batch(spec, thetas, query), cfg)
+    indices, xs, lower = _box_columns(query)
+
+    def g(thetas: np.ndarray) -> np.ndarray:
+        # the box's factor per theta, from one CDF call
+        return _box_product(kernel_cdf_batch(spec, indices, thetas, xs), lower)
+
+    res = mixing.integrate(g, cfg)
     # an atomic sum is exact up to the rounding of its factors
     err = 4.0 * _EPS * query.dim * len(mixing.atoms) if mixing.is_atomic else res.scalar_error
     return _checked(res.scalar_value, err, res.converged, _method(mixing), cfg)

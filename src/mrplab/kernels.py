@@ -600,9 +600,10 @@ class MixingMeasure:
         """integral of g(theta) against the measure, or over its part inside `clip`.
 
         `g` maps a batch of parameter points (shape (n,) in one dimension,
-        (n, dim) otherwise) to n bounded values.  `clip` is one (lo, hi)
-        interval per dimension; `breakpoints` are extra panel edges in theta
-        where g is known to change fast (one-dimensional product mixing only).
+        (n, dim) otherwise) to n bounded values.  For product mixing, `clip`
+        is one (lo, hi) interval per dimension, and `breakpoints` are extra
+        panel edges in theta where g is known to change fast (one dimension
+        only); an atomic measure takes neither.
         """
         raise NotImplementedError
 
@@ -771,13 +772,9 @@ class DiscreteMixing(MixingMeasure):
         return tuple(theta) in self.atoms
 
     def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, breakpoints=()):
-        """The weighted sum of g over the atoms (those inside `clip`), exact: error 0."""
+        """The weighted sum of g over all atoms, exact: error 0."""
         th = np.asarray(self.atoms, dtype=np.float64)
-        w = np.asarray(self.weights)
-        if clip is not None:
-            lo, hi = np.asarray(clip, dtype=np.float64).T
-            w = w * np.all((th >= lo) & (th <= hi), axis=1)
-        value = float(np.dot(w, g(th if self.dim > 1 else th[:, 0])))
+        value = float(np.dot(self.weights, g(th if self.dim > 1 else th[:, 0])))
         return QuadratureResult(np.array([value]), np.zeros(1), 0, True)
 
     def to_dict(self):

@@ -204,7 +204,7 @@ def test_exact_dirac_model_matches_closed_form_cdf(tmp_path):
     {"kind": "discrete", "atoms": [0.5, 2.0], "weights": [0.25, 0.75]},
 ])
 def test_exact_atomic_model_writes_plain_floats(tmp_path, mixing):
-    # a numpy scalar's repr (np.float64(...)) once reached the error column
+    # a numpy scalar would write its repr, np.float64(...), into the CSV
     model = tmp_path / "atomic.json"
     model.write_text(json.dumps({"kernel": {"family": "exponential"}, "mixing": mixing}))
     queries = tmp_path / "q.json"

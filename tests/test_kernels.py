@@ -359,8 +359,6 @@ def test_mixing_measures_integrate_themselves():
     res = mu.integrate(lambda th: th[:, 0] * th[:, 1])
     assert res.converged and res.scalar_error == 0.0
     assert res.scalar_value == pytest.approx(0.4 * 0.5 + 0.6 * 3.0, rel=1e-15)
-    inside = mu.integrate(lambda th: np.ones(len(th)), clip=((0.0, 1.5), (0.0, 1.0)))
-    assert inside.scalar_value == 0.4
     # E[theta1 * theta2] under Gamma(rate 2, shape 3) x Uniform(0.2, 0.8)
     prod = ProductRectangleMixing((GammaMarginal(2.0, 3.0), UniformMarginal(0.2, 0.8)))
     res = prod.integrate(lambda th: th[:, 0] * th[:, 1])
