@@ -836,6 +836,6 @@ def verify_mixing_mass(mu: MixingMeasure, tol: float = 1e-8) -> float:
     total = res.scalar_value
     if not res.converged or abs(total - 1.0) > tol:
         raise ConfigurationError(
-            f"mixing density mass {total!r} deviates from 1 by more than {tol}"
+            f"mixing mass {total!r} deviates from 1 by more than {tol}"
         )
     return total
