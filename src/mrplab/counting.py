@@ -12,7 +12,6 @@ informational only.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -40,8 +39,19 @@ def compensated_cumsum_rows(w: np.ndarray) -> np.ndarray:
 
 
 def compensated_cumsum(values: np.ndarray) -> np.ndarray:
-    """Neumaier prefix sums of a 1-D array (correctly rounded in practice)."""
-    return compensated_cumsum_rows(np.asarray(values, dtype=np.float64).reshape(1, -1))[0]
+    """Neumaier prefix sums of a 1-D array (correctly rounded in practice).
+
+    The arithmetic of `compensated_cumsum_rows` on one row, in Python floats:
+    numpy calls on one-element columns would cost far more than the sums.
+    """
+    out = []
+    s = c = 0.0
+    for v in np.asarray(values, dtype=np.float64).reshape(-1).tolist():
+        t = s + v
+        c += (s - t) + v if abs(s) >= abs(v) else (v - t) + s
+        s = t
+        out.append(s + c)
+    return np.array(out, dtype=np.float64)
 
 
 def arrivals_from_interarrivals(interarrivals: Sequence[float]) -> np.ndarray:
@@ -209,31 +219,3 @@ def validate_counting_axioms(samples: Iterable[tuple[float, float]]) -> Verifica
         ),
         details={"checks": checks, "violations": violations},
     )
-
-
-def export_step_csv(path: CountingPath, grid: Sequence[float], file) -> None:
-    """Write the step function sampled on a grid as CSV with header t,N."""
-    writer = csv.writer(file)
-    writer.writerow(["t", "N"])
-    for t, n in zip(grid, counts_on_grid(path, grid)):
-        writer.writerow([repr(float(t)), int(n)])
-
-
-def read_counting_samples(file) -> list[tuple[float, float]]:
-    """Read (t, N) samples from CSV; the t,N header is required."""
-    reader = csv.reader(file)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestionError("empty counting CSV") from None
-    if [h.strip() for h in header[:2]] != ["t", "N"]:
-        raise IngestionError(f"expected header 't,N', got {header!r}")
-    out = []
-    for i, row in enumerate(reader):
-        if not row:
-            continue
-        try:
-            out.append((float(row[0]), float(row[1])))
-        except (ValueError, IndexError) as exc:
-            raise IngestionError(f"bad row {i + 2}: {row!r}") from exc
-    return out

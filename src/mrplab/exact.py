@@ -10,7 +10,9 @@ evaluates the box probability for gamma-kernel models with per-theta factors
 that integrate the kernel density instead of calling the CDF special
 function.  Each route is a per-theta integrand and one call of the mixing
 measure's own integral (`MixingMeasure.integrate`: an exact sum over atoms,
-or adaptive Gauss-Kronrod quadrature by each marginal's rule); the routes
+or adaptive Gauss-Kronrod quadrature by each marginal's rule, whose initial
+panels the marginal places itself; `count_pmf` only names its integrand's
+shape as a tilt, theta**k * exp(-lam*theta)); the routes
 stay independent in the per-theta factor, so any disagreement between them
 beyond combined tolerance indicates a convention error in the model rather
 than something to renormalize away.
@@ -35,7 +37,7 @@ from .errors import (
     ParameterDomainError,
     UnsupportedModelError,
 )
-from .kernels import SHAPE_FROM_THETA2, KernelSpec, Marginal, MixingMeasure, kernel_cdf_batch
+from .kernels import SHAPE_FROM_THETA2, KernelSpec, MixingMeasure, kernel_cdf_batch
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, adaptive_gauss_kronrod
 
 # the largest box dimension a query may have
@@ -105,32 +107,8 @@ def _box_product(columns: np.ndarray, lower: list) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# mixing integrals: peak panel edges, method names, the convergence check
+# mixing integrals: method names, the convergence check
 # ---------------------------------------------------------------------------
-
-
-def _peak_breakpoints(m: Marginal, k: float, lam: float) -> list:
-    """Panel edges around the peak of density_m(theta) * theta**k * exp(-lam*theta).
-
-    That product is the shape of a count pmf's integrand over the mixing
-    measure (exactly so for an exponential kernel, whose count weight is
-    Poisson).  For a large count it is a narrow peak far out in the mixing
-    tail, which the nodes of the first wide panel can straddle: the panel
-    then reports a small error for a value that misses most of the peak.
-    The edges bracket the region within a factor e**-20 of the maximum.
-    """
-    lo, hi = m.support()
-    ref = m.mean()
-    centre = k / lam
-    grid = np.geomspace(min(ref, centre) * 1e-2, max(ref, centre) * 1e2, 2001)
-    grid = grid[(grid > lo) & (grid < hi)]
-    if grid.size == 0:
-        return []
-    with np.errstate(divide="ignore"):
-        logf = np.log(m.density_batch(grid)) + k * np.log(grid) - lam * grid
-    top = int(np.argmax(logf))
-    near = grid[logf > logf[top] - 20.0]
-    return [float(near[0]), float(grid[top]), float(near[-1])]
 
 
 def _method(mixing: MixingMeasure, route: str = "quadrature") -> str:
@@ -235,12 +213,10 @@ def count_pmf(
         cdf = kernel_cdf_batch(spec, 1, thetas, [t, t], n_terms=[n, n + 1])
         return cdf[:, 0] - cdf[:, 1]
 
-    breaks = ()
-    if n > 0 and mixing.dim == 1 and not mixing.is_atomic:
-        # given theta the count weight peaks near theta = n * shape / (a * t)
-        shape = 1.0 if spec.family == "exponential" else spec.shape
-        breaks = _peak_breakpoints(mixing.marginals[0], n * shape, spec.rate_map.a * t)
-    res = mixing.integrate(g, cfg, breakpoints=breaks)
+    # given theta the count weight has the shape theta**(n*shape) * exp(-a*t*theta);
+    # a shape tied to theta2 needs two-dimensional mixing, which takes no tilt
+    shape = 1.0 if spec.shape in (None, SHAPE_FROM_THETA2) else spec.shape
+    res = mixing.integrate(g, cfg, tilt=(n * shape, spec.rate_map.a * t))
     err = 8.0 * _EPS if mixing.is_atomic else res.scalar_error
     return _checked(res.scalar_value, err, res.converged, _method(mixing), cfg)
 

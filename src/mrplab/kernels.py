@@ -23,7 +23,10 @@ A mixing measure is either finite and atomic (`DiscreteMixing`, with
 measure integrates a function against itself (`MixingMeasure.integrate`): an
 atomic measure sums over its atoms, a product runs each marginal's
 quadrature rule, iterated in two dimensions.  The exact routes and the mass
-check both take their mixing integrals from it.
+check both take their mixing integrals from it.  Where a marginal's mass lies,
+untilted or tilted by theta**k * exp(-lam*theta), is its own `edges`, which
+seeds the initial panels of its rule: the closed-form mean and spread of the
+tilted gamma law for gamma and uniform marginals, a grid scan for beta.
 """
 
 from __future__ import annotations
@@ -59,10 +62,6 @@ SHAPE_FROM_THETA2 = "theta2"
 # is scaled by u**(1/s), and the smallest stream uniform, 2**-54, keeps that
 # factor a normal double (>= 2**-1022) only for s >= 54/1022
 GAMMA_SHAPE_FLOOR = 54.0 / 1022.0
-
-# a gamma marginal's initial tail breakpoint lies where its density falls
-# below peak * cfg.abs_tol * _TAIL_CUT_RATIO
-_TAIL_CUT_RATIO = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -363,29 +362,39 @@ class Marginal:
     def sample_batch(self, bank: StreamBank) -> np.ndarray:
         raise NotImplementedError
 
+    def edges(self, k: float = 0.0, lam: float = 0.0) -> list:
+        """Panel edges, in theta, around the mass of density(theta) * theta**k * exp(-lam*theta).
+
+        The tilt (k, lam) is the shape of a count pmf's integrand (exactly so
+        for an exponential kernel, whose count weight is Poisson); for a large
+        count its mass is a narrow peak far out in the mixing tail, which the
+        nodes of a wide first panel can straddle and so miss.  (0, 0) is the
+        untilted density.
+        """
+        raise NotImplementedError
+
     def integrate(
-        self, g, cfg: QuadratureConfig = DEFAULT_CONFIG, clip=None, breakpoints=()
+        self, g, cfg: QuadratureConfig = DEFAULT_CONFIG, clip=None, tilt=(0.0, 0.0)
     ) -> QuadratureResult:
         """integral of density(x) * g(x) over the support, or its part inside `clip`.
 
         `g` is a bounded vectorized function, scalar valued (shape (n,) on n
-        nodes) or vector valued (n, m).  `breakpoints` are extra panel edges
-        (in x) where g is known to change fast.
+        nodes) or vector valued (n, m).  `tilt` = (k, lam) says that g has
+        the shape x**k * exp(-lam*x), so the initial panels are `edges(*tilt)`.
+        This rule integrates in x coordinates; an unbounded support maps the
+        half line onto (0, 1) at the scale of the mean.
         """
-        raise NotImplementedError
-
-    def _integrate_density(self, g, lo, hi, cfg, breakpoints) -> QuadratureResult:
-        """integral of density(x) * g(x) over [lo, hi] in x coordinates.
-
-        hi = inf maps the half line onto (0, 1) at the scale of the mean.
-        """
+        lo, hi = self.support()
+        if clip is not None:
+            lo, hi = max(lo, clip[0]), min(hi, clip[1])
 
         def f(x):
             return _weighted(self.density_batch(x), g(x))
 
+        edges = self.edges(*tilt)
         if hi == math.inf:
-            return integrate_half_line(f, lo, self.mean(), cfg, breakpoints)
-        return adaptive_gauss_kronrod(f, lo, hi, cfg, breakpoints)
+            return integrate_half_line(f, lo, self.mean(), cfg, edges)
+        return adaptive_gauss_kronrod(f, lo, hi, cfg, edges)
 
     def contains(self, x: float) -> bool:
         lo, hi = self.support()
@@ -393,6 +402,14 @@ class Marginal:
 
     def to_dict(self) -> dict:
         raise NotImplementedError
+
+
+def _gamma_edges(rate: float, shape: float) -> list:
+    """The mean of Gamma(rate, shape) and the points 4 and 8 standard deviations
+    either side of it, those > 0."""
+    mean, sd = shape / rate, math.sqrt(shape) / rate
+    points = (mean + j * sd for j in (-8.0, -4.0, 0.0, 4.0, 8.0))
+    return [x for x in points if x > 0.0]
 
 
 @dataclass(frozen=True)
@@ -419,11 +436,10 @@ class UniformMarginal(Marginal):
     def sample_batch(self, bank):
         return self.lo + bank.draw() * (self.hi - self.lo)
 
-    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, breakpoints=()):
-        lo, hi = self.support()
-        if clip is not None:
-            lo, hi = max(lo, clip[0]), min(hi, clip[1])
-        return self._integrate_density(g, lo, hi, cfg, breakpoints)
+    def edges(self, k=0.0, lam=0.0):
+        """The tilted density is Gamma(lam, k+1) cut to [lo, hi]: its closed-form
+        edges, or none when lam = 0."""
+        return _gamma_edges(lam, k + 1.0) if lam > 0.0 else []
 
     def to_dict(self):
         return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
@@ -460,26 +476,18 @@ class GammaMarginal(Marginal):
         n = len(bank)
         return _gamma_from_bank(bank, np.full(n, self.shape), np.full(n, self.rate))
 
-    def _tail_cut(self, cfg: QuadratureConfig) -> float:
-        mean = self.mean()
-        ref = max(mean, (self.shape - 1.0) / self.rate if self.shape > 1.0 else mean)
-        peak = float(self.density_batch(np.array([ref]))[0])
-        threshold = peak * cfg.abs_tol * _TAIL_CUT_RATIO
-        cut = max(ref, mean)
-        for _ in range(80):
-            cut *= 2.0
-            if float(self.density_batch(np.array([cut]))[0]) < threshold:
-                break
-        return cut
+    def edges(self, k=0.0, lam=0.0):
+        """The tilted density is Gamma(rate+lam, shape+k): its closed-form edges."""
+        return _gamma_edges(self.rate + lam, self.shape + k)
 
-    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, breakpoints=()):
+    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, tilt=(0.0, 0.0)):
+        a = self.shape
+        if a >= 1.0:  # the density is bounded
+            return super().integrate(g, cfg, clip, tilt)
+        # v = x**a coordinates absorb the power factor of the density exactly
         lo = 0.0 if clip is None else max(0.0, clip[0])
         hi = math.inf if clip is None else clip[1]
-        a, gam = self.shape, self.rate
-        cut = self._tail_cut(cfg)
-        if a >= 1.0:  # the density is bounded
-            return self._integrate_density(g, lo, hi, cfg, [self.mean(), cut, *breakpoints])
-        # v = x**a coordinates absorb the power factor of the density exactly
+        gam = self.rate
         const = math.exp(a * math.log(gam) - math.lgamma(a)) / a
 
         def fv(v):
@@ -488,11 +496,11 @@ class GammaMarginal(Marginal):
                 return _weighted(const * np.exp(-gam * x), g(x))
 
         vlo = lo**a
-        vbreaks = [p**a for p in breakpoints]
+        vedges = [p**a for p in self.edges(*tilt)]
         if math.isfinite(hi):
-            return adaptive_gauss_kronrod(fv, vlo, hi**a, cfg, [self.mean() ** a, *vbreaks])
+            return adaptive_gauss_kronrod(fv, vlo, hi**a, cfg, vedges)
         scale = max(self.mean() ** a - vlo, self.mean() ** a * 0.5)
-        return integrate_half_line(fv, vlo, scale, cfg, [cut**a, *vbreaks])
+        return integrate_half_line(fv, vlo, scale, cfg, vedges)
 
     def to_dict(self):
         return {"kind": "gamma", "rate": self.rate, "shape": self.shape}
@@ -537,11 +545,28 @@ class BetaMarginal(Marginal):
         g2 = _gamma_from_bank(bank, np.full(n, self.b), ones)
         return g1 / (g1 + g2)
 
-    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, breakpoints=()):
+    def edges(self, k=0.0, lam=0.0):
+        """No closed form: the edges bracket the region where the tilted density,
+        scanned on a geometric grid between the mean and the tilt's own peak
+        k/lam, lies within a factor e**-20 of its maximum.  Without k or lam
+        there are none: the density's peak lies at an end of (0, 1), which the
+        power substitutions of `integrate` resolve."""
+        if not (k > 0.0 and lam > 0.0):
+            return []
+        ref, centre = self.mean(), k / lam
+        grid = np.geomspace(min(ref, centre) * 1e-2, max(ref, centre) * 1e2, 2001)
+        grid = grid[(grid > 0.0) & (grid < 1.0)]
+        with np.errstate(divide="ignore"):
+            logf = np.log(self.density_batch(grid)) + k * np.log(grid) - lam * grid
+        top = int(np.argmax(logf))
+        near = grid[logf > logf[top] - 20.0]
+        return [float(near[0]), float(grid[top]), float(near[-1])]
+
+    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, tilt=(0.0, 0.0)):
         lo = 0.0 if clip is None else max(0.0, clip[0])
         hi = 1.0 if clip is None else min(1.0, clip[1])
         if lo > 0.0 and hi < 1.0:
-            return self._integrate_density(g, lo, hi, cfg, breakpoints)
+            return super().integrate(g, cfg, clip, tilt)
         # split at the midpoint and desingularize each endpoint with a power substitution
         a, b = self.a, self.b
         norm = math.exp(-self._log_norm())
@@ -555,9 +580,10 @@ class BetaMarginal(Marginal):
             x = 1.0 - v ** (1.0 / b)
             return _weighted(norm / b * np.maximum(x, 0.0) ** (a - 1.0), g(x))
 
-        r1 = adaptive_gauss_kronrod(left, lo**a, mid**a, cfg, [p**a for p in breakpoints])
+        edges = self.edges(*tilt)
+        r1 = adaptive_gauss_kronrod(left, lo**a, mid**a, cfg, [p**a for p in edges])
         r2 = adaptive_gauss_kronrod(
-            right, (1.0 - hi) ** b, (1.0 - mid) ** b, cfg, [(1.0 - p) ** b for p in breakpoints]
+            right, (1.0 - hi) ** b, (1.0 - mid) ** b, cfg, [(1.0 - p) ** b for p in edges]
         )
         return QuadratureResult(
             r1.value + r2.value, r1.error + r2.error, r1.n_panels + r2.n_panels,
@@ -595,15 +621,16 @@ class MixingMeasure:
         raise NotImplementedError
 
     def integrate(
-        self, g, cfg: QuadratureConfig = DEFAULT_CONFIG, clip=None, breakpoints=()
+        self, g, cfg: QuadratureConfig = DEFAULT_CONFIG, clip=None, tilt=(0.0, 0.0)
     ) -> QuadratureResult:
         """integral of g(theta) against the measure, or over its part inside `clip`.
 
         `g` maps a batch of parameter points (shape (n,) in one dimension,
         (n, dim) otherwise) to n bounded values.  For product mixing, `clip`
-        is one (lo, hi) interval per dimension, and `breakpoints` are extra
-        panel edges in theta where g is known to change fast (one dimension
-        only); an atomic measure takes neither.
+        is one (lo, hi) interval per dimension, and `tilt` = (k, lam) says
+        that g has the shape theta**k * exp(-lam*theta), which places the
+        marginal's initial panels (`Marginal.edges`; one dimension only); an
+        atomic measure takes neither.
         """
         raise NotImplementedError
 
@@ -655,13 +682,13 @@ class ProductRectangleMixing(MixingMeasure):
             m.contains(v) for m, v in zip(self.marginals, theta)
         )
 
-    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, breakpoints=()):
+    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, tilt=(0.0, 0.0)):
         """Each marginal's own rule; in two dimensions iterated one-dimensional
         quadrature, outer over the second coordinate and inner over the first
         at `cfg.tighter()`."""
         clips = clip or (None,) * self.dim
         if self.dim == 1:
-            return self.marginals[0].integrate(g, cfg, clips[0], breakpoints)
+            return self.marginals[0].integrate(g, cfg, clips[0], tilt)
         if self.dim > 2:
             raise UnsupportedModelError("product mixing beyond two dimensions is not supported")
         m1, m2 = self.marginals
@@ -771,7 +798,7 @@ class DiscreteMixing(MixingMeasure):
     def contains(self, theta):
         return tuple(theta) in self.atoms
 
-    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, breakpoints=()):
+    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, tilt=(0.0, 0.0)):
         """The weighted sum of g over all atoms, exact: error 0."""
         th = np.asarray(self.atoms, dtype=np.float64)
         value = float(np.dot(self.weights, g(th if self.dim > 1 else th[:, 0])))

@@ -13,8 +13,9 @@ defaults, which the exact routes and the mixing-mass check share.
 Half-line domains are handled by the compactifying map ``theta = c*u/(1-u)``
 with ``u`` in (0, 1); ``c`` should be a scale comparable to the integrand's
 mass location (callers use the mixing mean).  The map covers the whole tail,
-so no separate truncation error term is needed; tail heuristics only seed
-initial breakpoints.
+so no separate truncation error term is needed; the breakpoints, which a
+mixing marginal places around its mass (`Marginal.edges`), only seed the
+initial panels.
 """
 
 from __future__ import annotations

@@ -131,6 +131,3 @@ class UniformStream:
     def skip(self, n: int) -> None:
         """Advance the stream by n positions without drawing them."""
         self.bank.counters[0] += np.uint64(n)
-
-    def spawn(self, index: int) -> "UniformStream":
-        return UniformStream(child_seed(self.seed, index))

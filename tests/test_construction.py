@@ -112,6 +112,18 @@ def test_gamma_kernel_at_the_shape_floor_simulates():
     assert np.all(ens.interarrivals > 0.0)
 
 
+def test_huge_mixing_shape_builds_and_simulates():
+    # Gamma(1, 1e10) mixing: theta has mean 1e10 and sd 1e5, and theta * W ~ Exp(1)
+    model = build_model(EXP, GammaMixing(1.0, 1e10))
+    ens = simulate_ensemble(model, 1000, 2, root_seed=3)
+    theta = ens.thetas[:, 0]
+    assert np.all(np.abs(theta - 1e10) < 8e5)
+    assert abs(theta.mean() - 1e10) < 5.0 * 1e5 / math.sqrt(1000)
+    scaled = ens.interarrivals * theta[:, None]
+    assert np.all((scaled > 0.0) & np.isfinite(scaled))
+    assert abs(scaled.mean() - 1.0) < 5.0 / math.sqrt(2000)
+
+
 def test_support_admissibility_enforced():
     with pytest.raises(ConfigurationError):
         build_model(EXP, DiracMixing(-1.0))

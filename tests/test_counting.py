@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -14,9 +13,7 @@ from mrplab.counting import (
     compensated_cumsum_rows,
     count_at,
     counts_on_grid,
-    export_step_csv,
     interarrivals_from_arrivals,
-    read_counting_samples,
     validate_counting_axioms,
 )
 from mrplab.errors import IngestionError, InvalidInterarrivalError, OutOfHorizonError
@@ -193,29 +190,3 @@ def test_divergence_reported_as_caveat_never_failure():
     report = validate_counting_axioms([(0.0, 0), (1.0, 1)])
     assert report.passed
     assert "informational" in report.details["checks"]["divergence"]
-
-
-# ---------------------------------------------------------------------------
-# CSV round trip
-# ---------------------------------------------------------------------------
-
-
-def test_step_csv_round_trip():
-    path = CountingPath(np.array([0.5, 1.25, 4.0]), horizon=5.0)
-    grid = np.linspace(0.0, 5.0, 21)
-    buf = io.StringIO()
-    export_step_csv(path, grid, buf)
-    buf.seek(0)
-    samples = read_counting_samples(buf)
-    assert len(samples) == 21
-    report = validate_counting_axioms(samples)
-    assert report.passed
-
-
-def test_csv_header_required():
-    with pytest.raises(IngestionError, match="header"):
-        read_counting_samples(io.StringIO("time,count\n0.0,0\n"))
-    with pytest.raises(IngestionError):
-        read_counting_samples(io.StringIO(""))
-    with pytest.raises(IngestionError, match="row"):
-        read_counting_samples(io.StringIO("t,N\n0.0,zero\n"))

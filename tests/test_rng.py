@@ -68,8 +68,3 @@ def test_mix64_reference_values():
     assert mix64(0) == mix64(0)
     assert 0 <= mix64(12345) < 2**64
     assert mix64(1) != mix64(2)
-
-
-def test_spawn_matches_child_seed():
-    s = UniformStream(77)
-    assert s.spawn(3).seed == child_seed(77, 3)
