@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .kernels import SHAPE_FROM_THETA2, KernelSpec, MixingMeasure, kernel_cdf_batch
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, adaptive_gauss_kronrod
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, adaptive_gauss_kronrod
 
 # the largest box dimension a query may have
 MAX_BOX_DIM = 16
@@ -75,9 +75,18 @@ class BoxQuery:
 
 @dataclass(frozen=True)
 class ExactResult:
+    """An exact value, its error bound, how it was computed and what it cost.
+
+    `n_panels` and `n_calls` count the mixing integral's quadrature panels and
+    integrand calls; an atomic sum or a boundary value takes neither.
+    """
+
     value: float
     error: float
     method: str
+    n_panels: int = 0
+    n_calls: int = 0
+    converged: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +127,20 @@ def _method(mixing: MixingMeasure, route: str = "quadrature") -> str:
     return f"{route}-gk15" + ("-iterated" if mixing.dim > 1 else "")
 
 
-def _checked(value: float, err: float, converged: bool, method: str, cfg) -> ExactResult:
-    """The route's result in Python floats, or AccuracyError carrying the best estimate."""
-    if not converged:
+def _checked(
+    res: QuadratureResult, err: float, method: str, cfg, converged: bool = True
+) -> ExactResult:
+    """The mixing integral's result in Python floats, with `err` as its bound,
+    or AccuracyError carrying the best estimate."""
+    value = res.scalar_value
+    if not (res.converged and converged):
         raise AccuracyError(
             f"{method} did not converge within {cfg.max_subdivisions} subdivisions "
             f"(best estimate {value!r} +/- {err!r})",
             value,
             err,
         )
-    return ExactResult(float(value), float(err), method)
+    return ExactResult(float(value), float(err), method, res.n_panels, res.n_calls, True)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +170,7 @@ def joint_interarrival_probability(
     res = mixing.integrate(g, cfg)
     # an atomic sum is exact up to the rounding of its factors
     err = 4.0 * _EPS * query.dim * len(mixing.atoms) if mixing.is_atomic else res.scalar_error
-    return _checked(res.scalar_value, err, res.converged, _method(mixing), cfg)
+    return _checked(res, err, _method(mixing), cfg)
 
 
 def example16_closed_form(w1: float, w2: float) -> float:
@@ -218,7 +231,7 @@ def count_pmf(
     shape = 1.0 if spec.shape in (None, SHAPE_FROM_THETA2) else spec.shape
     res = mixing.integrate(g, cfg, tilt=(n * shape, spec.rate_map.a * t))
     err = 8.0 * _EPS if mixing.is_atomic else res.scalar_error
-    return _checked(res.scalar_value, err, res.converged, _method(mixing), cfg)
+    return _checked(res, err, _method(mixing), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +243,16 @@ def _gamma_mass_below_vec(rates, shapes, xs, cfg: QuadratureConfig):
     """Gamma(rate, shape) mass of (0, x] per lane, by quadrature of the density.
 
     The arguments broadcast to one lane shape.  Substituting
-    omega = x * v**(1/s) puts every lane on [0, 1], smooth at the origin,
+    omega = x * w**(2/s) puts every lane on [0, 1],
 
-        G(x) = (rate*x)**s / Gamma(s+1) * integral_0^1 exp(-rate*x*v**(1/s)) dv,
+        G(x) = (rate*x)**s / Gamma(s+1) * integral_0^1 2w exp(-rate*x*w**(2/s)) dw,
 
-    so all lanes share one vector-valued adaptive integral.  Returns (mass,
-    per-lane error bound, converged); x <= 0 holds mass 0 and x = inf mass 1.
+    so all lanes share one vector-valued adaptive integral, which refines
+    every lane wherever any needs it.  The power 2/s (1/s in v = w**2) keeps
+    the integrand's singular power at the origin weak and a lane's mass
+    there wide, about (rate*x)**(-s/2), so few panels gather at 0.  Returns
+    (mass, per-lane error bound, converged); x <= 0 holds mass 0 and x = inf
+    mass 1.
     """
     rates, shapes, xs = np.broadcast_arrays(rates, shapes, xs)
     mass = np.where(xs > 0.0, 1.0, 0.0)
@@ -244,11 +261,17 @@ def _gamma_mass_below_vec(rates, shapes, xs, cfg: QuadratureConfig):
     if not lanes.any():
         return mass, err, True
     c, s = rates[lanes] * xs[lanes], shapes[lanes]
-    inv_s = 1.0 / s
+    neg_c, power = -c, 2.0 / s
 
-    def integrand(v: np.ndarray) -> np.ndarray:
-        with np.errstate(under="ignore"):
-            return np.exp(-c * v[:, None] ** inv_s)
+    def integrand(w: np.ndarray) -> np.ndarray:
+        # exp(-c * w**power) * 2w, computed in place
+        with np.errstate(divide="ignore", under="ignore"):
+            out = np.multiply.outer(np.log(w), power)
+            np.exp(out, out=out)
+            out *= neg_c
+            np.exp(out, out=out)
+            out *= 2.0 * w[:, None]
+        return out
 
     res = adaptive_gauss_kronrod(integrand, 0.0, 1.0, cfg)
     uniq, inv = np.unique(s, return_inverse=True)  # few distinct shapes, many lanes
@@ -318,6 +341,4 @@ def cylinder_probability_density_form(
         return _box_product(mass, lower)
 
     res = mixing.integrate(g, cfg, clip)
-    return _checked(
-        res.scalar_value, res.scalar_error + factor_err, res.converged and factor_ok, method, cfg
-    )
+    return _checked(res, res.scalar_error + factor_err, method, cfg, factor_ok)

@@ -548,9 +548,11 @@ class BetaMarginal(Marginal):
     def edges(self, k=0.0, lam=0.0):
         """No closed form: the edges bracket the region where the tilted density,
         scanned on a geometric grid between the mean and the tilt's own peak
-        k/lam, lies within a factor e**-20 of its maximum.  Without k or lam
-        there are none: the density's peak lies at an end of (0, 1), which the
-        power substitutions of `integrate` resolve."""
+        k/lam, lies within a factor e**-40 of its maximum (at e**-20 the wide
+        panel beyond the cut holds about 2e-9 of the mass, more than its nodes
+        see); an end of the grid stands in for a cut it does not reach.
+        Without k or lam there are none: the density's peak lies at an end of
+        (0, 1), which the power substitutions of `integrate` resolve."""
         if not (k > 0.0 and lam > 0.0):
             return []
         ref, centre = self.mean(), k / lam
@@ -559,7 +561,7 @@ class BetaMarginal(Marginal):
         with np.errstate(divide="ignore"):
             logf = np.log(self.density_batch(grid)) + k * np.log(grid) - lam * grid
         top = int(np.argmax(logf))
-        near = grid[logf > logf[top] - 20.0]
+        near = grid[logf > logf[top] - 40.0]
         return [float(near[0]), float(grid[top]), float(near[-1])]
 
     def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, tilt=(0.0, 0.0)):
@@ -587,7 +589,7 @@ class BetaMarginal(Marginal):
         )
         return QuadratureResult(
             r1.value + r2.value, r1.error + r2.error, r1.n_panels + r2.n_panels,
-            r1.converged and r2.converged,
+            r1.n_calls + r2.n_calls, r1.converged and r2.converged,
         )
 
     def to_dict(self):
@@ -693,12 +695,12 @@ class ProductRectangleMixing(MixingMeasure):
             raise UnsupportedModelError("product mixing beyond two dimensions is not supported")
         m1, m2 = self.marginals
         inner_cfg = cfg.tighter()
-        inner_err, inner_ok = 0.0, True
+        inner_err, inner_ok, inner_panels, inner_calls = 0.0, True, 0, 0
 
         def outer_integrand(t2s: np.ndarray) -> np.ndarray:
             # one vector-valued inner integral: component j is the inner integral
             # at the outer node t2s[j]
-            nonlocal inner_err, inner_ok
+            nonlocal inner_err, inner_ok, inner_panels, inner_calls
 
             def g1(t1s: np.ndarray) -> np.ndarray:
                 th = np.column_stack([np.repeat(t1s, t2s.size), np.tile(t2s, t1s.size)])
@@ -707,11 +709,14 @@ class ProductRectangleMixing(MixingMeasure):
             res = m1.integrate(g1, inner_cfg, clips[0])
             inner_err = max(inner_err, float(res.error.max()))
             inner_ok = inner_ok and res.converged
+            inner_panels, inner_calls = inner_panels + res.n_panels, inner_calls + res.n_calls
             return res.value
 
         res = m2.integrate(outer_integrand, cfg, clips[1])
+        # g is called only by the inner integrals
         return QuadratureResult(
-            res.value, res.error + inner_err, res.n_panels, res.converged and inner_ok
+            res.value, res.error + inner_err, res.n_panels + inner_panels, inner_calls,
+            res.converged and inner_ok,
         )
 
     def to_dict(self):
@@ -802,7 +807,7 @@ class DiscreteMixing(MixingMeasure):
         """The weighted sum of g over all atoms, exact: error 0."""
         th = np.asarray(self.atoms, dtype=np.float64)
         value = float(np.dot(self.weights, g(th if self.dim > 1 else th[:, 0])))
-        return QuadratureResult(np.array([value]), np.zeros(1), 0, True)
+        return QuadratureResult(np.array([value]), np.zeros(1), 0, 0, True)
 
     def to_dict(self):
         atoms = [a[0] if self.dim == 1 else list(a) for a in self.atoms]

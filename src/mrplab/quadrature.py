@@ -1,10 +1,16 @@
 """Adaptive Gauss-Kronrod (7-15) quadrature.
 
 Integrands are evaluated vectorized on node arrays and may be vector valued
-(return shape ``(n_nodes, m)``); subdivision is driven by the worst
-per-component error, so every component of the result meets the tolerance.
-The per-panel error estimate is the raw |K15 - G7| difference, which is a
-deliberately conservative bound for smooth integrands.
+(return shape ``(n_nodes, m)``).  The panel loop works in rounds, with one
+integrand call per round (as in Shampine, J. Comput. Appl. Math. 211:131,
+2008, and scipy's ``quad_vec``): the first call evaluates every initial
+panel, and each later round bisects the fewest panels whose errors cover
+every component's excess over its tolerance, taken in order of a panel's
+worst error in units of its component's tolerance, and evaluates all their
+children at once.  The loop stops when every component meets its tolerance,
+or when the panel count reaches the limit.  The per-panel error estimate is
+the raw |K15 - G7| difference, which is a deliberately conservative bound
+for smooth integrands.
 
 The tolerances and the panel limit are one `QuadratureConfig`, defined here
 and passed whole down to the panel loop; `DEFAULT_CONFIG` holds the package's
@@ -20,7 +26,6 @@ initial panels.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -67,6 +72,8 @@ NODES = np.concatenate([-_XGK_HALF[:7], _XGK_HALF[7:8], _XGK_HALF[6::-1]])
 KRONROD_WEIGHTS = np.concatenate([_WGK_HALF[:7], _WGK_HALF[7:8], _WGK_HALF[6::-1]])
 GAUSS_WEIGHTS = np.zeros(15)
 GAUSS_WEIGHTS[1:14:2] = np.concatenate([_WG_HALF[:3], _WG_HALF[3:4], _WG_HALF[2::-1]])
+# one matrix product gives a panel's K15 value and its K15 - G7 difference
+_RULES = np.stack([KRONROD_WEIGHTS, KRONROD_WEIGHTS - GAUSS_WEIGHTS])
 
 
 @dataclass(frozen=True)
@@ -91,11 +98,12 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass
 class QuadratureResult:
-    """Value and a conservative error bound of an adaptive integration."""
+    """Value and a conservative error bound of an adaptive integration, and its cost."""
 
     value: np.ndarray  # shape (m,)
     error: np.ndarray  # shape (m,)
     n_panels: int
+    n_calls: int  # integrand calls
     converged: bool
 
     @property
@@ -107,15 +115,31 @@ class QuadratureResult:
         return float(self.error[0])
 
 
-def _panel(f, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * NODES), dtype=np.float64)
-    if fx.ndim == 1:
-        fx = fx[:, None]
-    k15 = half * (KRONROD_WEIGHTS @ fx)
-    g7 = half * (GAUSS_WEIGHTS @ fx)
-    return k15, np.abs(k15 - g7)
+def _panels(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(K15 value, |K15 - G7| error) of each panel [lo_i, hi_i], shape
+    (n_panels, 2, m), from one call of `f` on all the panels' nodes."""
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * NODES
+    fx = np.asarray(f(nodes.ravel()), dtype=np.float64).reshape(len(lo), NODES.size, -1)
+    est = half[:, None, None] * (_RULES @ fx)
+    np.abs(est[:, 1], out=est[:, 1])
+    return est
+
+
+def _worst(err: np.ndarray, score: np.ndarray, excess: np.ndarray) -> np.ndarray:
+    """Indices of the fewest panels, highest score first, whose errors cover
+    every component's excess over its tolerance (all panels if none do)."""
+    order = np.argsort(-score, kind="stable")
+    short = excess > 0.0
+    n = 1
+    while True:  # the prefix grows fourfold: a round splits few panels of many
+        head = np.cumsum(err[order[:n]][:, short], axis=0)
+        covered = (head >= excess[short]).all(axis=1)
+        if covered.any():
+            return order[: int(np.argmax(covered)) + 1]
+        if n == len(order):
+            return order
+        n = min(4 * n, len(order))
 
 
 def adaptive_gauss_kronrod(
@@ -128,41 +152,37 @@ def adaptive_gauss_kronrod(
     """Integrate `f` over [a, b] adaptively, to the tolerances of `cfg`.
 
     `f` must accept an ndarray of nodes and return either a same-length array
-    (scalar integrand) or an ``(n_nodes, m)`` array (vector integrand).
+    (scalar integrand) or an ``(n_nodes, m)`` array (vector integrand).  It
+    is called once per round: first on the initial panels, then on the
+    children of the panels that round bisects.
     """
     if not b > a:
         raise ValueError("integration bounds must satisfy a < b")
-    pts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
-
-    heap: list = []
-    serial = 0
-    total_value = None
-    total_error = None
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        val, err = _panel(f, lo, hi)
-        total_value = val if total_value is None else total_value + val
-        total_error = err if total_error is None else total_error + err
-        heapq.heappush(heap, (-float(err.max()), serial, lo, hi, val, err))
-        serial += 1
-
-    n_panels = len(heap)
-    while True:
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_value))
-        if np.all(total_error <= tol):
-            return QuadratureResult(total_value, total_error, n_panels, True)
-        if n_panels >= cfg.max_subdivisions:
-            return QuadratureResult(total_value, total_error, n_panels, False)
-        _, _, lo, hi, val, err = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        lval, lerr = _panel(f, lo, mid)
-        rval, rerr = _panel(f, mid, hi)
-        total_value = total_value - val + lval + rval
-        total_error = total_error - err + lerr + rerr
-        heapq.heappush(heap, (-float(lerr.max()), serial, lo, mid, lval, lerr))
-        serial += 1
-        heapq.heappush(heap, (-float(rerr.max()), serial, mid, hi, rval, rerr))
-        serial += 1
-        n_panels += 1
+    pts = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b])
+    lo, hi = pts[:-1], pts[1:]
+    est = _panels(f, lo, hi)  # per panel: value, error
+    n_calls = 1
+    total = est.sum(axis=0)
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total[0]))
+    score = (est[:, 1] / tol).max(axis=1)  # a panel's worst error in units of tolerance
+    while not np.all(total[1] <= tol):
+        room = cfg.max_subdivisions - len(lo)
+        if room <= 0:
+            return QuadratureResult(total[0], total[1], len(lo), n_calls, False)
+        split = _worst(est[:, 1], score, total[1] - tol)[:room]
+        mid = 0.5 * (lo[split] + hi[split])
+        child = _panels(f, np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]))
+        n_calls += 1
+        total = total + (child.sum(axis=0) - est[split].sum(axis=0))
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total[0]))
+        child_score = (child[:, 1] / tol).max(axis=1)
+        # each split panel's row takes its left child; the right children are appended
+        k = len(split)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([hi, hi[split]])
+        hi[split] = mid
+        est[split], score[split] = child[:k], child_score[:k]
+        est, score = np.concatenate([est, child[k:]]), np.concatenate([score, child_score[k:]])
+    return QuadratureResult(total[0], total[1], len(lo), n_calls, True)
 
 
 def integrate_half_line(

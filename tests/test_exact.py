@@ -358,6 +358,31 @@ def test_count_pmf_beta_mixing_far_peak_is_honest():
     assert abs(res.value - 5.19515782550976e-05) <= res.error
 
 
+@pytest.mark.parametrize(
+    "t, n, truth",
+    [(1e4, 3, 0.0015467090765415717), (1e4, 1, 0.0020224487223700673),
+     (1e5, 2, 0.00034307542305612843)],
+)
+def test_count_pmf_beta_mixing_large_time_is_honest(t, n, truth):
+    # the count weight's peak lies far inside the beta density's lower end;
+    # truth is t**n/n! * B(a+n, b)/B(a, b) * 1F1(a+n; a+b+n; -t), mpmath at 40 digits
+    mixing = ProductRectangleMixing((BetaMarginal(0.7, 2.5),))
+    res = count_pmf(build_model(KernelSpec("exponential"), mixing), t, n)
+    assert abs(res.value - truth) <= res.error
+
+
+def test_exact_results_report_their_cost():
+    gh = load_bundled_model("gamma_half")[0]
+    q = BoxQuery.upper(1.0, 2.0)
+    for res in (joint_interarrival_probability(gh, q), count_pmf(gh, 2.0, 3),
+                cylinder_probability_density_form(gh, q)):
+        assert res.converged and res.n_calls >= 1 and res.n_panels >= 1
+    dirac = build_model(KernelSpec("exponential"), DiracMixing(1.5))
+    for res in (joint_interarrival_probability(dirac, q), count_pmf(dirac, 2.0, 3),
+                count_pmf(gh, 0.0, 0)):
+        assert (res.n_panels, res.n_calls, res.converged) == (0, 0, True)
+
+
 def test_count_pmf_sums_to_one():
     model = build_model(KernelSpec("gamma", shape=1.5), GammaMixing(2.0, 2.0))
     t = 2.0
@@ -639,16 +664,17 @@ def _pinned_repr(result) -> str:
 
 
 # sha256 prefixes of the newline-joined reprs of each group's results; the
-# marginals' closed-form panel edges (`Marginal.edges`) moved box values by at
-# most 1.2e-13, count 6.0e-13, density 2.2e-16 and mass 2.9e-15, each within
-# the sum of the old and new reported errors
+# round-based panel loop moved box values by at most 1.7e-16, count 2.2e-16,
+# beta_uniform 5.6e-17 and mass 6.7e-16, and with the density route's
+# w**(2/s) coordinates density values by 1.9e-15, each within the sum of the
+# old and new reported errors
 PINNED_RESULTS = {
-    "box": "0c8582c07e8fc757",
-    "count": "edeedf82ec11d993",
+    "box": "9f8b7b034550fa66",
+    "count": "583f018c6da5c1d1",
     "atomic": "5bde8da8d420bca6",
-    "beta_uniform": "982b6f1184082a01",
-    "density": "527096e5fe3791e1",
-    "mass": "075a11da63a42a3f",
+    "beta_uniform": "175f899105ae260e",
+    "density": "718716e369fdee57",
+    "mass": "83644713c856a88e",
 }
 
 

@@ -69,3 +69,94 @@ def test_half_line_against_scipy():
 def test_bad_bounds_rejected():
     with pytest.raises(ValueError):
         adaptive_gauss_kronrod(lambda x: x, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the round loop
+# ---------------------------------------------------------------------------
+
+
+def _recording(f):
+    """f, and the list of the node counts it is called with."""
+    sizes = []
+
+    def g(x):
+        sizes.append(x.size)
+        return f(x)
+
+    return g, sizes
+
+
+def test_one_integrand_call_per_round():
+    g, sizes = _recording(lambda x: 1.0 / (1.0 + 100.0 * x * x))
+    r = adaptive_gauss_kronrod(g, -1.0, 3.0, breakpoints=[0.5, 1.0, 2.0])
+    assert r.converged and r.scalar_value == pytest.approx(0.1 * (math.atan(30.0) + math.atan(10.0)))
+    assert r.n_calls == len(sizes) > 1
+    assert sizes[0] == 15 * 4  # every initial panel at once
+    # each later round evaluates the two children of every panel it bisects
+    assert all(n % 30 == 0 for n in sizes[1:])
+    assert r.n_panels == 4 + sum(sizes[1:]) // 30
+
+
+def test_components_far_apart_in_scale_each_meet_the_tolerance():
+    # a 1e6 ratio between the components, and a kink that only the small one has
+    f = lambda x: np.column_stack([1e3 * np.cos(3.0 * x), 1e-3 * np.sqrt(x)])
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-300)
+    r = adaptive_gauss_kronrod(f, 0.0, 1.0, cfg)
+    truth = np.array([1e3 * math.sin(3.0) / 3.0, 1e-3 * 2.0 / 3.0])
+    assert r.converged
+    assert np.all(r.error <= cfg.rel_tol * np.abs(r.value))
+    assert np.all(np.abs(r.value - truth) <= r.error)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 7, 40, 300])
+def test_panel_count_stays_within_the_cap(cap):
+    # no number of panels meets a tolerance of 1e-300
+    cfg = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300, max_subdivisions=cap)
+    r = adaptive_gauss_kronrod(np.exp, 0.0, 1.0, cfg)
+    assert not r.converged
+    assert r.n_panels == cap
+
+
+def test_reaching_the_cap_is_an_accuracy_error(tmp_path):
+    from mrplab.cli import main
+    from mrplab.errors import AccuracyError
+    from mrplab.exact import BoxQuery, joint_interarrival_probability
+    from mrplab.modelfile import bundled_model_path, load_bundled_model
+
+    model, _ = load_bundled_model("gamma_half")
+    with pytest.raises(AccuracyError):  # 1e-300 takes more panels than the cap allows
+        joint_interarrival_probability(
+            model, BoxQuery.upper(1.0), QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300)
+        )
+    queries = tmp_path / "q.json"
+    queries.write_text('[{"id": "b", "bounds": [[null, 1.0]]}]')
+    argv = ["exact", "--model", str(bundled_model_path("gamma_half")), "--queries", str(queries),
+            "--out", str(tmp_path / "out.csv"), "--tol", "1e-300"]
+    assert main(argv) == 4
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 8])
+def test_half_line_error_bounds_power_times_exponential(k):
+    r = integrate_half_line(lambda x: x**k * np.exp(-x), 0.0, 1.0 + k)
+    assert r.converged
+    assert abs(r.scalar_value - math.factorial(k)) <= r.scalar_error
+
+
+def test_error_bounds_square_root():
+    r = adaptive_gauss_kronrod(np.sqrt, 0.0, 1.0)
+    assert r.converged
+    assert abs(r.scalar_value - 2.0 / 3.0) <= r.scalar_error
+
+
+@pytest.mark.parametrize("width", [1e-2, 1e-4, 1e-6])
+def test_error_bounds_narrow_gaussian_peak(width):
+    # breakpoints 4 and 8 widths either side of the peak, as `Marginal.edges` places them
+    centre = 1.0 / 3.0
+    f = lambda x: np.exp(-0.5 * ((x - centre) / width) ** 2)
+    edges = [centre + j * width for j in (-8.0, -4.0, 0.0, 4.0, 8.0)]
+    r = adaptive_gauss_kronrod(f, 0.0, 1.0, breakpoints=edges)
+    s = width * math.sqrt(2.0)
+    truth = width * math.sqrt(0.5 * math.pi) * (math.erf((1.0 - centre) / s) + math.erf(centre / s))
+    assert r.converged
+    assert abs(r.scalar_value - truth) <= r.scalar_error
