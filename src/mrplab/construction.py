@@ -38,6 +38,7 @@ from .kernels import (
     kernel_sample_batch,
     verify_mixing_mass,
 )
+from .floatrepr import float_fields, int_fields
 from .rng import StreamBank, UniformStream, child_seed
 from . import rng as _rng
 
@@ -245,8 +246,10 @@ class Ensemble:
     metadata: dict = field(default_factory=dict)
 
     def manifest(self) -> dict:
+        """The reproducible description of the ensemble, plus a ``run`` section
+        with what differs between runs at the same seed (the timestamp)."""
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "model": self.model.to_dict(),
             "model_hash": self.model.model_hash(),
             "root_seed": self.root_seed,
@@ -254,7 +257,7 @@ class Ensemble:
             "n_events": self.n_events,
             "truncation": self.n_events,
             "seed_rule": SEED_RULE,
-            "created_at": self.created_at,
+            "run": {"created_at": self.created_at},
             **self.metadata,
         }
 
@@ -315,7 +318,7 @@ def atomic_write_text(path: str, text: str) -> None:
 # paths per CSV render block; blocks are rendered in worker processes
 _RENDER_BLOCK = 8192
 
-# (template, thetas, interarrivals, arrivals), set in each render worker
+# (thetas, interarrivals, arrivals), set in each render worker
 _worker_args: tuple = ()
 
 
@@ -328,21 +331,27 @@ def _render_worker(span: tuple) -> str:
     return _render_block(*_worker_args, *span)
 
 
-def _render_block(template: str, thetas, w, t, lo: int, hi: int) -> str:
-    """CSV rows of paths lo..hi-1, one %-format of `template` per path.
+def _render_block(thetas, w, t, lo: int, hi: int) -> str:
+    """CSV rows of paths lo..hi-1: ``path_id,theta..,k,w,t`` for each event.
 
-    Every value reaches %r / repr as a Python float (via ``tolist`` or an
-    object array), never as a numpy scalar, whose repr differs.
+    Each column is a NUL-padded byte field (see :mod:`mrplab.floatrepr`), so a
+    float reads as ``repr(float(v))``; the NULs are deleted once per block.
     """
-    n_events = w.shape[1]
-    args = np.empty((hi - lo, 3 * n_events), dtype=object)
-    args[:, 0::3] = np.array(
-        [f"{i},{','.join(map(repr, th))}," for i, th in zip(range(lo, hi), thetas[lo:hi].tolist())],
-        dtype=object,
-    )[:, None]
-    args[:, 1::3] = w[lo:hi]
-    args[:, 2::3] = t[lo:hi]
-    return "".join([template % tuple(row) for row in args.tolist()])
+    n, n_events = hi - lo, w.shape[1]
+    columns = [
+        int_fields(np.arange(lo, hi))[:, None],
+        *(float_fields(thetas[lo:hi, j])[:, None] for j in range(thetas.shape[1])),
+        int_fields(np.arange(1, n_events + 1))[None],
+        float_fields(w[lo:hi]).reshape(n, n_events, -1),
+        float_fields(t[lo:hi]).reshape(n, n_events, -1),
+    ]
+    rows = np.full((n, n_events, sum(c.shape[2] + 1 for c in columns)), ord(","), dtype=np.uint8)
+    end = 0
+    for c in columns:
+        rows[:, :, end:end + c.shape[2]] = c
+        end += c.shape[2] + 1
+    rows[:, :, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _available_cores() -> int:
@@ -370,8 +379,7 @@ def ensemble_csv_text(ensemble: Ensemble) -> str:
     head = ",".join(["path_id", *theta_cols, "k", "w", "t"]) + "\n"
     n = ensemble.n_paths
     spans = [(lo, min(lo + _RENDER_BLOCK, n)) for lo in range(0, n, _RENDER_BLOCK)]
-    template = "".join(f"%s{k + 1},%r,%r\n" for k in range(ensemble.n_events))
-    args = (template, ensemble.thetas, ensemble.interarrivals, ensemble.arrivals)
+    args = (ensemble.thetas, ensemble.interarrivals, ensemble.arrivals)
     workers = _render_workers(len(spans))
     if workers > 1:
         import multiprocessing

@@ -291,10 +291,11 @@ def _gamma_from_bank(bank: StreamBank, shapes: np.ndarray, rates: np.ndarray, la
         t = 1.0 + c[rel] * z
         v = t * t * t
         ok = v > 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            squeeze = u3 < 1.0 - 0.0331 * z**4
-            full = np.log(u3) < 0.5 * z * z + d[rel] * (1.0 - v + np.log(np.where(ok, v, 1.0)))
-        accept = ok & (squeeze | full)
+        accept = ok & (u3 < 1.0 - 0.0331 * z**4)
+        # the log test only where the squeeze leaves an attempt undecided
+        log = np.flatnonzero(ok & ~accept)
+        zl, vl = z[log], v[log]
+        accept[log] = np.log(u3[log]) < 0.5 * zl * zl + d[rel[log]] * (1.0 - vl + np.log(vl))
         acc = rel[accept]
         x[acc] = d[acc] * v[accept]
         pending[acc] = False

@@ -49,9 +49,13 @@ def mix64(z: int) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _S30)) * _U64_C1
-    z = (z ^ (z >> _S27)) * _U64_C2
-    return z ^ (z >> _S31)
+    """`mix64` on each word of a uint64 array (a new array; `z` is left as it is)."""
+    z = z ^ (z >> _S30)
+    z *= _U64_C1
+    z ^= z >> _S27
+    z *= _U64_C2
+    z ^= z >> _S31
+    return z
 
 
 def child_seed(root_seed: int, index: int) -> int:
@@ -124,9 +128,11 @@ class UniformStream:
     def raw_words(self, n: int) -> np.ndarray:
         """n scrambled 64-bit words from the stream (advances n positions)."""
         c = int(self.bank.counters[0])
-        js = np.arange(c + 1, c + n + 1, dtype=np.uint64)
+        state = np.arange(c + 1, c + n + 1, dtype=np.uint64)
         self.bank.counters[0] = np.uint64(c + n)
-        return _mix64_np(np.uint64(self.seed) + js * _U64_PHI)
+        state *= _U64_PHI
+        state += np.uint64(self.seed)
+        return _mix64_np(state)
 
     def skip(self, n: int) -> None:
         """Advance the stream by n positions without drawing them."""

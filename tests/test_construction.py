@@ -15,6 +15,7 @@ from mrplab.construction import (
     simulate_ensemble,
     write_ensemble,
 )
+from mrplab.floatrepr import float_fields
 from mrplab.errors import (
     CapacityError,
     ConfigurationError,
@@ -398,11 +399,25 @@ def test_manifest_and_csv_format(tmp_path):
     assert manifest["truncation"] == 2
     assert manifest["seed_rule"] == "splitmix64-child-v1"
     assert manifest["model_hash"] == model.model_hash()
-    assert manifest["created_at"]
+    assert manifest["run"]["created_at"]
     # csv columns parse back to the stored floats exactly
     i, theta, k, w, t = text[1].split(",")
     assert float(w) == ens.interarrivals[0, 0]
     assert float(t) == ens.arrivals[0, 0]
+
+
+def test_manifest_is_reproducible_without_its_run_section(tmp_path):
+    import json
+
+    model = example16_model()
+    texts = []
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        path = write_ensemble(simulate_ensemble(model, 5, 2, root_seed=3), str(tmp_path / run / "e.csv"))
+        manifest = json.loads(open(path).read())
+        assert list(manifest.pop("run")) == ["created_at"]
+        texts.append(json.dumps(manifest, indent=2, sort_keys=True))
+    assert texts[0] == texts[1]
 
 
 def test_bivariate_ensemble_columns():
@@ -494,6 +509,82 @@ def test_csv_render_from_a_non_main_thread(render_ensemble, monkeypatch):
     with ThreadPoolExecutor(max_workers=1) as pool:
         assert pool.submit(ensemble_csv_text, render_ensemble).result() == expected
     assert multiprocessing.active_children() == []
+
+
+def _reference_rows(thetas, w, t, lo=0):
+    # the CSV rows written with %r, one path and event at a time
+    rows = []
+    for i, (th, wi, ti) in enumerate(zip(thetas.tolist(), w.tolist(), t.tolist()), start=lo):
+        prefix = ",".join([str(i), *map(repr, th)])
+        rows += [f"{prefix},{k},{a!r},{b!r}\n" for k, (a, b) in enumerate(zip(wi, ti), start=1)]
+    return "".join(rows)
+
+
+def test_csv_rows_equal_the_repr_form_at_three_digit_events():
+    ens = simulate_ensemble(build_model(*BENCH_MODELS["bivariate"]), 3, 120, root_seed=4)
+    text = ensemble_csv_text(ens)
+    head = "path_id,theta1,theta2,k,w,t\n"
+    assert text == head + _reference_rows(ens.thetas, ens.interarrivals, ens.arrivals)
+
+
+def test_render_block_writes_zero_negative_and_nonfinite_values_as_repr():
+    from mrplab import construction
+
+    thetas = np.array([[0.0, -1.5], [-0.0, 5e-324], [2.0, -np.inf]])
+    w = np.array([[1.0, np.nan], [-2.5e-300, 1e16], [np.inf, 1e-5]])
+    t = np.array([[1e22, -0.1], [2.0**53, -1e-320], [0.5, 1.7976931348623157e308]])
+    assert construction._render_block(thetas, w, t, 1, 3) == _reference_rows(
+        thetas[1:], w[1:], t[1:], lo=1
+    )
+    text = construction._render_block(thetas, w, t, 0, 3)
+    assert text == _reference_rows(thetas, w, t)
+    assert text.splitlines()[:2] == ["0,0.0,-1.5,1,1.0,1e+22", "0,0.0,-1.5,2,nan,-0.1"]
+
+
+def _float_texts(x):
+    fields = float_fields(x)
+    comma = np.full((len(fields), 1), ord(","), dtype=np.uint8)
+    text = np.concatenate([fields, comma], axis=1).tobytes().translate(None, b"\0")
+    return text.decode("ascii").split(",")[:-1]
+
+
+def _assert_float_fields_are_repr(x):
+    x = np.asarray(x, dtype=np.float64)
+    assert _float_texts(x) == [repr(v) for v in x.tolist()]
+
+
+def test_float_fields_on_random_bit_patterns():
+    # every exponent, both signs, subnormals, infinities and NaNs
+    words = np.random.default_rng(2020).integers(0, 2**64 - 1, size=200_000, dtype=np.uint64, endpoint=True)
+    _assert_float_fields_are_repr(words.view(np.float64))
+
+
+def test_float_fields_on_powers_of_two_integers_and_format_boundaries():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    small = np.arange(0, 20_001, dtype=np.float64)
+    ints = np.concatenate([small, 2.0**53 - small, [2.0**53, 2.0**53 + 2]])
+    subnormals = np.array([5e-324, 1e-320, 2.225073858507201e-308, 2.2250738585072014e-308])
+    bounds = np.array(
+        [1e-4, 1e-5, 9.999999999999999e15, 1e16, 1e22, 1e23, 1.7976931348623157e308, 1.0, 0.1]
+    )
+    up = np.nextafter(bounds[bounds < 1.7976931348623157e308], np.inf)
+    near = np.concatenate([bounds, np.nextafter(bounds, 0.0), up])
+    _assert_float_fields_are_repr(np.concatenate([powers, ints, subnormals, near, [0.0, -0.0]]))
+    _assert_float_fields_are_repr(-np.concatenate([powers, ints, subnormals, near]))
+
+
+def test_import_builds_no_encoder_table():
+    import os
+    import subprocess
+    import sys
+
+    import mrplab
+
+    src = os.path.dirname(os.path.dirname(mrplab.__file__))
+    code = "import mrplab, mrplab.floatrepr as f; print(f._tables.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
 
 
 def test_atomic_write_removes_temp_file_on_failure(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import scipy.stats as st
 
-from mrplab.rng import StreamBank, UniformStream, child_seed, child_seeds, mix64
+from mrplab.rng import PHI64, StreamBank, UniformStream, _mix64_np, child_seed, child_seeds, mix64
 
 
 def test_same_seed_same_stream():
@@ -61,6 +61,20 @@ def test_raw_words_bits_balanced():
     words = UniformStream(3).raw_words(4096)
     bits = np.unpackbits(words.view(np.uint8))
     assert abs(bits.mean() - 0.5) < 0.01
+
+
+def test_vector_mix64_equals_the_scalar_one_and_keeps_its_input():
+    words = np.random.default_rng(64).integers(0, 2**64 - 1, size=2000, dtype=np.uint64, endpoint=True)
+    words[:2] = [0, 2**64 - 1]
+    before = words.copy()
+    mixed = _mix64_np(words)
+    assert mixed.tolist() == [mix64(z) for z in words.tolist()]
+    assert np.array_equal(words, before)
+    seed = 2**64 - 5
+    expected = [mix64(seed + j * PHI64) for j in range(3, 8)]
+    stream = UniformStream(seed)
+    stream.skip(2)
+    assert stream.raw_words(5).tolist() == expected
 
 
 def test_mix64_reference_values():
