@@ -317,6 +317,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 # paths per CSV render block; blocks are rendered in worker processes
 _RENDER_BLOCK = 8192
+# CSV rows assembled at a time within a block
+_RENDER_ROWS = 16_384
 
 # (thetas, interarrivals, arrivals), set in each render worker
 _worker_args: tuple = ()
@@ -335,23 +337,31 @@ def _render_block(thetas, w, t, lo: int, hi: int) -> str:
     """CSV rows of paths lo..hi-1: ``path_id,theta..,k,w,t`` for each event.
 
     Each column is a NUL-padded byte field (see :mod:`mrplab.floatrepr`), so a
-    float reads as ``repr(float(v))``; the NULs are deleted once per block.
+    float reads as ``repr(float(v))``.  Paths are assembled about
+    `_RENDER_ROWS` rows at a time, which bounds the row buffer however long
+    the paths are, and the NULs are deleted once per assembly.
     """
-    n, n_events = hi - lo, w.shape[1]
-    columns = [
-        int_fields(np.arange(lo, hi))[:, None],
-        *(float_fields(thetas[lo:hi, j])[:, None] for j in range(thetas.shape[1])),
-        int_fields(np.arange(1, n_events + 1))[None],
-        float_fields(w[lo:hi]).reshape(n, n_events, -1),
-        float_fields(t[lo:hi]).reshape(n, n_events, -1),
-    ]
-    rows = np.full((n, n_events, sum(c.shape[2] + 1 for c in columns)), ord(","), dtype=np.uint8)
-    end = 0
-    for c in columns:
-        rows[:, :, end:end + c.shape[2]] = c
-        end += c.shape[2] + 1
-    rows[:, :, -1] = ord("\n")
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
+    n_events = w.shape[1]
+    step = max(1, _RENDER_ROWS // n_events)
+    k = int_fields(np.arange(1, n_events + 1))[None]
+    parts = []
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        columns = [
+            int_fields(np.arange(a, b))[:, None],
+            *(float_fields(thetas[a:b, j])[:, None] for j in range(thetas.shape[1])),
+            k,
+            float_fields(w[a:b]).reshape(b - a, n_events, -1),
+            float_fields(t[a:b]).reshape(b - a, n_events, -1),
+        ]
+        rows = np.full((b - a, n_events, sum(c.shape[2] + 1 for c in columns)), ord(","), dtype=np.uint8)
+        end = 0
+        for c in columns:
+            rows[:, :, end:end + c.shape[2]] = c
+            end += c.shape[2] + 1
+        rows[:, :, -1] = ord("\n")
+        parts.append(rows.tobytes().translate(None, b"\0"))
+    return b"".join(parts).decode("ascii")
 
 
 def _available_cores() -> int:

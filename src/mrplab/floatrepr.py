@@ -20,7 +20,7 @@ import numpy as np
 # field width: four little-endian uint64 words; word 0 holds a "0.000" prefix,
 # bytes 8..25 the 17 digits and a point, bytes 26..30 an "e-308" suffix.  It
 # also holds the longest repr of any double ("-2.2250738585072014e-308", 24).
-WIDTH = 32
+_WIDTH = 32
 
 _K_MIN, _K_MAX = -324, 292  # decimal exponents k = floor(log10(2**q)) of the doubles
 _E_MIN = -308  # the lowest decimal exponent of a normal double
@@ -140,9 +140,9 @@ def _shortest(x: np.ndarray):
 
 
 def float_fields(x) -> np.ndarray:
-    """``repr(float(v))`` of each value of `x`, as NUL-padded rows of `WIDTH` bytes."""
+    """``repr(float(v))`` of each value of `x`, as NUL-padded rows of `_WIDTH` bytes."""
     x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
-    field = np.empty((x.size, WIDTH), dtype=np.uint8)
+    field = np.empty((x.size, _WIDTH), dtype=np.uint8)
     # lanes in chunks whose temporaries stay in cache
     for lo in range(0, x.size, _LANES):
         _encode(x[lo:lo + _LANES], field[lo:lo + _LANES])
@@ -192,7 +192,7 @@ def _encode(x: np.ndarray, field: np.ndarray) -> None:
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = [repr(v) for v in x[slow].tolist()]
-        field[slow] = np.array(text, dtype=f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)
+        field[slow] = np.array(text, dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
 
 
 def int_fields(v) -> np.ndarray:

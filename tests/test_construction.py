@@ -520,7 +520,12 @@ def _reference_rows(thetas, w, t, lo=0):
     return "".join(rows)
 
 
-def test_csv_rows_equal_the_repr_form_at_three_digit_events():
+@pytest.mark.parametrize("rows", [16_384, 250, 100])
+def test_csv_rows_equal_the_repr_form_at_three_digit_events(rows, monkeypatch):
+    # 250 rows: two paths per assembly; 100 rows: one path of 120 events
+    from mrplab import construction
+
+    monkeypatch.setattr(construction, "_RENDER_ROWS", rows)
     ens = simulate_ensemble(build_model(*BENCH_MODELS["bivariate"]), 3, 120, root_seed=4)
     text = ensemble_csv_text(ens)
     head = "path_id,theta1,theta2,k,w,t\n"
