@@ -38,7 +38,6 @@ from .kernels import (
     kernel_sample_batch,
     verify_mixing_mass,
 )
-from .floatrepr import float_fields, int_fields
 from .rng import StreamBank, UniformStream, child_seed
 from . import rng as _rng
 
@@ -341,6 +340,9 @@ def _render_block(thetas, w, t, lo: int, hi: int) -> str:
     `_RENDER_ROWS` rows at a time, which bounds the row buffer however long
     the paths are, and the NULs are deleted once per assembly.
     """
+    # imported here, so that commands which write no CSV do not load the encoder
+    from .floatrepr import float_fields, int_fields
+
     n_events = w.shape[1]
     step = max(1, _RENDER_ROWS // n_events)
     k = int_fields(np.arange(1, n_events + 1))[None]
