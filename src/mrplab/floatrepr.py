@@ -155,7 +155,7 @@ def _encode(x: np.ndarray, field: np.ndarray) -> None:
     fast = (x >= np.finfo(np.float64).tiny) & (x <= np.finfo(np.float64).max)
     safe = np.where(fast, x, 1.0)
     f, k = _shortest(safe)
-    # f has 16 or 17 digits; F = 0.d1..d17 * 10**17 and x ~ 0.d1..d17 * 10**decpt
+    # f has 16 or 17 digits; written as 17 digits d1..d17, x ~ 0.d1..d17 * 10**decpt
     short = f < 10**16
     decpt = k + 17 - short
     lead, rest = np.divmod(np.where(short, f * 10, f), 10**16)
