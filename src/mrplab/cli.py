@@ -24,7 +24,7 @@ from .construction import (
     aux_seed,
     sample_path,
     simulate_ensemble,
-    write_ensemble,
+    simulate_to_csv,
 )
 from .counting import counts_on_grid, CountingPath, validate_counting_axioms
 from .errors import (
@@ -110,8 +110,7 @@ def _quadrature_config(args) -> QuadratureConfig:
 
 def _cmd_simulate(args) -> int:
     model, _meta = load_model_file(args.model)
-    ensemble = simulate_ensemble(model, args.paths, args.events, args.seed)
-    write_ensemble(ensemble, args.out)
+    simulate_to_csv(model, args.paths, args.events, args.seed, args.out)
     return EXIT_OK
 
 

@@ -9,12 +9,16 @@ possible downstream.
 
 Ensembles are reproducible: path ``i`` owns the child stream ``i`` of the
 root seed (see :mod:`mrplab.rng`), so results are bitwise identical however
-paths are chunked.  Infinite interarrival sequences are truncated at a fixed
+paths are chunked.  `simulate_ensemble` draws them in this process;
+`simulate_to_csv` (``mrplab simulate``) draws and renders each block of
+paths in a forked worker, one per available core, and streams the blocks to
+the CSV in order.  Infinite interarrival sequences are truncated at a fixed
 per-path length, recorded in the ensemble metadata.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -248,17 +252,44 @@ class Ensemble:
         """The reproducible description of the ensemble, plus a ``run`` section
         with what differs between runs at the same seed (the timestamp)."""
         return {
-            "schema_version": 2,
-            "model": self.model.to_dict(),
-            "model_hash": self.model.model_hash(),
-            "root_seed": self.root_seed,
-            "n_paths": self.n_paths,
-            "n_events": self.n_events,
-            "truncation": self.n_events,
-            "seed_rule": SEED_RULE,
-            "run": {"created_at": self.created_at},
+            **_ensemble_manifest(
+                self.model, self.root_seed, self.n_paths, self.n_events, self.created_at
+            ),
             **self.metadata,
         }
+
+
+def _ensemble_manifest(
+    model: MrpModel, root_seed: int, n_paths: int, n_events: int, created_at: str
+) -> dict:
+    # the manifest of `write_ensemble` and of `simulate_to_csv`
+    return {
+        "schema_version": 2,
+        "model": model.to_dict(),
+        "model_hash": model.model_hash(),
+        "root_seed": int(root_seed),
+        "n_paths": int(n_paths),
+        "n_events": int(n_events),
+        "truncation": int(n_events),
+        "seed_rule": SEED_RULE,
+        "run": {"created_at": created_at},
+    }
+
+
+def _utc_now() -> str:
+    from datetime import datetime, timezone
+
+    return datetime.now(timezone.utc).isoformat()
+
+
+def _check_size(n_paths: int, n_events: int) -> None:
+    if n_paths < 1 or n_events < 1:
+        raise ConfigurationError("n_paths and n_events must be >= 1")
+    if n_paths * n_events > MAX_ENSEMBLE_DRAWS:
+        raise CapacityError(
+            f"requested {n_paths} x {n_events} draws exceeds the "
+            f"{MAX_ENSEMBLE_DRAWS} ensemble capacity"
+        )
 
 
 def simulate_ensemble(model: MrpModel, n_paths: int, n_events: int, root_seed: int) -> Ensemble:
@@ -268,17 +299,8 @@ def simulate_ensemble(model: MrpModel, n_paths: int, n_events: int, root_seed: i
     is a pure function of (model, n_paths, n_events, root_seed) regardless of
     chunking.
     """
-    if n_paths < 1 or n_events < 1:
-        raise ConfigurationError("n_paths and n_events must be >= 1")
-    if n_paths * n_events > MAX_ENSEMBLE_DRAWS:
-        raise CapacityError(
-            f"requested {n_paths} x {n_events} draws exceeds the "
-            f"{MAX_ENSEMBLE_DRAWS} ensemble capacity"
-        )
+    _check_size(n_paths, n_events)
     thetas, w = _draw_paths(model, n_paths, n_events, root_seed)
-
-    from datetime import datetime, timezone
-
     return Ensemble(
         model=model,
         root_seed=int(root_seed),
@@ -287,7 +309,7 @@ def simulate_ensemble(model: MrpModel, n_paths: int, n_events: int, root_seed: i
         thetas=thetas,
         interarrivals=w,
         arrivals=compensated_cumsum_rows(w),
-        created_at=datetime.now(timezone.utc).isoformat(),
+        created_at=_utc_now(),
     )
 
 
@@ -301,12 +323,14 @@ def aux_seed(root_seed: int, tag: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write `text` to `path` through a temp file; on failure remove the temp file."""
+def _write_chunks(path: str, chunks) -> None:
+    """Write the byte chunks to `path` in order, through a temp file that is
+    renamed into place; on failure the temp file is removed."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -314,26 +338,33 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-# paths per CSV render block; blocks are rendered in worker processes
+def atomic_write_text(path: str, text: str) -> None:
+    """Write `text` (UTF-8) to `path` through a temp file; on failure remove the temp file."""
+    _write_chunks(path, [text.encode()])
+
+
+# paths per CSV block; blocks are drawn and rendered in worker processes
 _RENDER_BLOCK = 8192
 # CSV rows assembled at a time within a block
 _RENDER_ROWS = 16_384
 
-# (thetas, interarrivals, arrivals), set in each render worker
+# (block function, its leading arguments), set in each block worker
 _worker_args: tuple = ()
 
 
-def _render_init(*args) -> None:
+def _block_init(*args) -> None:
     global _worker_args
     _worker_args = args
 
 
-def _render_worker(span: tuple) -> str:
-    return _render_block(*_worker_args, *span)
+def _block_worker(span: tuple) -> bytes:
+    block, *args = _worker_args
+    return block(*args, *span)
 
 
-def _render_block(thetas, w, t, lo: int, hi: int) -> str:
-    """CSV rows of paths lo..hi-1: ``path_id,theta..,k,w,t`` for each event.
+def _render_block(thetas, w, t, first_id: int) -> bytes:
+    """CSV rows of the given paths, numbered from `first_id`:
+    ``path_id,theta..,k,w,t`` for each event.
 
     Each column is a NUL-padded byte field (see :mod:`mrplab.floatrepr`), so a
     float reads as ``repr(float(v))``.  Paths are assembled about
@@ -343,14 +374,14 @@ def _render_block(thetas, w, t, lo: int, hi: int) -> str:
     # imported here, so that commands which write no CSV do not load the encoder
     from .floatrepr import float_fields, int_fields
 
-    n_events = w.shape[1]
+    n_paths, n_events = w.shape
     step = max(1, _RENDER_ROWS // n_events)
     k = int_fields(np.arange(1, n_events + 1))[None]
     parts = []
-    for a in range(lo, hi, step):
-        b = min(a + step, hi)
+    for a in range(0, n_paths, step):
+        b = min(a + step, n_paths)
         columns = [
-            int_fields(np.arange(a, b))[:, None],
+            int_fields(np.arange(first_id + a, first_id + b))[:, None],
             *(float_fields(thetas[a:b, j])[:, None] for j in range(thetas.shape[1])),
             k,
             float_fields(w[a:b]).reshape(b - a, n_events, -1),
@@ -363,7 +394,19 @@ def _render_block(thetas, w, t, lo: int, hi: int) -> str:
             end += c.shape[2] + 1
         rows[:, :, -1] = ord("\n")
         parts.append(rows.tobytes().translate(None, b"\0"))
-    return b"".join(parts).decode("ascii")
+    return b"".join(parts)
+
+
+def _ensemble_block(thetas, w, t, lo: int, hi: int) -> bytes:
+    """CSV rows of paths lo..hi-1 of an ensemble's arrays."""
+    return _render_block(thetas[lo:hi], w[lo:hi], t[lo:hi], lo)
+
+
+def _drawn_block(model: MrpModel, n_events: int, root_seed: int, lo: int, hi: int) -> bytes:
+    """CSV rows of paths lo..hi-1 of the ensemble at `root_seed`, drawn here
+    on their own child streams, so they equal the rows of `simulate_ensemble`."""
+    thetas, w = _draw(model, StreamBank.from_root(root_seed, hi - lo, offset=lo), n_events)
+    return _render_block(thetas, w, compensated_cumsum_rows(w), lo)
 
 
 def _available_cores() -> int:
@@ -374,24 +417,21 @@ def _available_cores() -> int:
 
 
 def _render_workers(n_blocks: int) -> int:
-    """CSV render workers: the available cores, capped by the block count."""
+    """CSV block workers: the available cores, capped by the block count."""
     return max(1, min(_available_cores(), n_blocks))
 
 
-def ensemble_csv_text(ensemble: Ensemble) -> str:
-    """Render the ensemble as CSV (path_id, theta components, k, w, t).
+def _csv_chunks(dim: int, block, args: tuple, n_paths: int):
+    """The CSV as bytes: the header, then ``block(*args, lo, hi)`` for each
+    block of `_RENDER_BLOCK` paths, in path order.
 
-    Floats are written with shortest round-trip repr, so identical ensembles
-    produce byte-identical files.  Blocks of paths are rendered on the
-    available cores in forked processes; the bytes do not depend on the
-    worker count.
+    Blocks are computed on the available cores in forked processes, else in
+    this process; the bytes do not depend on the worker count.  Closing the
+    generator early cancels the pending blocks and shuts the workers down.
     """
-    dim = ensemble.thetas.shape[1]
     theta_cols = ["theta"] if dim == 1 else [f"theta{j + 1}" for j in range(dim)]
-    head = ",".join(["path_id", *theta_cols, "k", "w", "t"]) + "\n"
-    n = ensemble.n_paths
-    spans = [(lo, min(lo + _RENDER_BLOCK, n)) for lo in range(0, n, _RENDER_BLOCK)]
-    args = (ensemble.thetas, ensemble.interarrivals, ensemble.arrivals)
+    yield (",".join(["path_id", *theta_cols, "k", "w", "t"]) + "\n").encode()
+    spans = [(lo, min(lo + _RENDER_BLOCK, n_paths)) for lo in range(0, n_paths, _RENDER_BLOCK)]
     workers = _render_workers(len(spans))
     if workers > 1:
         import multiprocessing
@@ -399,23 +439,70 @@ def ensemble_csv_text(ensemble: Ensemble) -> str:
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
-            # fork children inherit the arrays through initargs without pickling
-            with ProcessPoolExecutor(
+            # fork children inherit the block function and its arguments (the
+            # arrays or the model) through initargs without pickling
+            pool = ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("fork"),
-                initializer=_render_init,
-                initargs=args,
-            ) as pool:
-                return "".join([head, *pool.map(_render_worker, spans)])
-    return "".join([head, *(_render_block(*args, lo, hi) for lo, hi in spans)])
+                initializer=_block_init,
+                initargs=(block, *args),
+            )
+            try:
+                yield from pool.map(_block_worker, spans)
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return
+    for lo, hi in spans:
+        yield block(*args, lo, hi)
+
+
+def _ensemble_chunks(ensemble: Ensemble):
+    args = (ensemble.thetas, ensemble.interarrivals, ensemble.arrivals)
+    return _csv_chunks(ensemble.thetas.shape[1], _ensemble_block, args, ensemble.n_paths)
+
+
+def ensemble_csv_text(ensemble: Ensemble) -> str:
+    """Render the ensemble as CSV (path_id, theta components, k, w, t).
+
+    Floats are written with shortest round-trip repr, so identical ensembles
+    produce byte-identical text: the text of the file that `write_ensemble`
+    and `simulate_to_csv` write.  Blocks of paths are rendered on the
+    available cores in forked processes.
+    """
+    return b"".join(_ensemble_chunks(ensemble)).decode("ascii")
+
+
+def _write_csv(csv_path: str, chunks) -> None:
+    # close the chunks even when the writer fails, so the block workers stop
+    with contextlib.closing(chunks):
+        _write_chunks(csv_path, chunks)
+
+
+def _write_manifest(manifest: dict, csv_path: str, manifest_path: Optional[str] = None) -> str:
+    if manifest_path is None:
+        manifest_path = csv_path + ".manifest.json"
+    manifest = dict(manifest, csv=os.path.basename(csv_path))
+    atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return manifest_path
 
 
 def write_ensemble(ensemble: Ensemble, csv_path: str, manifest_path: Optional[str] = None) -> str:
     """Write the ensemble CSV (and manifest JSON) atomically; returns manifest path."""
-    if manifest_path is None:
-        manifest_path = csv_path + ".manifest.json"
-    atomic_write_text(csv_path, ensemble_csv_text(ensemble))
-    manifest = dict(ensemble.manifest())
-    manifest["csv"] = os.path.basename(csv_path)
-    atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest_path
+    _write_csv(csv_path, _ensemble_chunks(ensemble))
+    return _write_manifest(ensemble.manifest(), csv_path, manifest_path)
+
+
+def simulate_to_csv(model: MrpModel, n_paths: int, n_events: int, root_seed: int, csv_path: str) -> str:
+    """Simulate an ensemble straight to its CSV and manifest JSON; returns
+    the manifest path.
+
+    The files are those of ``write_ensemble(simulate_ensemble(...), csv_path)``
+    (the manifest's ``run`` section aside), but each block of paths is drawn
+    and rendered in one worker and the blocks stream to the file in order, so
+    no process holds the whole ensemble.
+    """
+    _check_size(n_paths, n_events)
+    args = (model, n_events, root_seed)
+    _write_csv(csv_path, _csv_chunks(model.param_dim, _drawn_block, args, n_paths))
+    manifest = _ensemble_manifest(model, root_seed, n_paths, n_events, _utc_now())
+    return _write_manifest(manifest, csv_path)

@@ -1,10 +1,14 @@
 import hashlib
+import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
+from mrplab import construction
+from mrplab.cli import main
 from mrplab.construction import (
     MrpPath,
     build_model,
@@ -36,6 +40,7 @@ from mrplab.kernels import (
     UniformMarginal,
     kernel_cdf,
 )
+from mrplab.modelfile import bundled_model_path, load_model_file
 from mrplab.rng import UniformStream, child_seed
 from mrplab.special import ks_critical_value
 
@@ -176,8 +181,9 @@ BENCH_MODELS = {
     ),
 }
 
-# sha256 prefixes of ensemble_csv_text(simulate_ensemble(model, n, m, seed)):
-# more than one render block, one block plus one path, and a single row
+# sha256 prefixes of ensemble_csv_text(simulate_ensemble(model, n, m, seed)),
+# and of the file `mrplab simulate` streams at the same sizes: more than one
+# render block, one block plus one path, and a single row
 PINNED_CSV = [
     ("gamma_half", (20000, 8, 5), "e3afff7bfcf96415"),
     ("gamma_half", (8193, 3, 11), "0ba828659029c114"),
@@ -189,10 +195,23 @@ PINNED_CSV = [
 
 
 @pytest.mark.parametrize("name,size,csv_hash", PINNED_CSV)
-def test_bench_model_csv_bytes_pinned(name, size, csv_hash):
+def test_bench_model_csv_bytes_pinned(name, size, csv_hash, tmp_path, monkeypatch):
     model = build_model(*BENCH_MODELS[name])
     text = ensemble_csv_text(simulate_ensemble(model, *size))
     assert hashlib.sha256(text.encode()).hexdigest().startswith(csv_hash)
+    path = bundled_model_path(name)
+    assert load_model_file(path)[0].model_hash() == model.model_hash()
+    n, m, seed = size
+    argv = ["simulate", "--model", path, "--paths", str(n), "--events", str(m), "--seed", str(seed)]
+    # one core, three forked workers, and three cores without fork
+    for run, cores, methods in ((1, 1, None), (2, 3, None), (3, 3, ["spawn"])):
+        monkeypatch.setattr(construction, "_available_cores", lambda: cores)
+        if methods:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        out = tmp_path / f"{run}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest().startswith(csv_hash)
+    assert multiprocessing.active_children() == []
 
 
 # sha256 prefixes of the bytes of sample_conditional_interarrivals at the
@@ -328,8 +347,6 @@ def test_ensemble_reproducible_bitwise(tmp_path):
 
 
 def test_draws_chunk_invariant(monkeypatch):
-    from mrplab import construction
-
     model = build_model(*BENCH_MODELS["bivariate"])
     base = simulate_ensemble(model, 1000, 3, root_seed=5)
     cond = sample_conditional_interarrivals(model, (1.0, 0.5), 1000, 3, 5)
@@ -391,8 +408,6 @@ def test_manifest_and_csv_format(tmp_path):
     text = out.read_text().splitlines()
     assert text[0] == "path_id,theta,k,w,t"
     assert len(text) == 1 + 3 * 2
-    import json
-
     manifest = json.loads(open(manifest_path).read())
     assert manifest["root_seed"] == 1
     assert manifest["n_paths"] == 3
@@ -400,6 +415,7 @@ def test_manifest_and_csv_format(tmp_path):
     assert manifest["seed_rule"] == "splitmix64-child-v1"
     assert manifest["model_hash"] == model.model_hash()
     assert manifest["run"]["created_at"]
+    assert manifest["csv"] == "e.csv"
     # csv columns parse back to the stored floats exactly
     i, theta, k, w, t = text[1].split(",")
     assert float(w) == ens.interarrivals[0, 0]
@@ -407,8 +423,6 @@ def test_manifest_and_csv_format(tmp_path):
 
 
 def test_manifest_is_reproducible_without_its_run_section(tmp_path):
-    import json
-
     model = example16_model()
     texts = []
     for run in ("a", "b"):
@@ -418,6 +432,23 @@ def test_manifest_is_reproducible_without_its_run_section(tmp_path):
         assert list(manifest.pop("run")) == ["created_at"]
         texts.append(json.dumps(manifest, indent=2, sort_keys=True))
     assert texts[0] == texts[1]
+
+
+def test_cli_manifest_equals_write_ensemble_manifest_outside_run(tmp_path):
+    path = bundled_model_path("bivariate")
+    (tmp_path / "cli").mkdir()
+    (tmp_path / "lib").mkdir()
+    assert main(["simulate", "--model", path, "--paths", "5", "--events", "2", "--seed", "3",
+                 "--out", str(tmp_path / "cli" / "e.csv")]) == 0
+    ens = simulate_ensemble(load_model_file(path)[0], 5, 2, root_seed=3)
+    write_ensemble(ens, str(tmp_path / "lib" / "e.csv"))
+    manifests = []
+    for side in ("cli", "lib"):
+        manifest = json.loads((tmp_path / side / "e.csv.manifest.json").read_text())
+        assert list(manifest.pop("run")) == ["created_at"]
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]
+    assert (tmp_path / "cli" / "e.csv").read_bytes() == (tmp_path / "lib" / "e.csv").read_bytes()
 
 
 def test_bivariate_ensemble_columns():
@@ -442,25 +473,20 @@ def render_ensemble():
 
 
 def _count_block_calls(monkeypatch):
-    # counts the blocks rendered in this process (forked workers count their own)
-    from mrplab import construction
-
+    # the (lo, hi) spans of the blocks rendered in this process (forked
+    # workers count their own)
     calls = []
     block = construction._render_block
 
-    def counted(*args):
-        calls.append(args[-2:])
-        return block(*args)
+    def counted(thetas, w, t, first_id):
+        calls.append((first_id, first_id + len(w)))
+        return block(thetas, w, t, first_id)
 
     monkeypatch.setattr(construction, "_render_block", counted)
     return calls
 
 
 def test_csv_render_serial_equals_parallel(render_ensemble, monkeypatch):
-    import multiprocessing
-
-    from mrplab import construction
-
     default = ensemble_csv_text(render_ensemble)
     monkeypatch.setattr(construction, "_available_cores", lambda: 3)
     calls = _count_block_calls(monkeypatch)
@@ -476,8 +502,6 @@ def test_csv_render_serial_equals_parallel(render_ensemble, monkeypatch):
 
 
 def test_csv_render_worker_count(monkeypatch):
-    from mrplab import construction
-
     monkeypatch.setattr(construction, "_available_cores", lambda: 3)
     assert [construction._render_workers(b) for b in (1, 2, 5)] == [1, 2, 3]
     monkeypatch.setattr(construction, "_available_cores", lambda: 1)
@@ -485,10 +509,6 @@ def test_csv_render_worker_count(monkeypatch):
 
 
 def test_csv_render_without_fork_is_serial(render_ensemble, monkeypatch):
-    import multiprocessing
-
-    from mrplab import construction
-
     expected = ensemble_csv_text(render_ensemble)
     monkeypatch.setattr(construction, "_available_cores", lambda: 3)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
@@ -499,16 +519,98 @@ def test_csv_render_without_fork_is_serial(render_ensemble, monkeypatch):
 
 
 def test_csv_render_from_a_non_main_thread(render_ensemble, monkeypatch):
-    import multiprocessing
     from concurrent.futures import ThreadPoolExecutor
-
-    from mrplab import construction
 
     expected = ensemble_csv_text(render_ensemble)
     monkeypatch.setattr(construction, "_available_cores", lambda: 3)
     with ThreadPoolExecutor(max_workers=1) as pool:
         assert pool.submit(ensemble_csv_text, render_ensemble).result() == expected
     assert multiprocessing.active_children() == []
+
+
+def _simulate_failure(tmp_path, capsys, argv):
+    """(exit code, stderr) of `mrplab simulate` to tmp_path/e.csv, after
+    checking that it left no file and no worker process behind."""
+    out = tmp_path / "e.csv"
+    code = main(["simulate", "--model", bundled_model_path("gamma_half"), "--paths", "20000",
+                 "--events", "2", "--out", str(out), *argv])
+    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir() if ".tmp." in p.name] == []
+    assert multiprocessing.active_children() == []
+    return code, capsys.readouterr().err
+
+
+# one core, three forked workers, and three cores without fork
+CORES_AND_METHODS = [(1, None), (3, None), (3, ["spawn"])]
+
+
+@pytest.mark.parametrize("cores,methods", CORES_AND_METHODS)
+def test_simulate_sampler_error_in_a_late_block(tmp_path, capsys, monkeypatch, cores, methods):
+    # the third block (paths 16384..19999) fails after two have been written
+    draw = construction._draw
+
+    def failing(model, bank, n_events, theta=None):
+        if len(bank) < construction._RENDER_BLOCK:
+            raise InvalidInterarrivalError("sampler produced a nonpositive interarrival")
+        return draw(model, bank, n_events, theta)
+
+    monkeypatch.setattr(construction, "_draw", failing)
+    monkeypatch.setattr(construction, "_available_cores", lambda: cores)
+    if methods:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    code, err = _simulate_failure(tmp_path, capsys, [])
+    assert (code, err) == (2, "mrplab: error: sampler produced a nonpositive interarrival\n")
+    with pytest.raises(InvalidInterarrivalError):
+        construction.simulate_to_csv(load_model_file(bundled_model_path("gamma_half"))[0],
+                                     20000, 2, 0, str(tmp_path / "e.csv"))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cores,methods", CORES_AND_METHODS)
+def test_simulate_writer_errors(tmp_path, capsys, monkeypatch, cores, methods):
+    import errno
+    import io
+
+    monkeypatch.setattr(construction, "_available_cores", lambda: cores)
+    if methods:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    out = tmp_path / "missing" / "e.csv"
+    assert main(["simulate", "--model", bundled_model_path("gamma_half"), "--out", str(out)]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+    class FullDisk(io.FileIO):
+        # takes the header, then fails on the first block of rows
+        def write(self, b):
+            if self.tell():
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(b)
+
+    monkeypatch.setattr(construction, "open", FullDisk, raising=False)
+    code, err = _simulate_failure(tmp_path, capsys, [])
+    assert (code, err) == (2, "mrplab: error: [Errno 28] No space left on device\n")
+    with pytest.raises(OSError) as failure:
+        construction.simulate_to_csv(load_model_file(bundled_model_path("gamma_half"))[0],
+                                     20000, 2, 0, str(tmp_path / "e.csv"))
+    # the traceback keeps the writer's frames alive: the workers were stopped, not collected
+    assert multiprocessing.active_children() == []
+    assert failure.value.errno == errno.ENOSPC
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_import_loads_no_process_pool():
+    import os
+    import subprocess
+    import sys
+
+    import mrplab
+
+    src = os.path.dirname(os.path.dirname(mrplab.__file__))
+    code = "import sys, mrplab; print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def _reference_rows(thetas, w, t, lo=0):
@@ -523,8 +625,6 @@ def _reference_rows(thetas, w, t, lo=0):
 @pytest.mark.parametrize("rows", [16_384, 250, 100])
 def test_csv_rows_equal_the_repr_form_at_three_digit_events(rows, monkeypatch):
     # 250 rows: two paths per assembly; 100 rows: one path of 120 events
-    from mrplab import construction
-
     monkeypatch.setattr(construction, "_RENDER_ROWS", rows)
     ens = simulate_ensemble(build_model(*BENCH_MODELS["bivariate"]), 3, 120, root_seed=4)
     text = ensemble_csv_text(ens)
@@ -533,17 +633,15 @@ def test_csv_rows_equal_the_repr_form_at_three_digit_events(rows, monkeypatch):
 
 
 def test_render_block_writes_zero_negative_and_nonfinite_values_as_repr():
-    from mrplab import construction
-
     thetas = np.array([[0.0, -1.5], [-0.0, 5e-324], [2.0, -np.inf]])
     w = np.array([[1.0, np.nan], [-2.5e-300, 1e16], [np.inf, 1e-5]])
     t = np.array([[1e22, -0.1], [2.0**53, -1e-320], [0.5, 1.7976931348623157e308]])
-    assert construction._render_block(thetas, w, t, 1, 3) == _reference_rows(
+    assert construction._render_block(thetas[1:], w[1:], t[1:], 1) == _reference_rows(
         thetas[1:], w[1:], t[1:], lo=1
-    )
-    text = construction._render_block(thetas, w, t, 0, 3)
-    assert text == _reference_rows(thetas, w, t)
-    assert text.splitlines()[:2] == ["0,0.0,-1.5,1,1.0,1e+22", "0,0.0,-1.5,2,nan,-0.1"]
+    ).encode()
+    block = construction._render_block(thetas, w, t, 0)
+    assert block == _reference_rows(thetas, w, t).encode()
+    assert block.splitlines()[:2] == [b"0,0.0,-1.5,1,1.0,1e+22", b"0,0.0,-1.5,2,nan,-0.1"]
 
 
 def _float_texts(x):
