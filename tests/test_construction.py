@@ -528,12 +528,12 @@ def test_csv_render_from_a_non_main_thread(render_ensemble, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _simulate_failure(tmp_path, capsys, argv):
+def _simulate_failure(tmp_path, capsys):
     """(exit code, stderr) of `mrplab simulate` to tmp_path/e.csv, after
     checking that it left no file and no worker process behind."""
     out = tmp_path / "e.csv"
     code = main(["simulate", "--model", bundled_model_path("gamma_half"), "--paths", "20000",
-                 "--events", "2", "--out", str(out), *argv])
+                 "--events", "2", "--out", str(out)])
     assert not out.exists()
     assert [p.name for p in tmp_path.iterdir() if ".tmp." in p.name] == []
     assert multiprocessing.active_children() == []
@@ -558,7 +558,7 @@ def test_simulate_sampler_error_in_a_late_block(tmp_path, capsys, monkeypatch, c
     monkeypatch.setattr(construction, "_available_cores", lambda: cores)
     if methods:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
-    code, err = _simulate_failure(tmp_path, capsys, [])
+    code, err = _simulate_failure(tmp_path, capsys)
     assert (code, err) == (2, "mrplab: error: sampler produced a nonpositive interarrival\n")
     with pytest.raises(InvalidInterarrivalError):
         construction.simulate_to_csv(load_model_file(bundled_model_path("gamma_half"))[0],
@@ -588,7 +588,7 @@ def test_simulate_writer_errors(tmp_path, capsys, monkeypatch, cores, methods):
             return super().write(b)
 
     monkeypatch.setattr(construction, "open", FullDisk, raising=False)
-    code, err = _simulate_failure(tmp_path, capsys, [])
+    code, err = _simulate_failure(tmp_path, capsys)
     assert (code, err) == (2, "mrplab: error: [Errno 28] No space left on device\n")
     with pytest.raises(OSError) as failure:
         construction.simulate_to_csv(load_model_file(bundled_model_path("gamma_half"))[0],
