@@ -43,8 +43,10 @@ from .exact import (
     BoxQuery,
     ExactResult,
     count_pmf,
+    count_pmfs,
     cylinder_probability_density_form,
     example16_closed_form,
+    joint_interarrival_probabilities,
     joint_interarrival_probability,
 )
 from .kernels import (

@@ -33,7 +33,17 @@ from .errors import (
     MrplabError,
     SchemaError,
 )
-from .exact import BoxQuery, count_pmf, joint_interarrival_probability
+# joint_interarrival_probability is not called here, but bench/test_bench.py
+# checks that the tracer restores this module's reference to it
+from .exact import (  # noqa: F401
+    BoxQuery,
+    count_pmfs,
+    joint_interarrival_probabilities,
+    joint_interarrival_probability,
+    require_converged,
+    validate_box,
+    validate_count,
+)
 from .modelfile import load_model_file, load_queries_file
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .stats import (
@@ -58,6 +68,11 @@ EXIT_REJECTED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_ACCURACY = 4
+
+# the most queries `exact` answers with one mixing integral; it bounds the
+# integrand's columns, and so its memory
+EXACT_BATCH = 64
+NONCONVERGED = "quadrature-gk15(nonconverged)"
 
 
 def _level(text: str) -> float:
@@ -115,25 +130,34 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    """Validate every query, answer the boxes and then the counts in batches of
+    at most EXACT_BATCH, and write one row per query in file order."""
     model, _meta = load_model_file(args.model)
     queries = load_queries_file(args.queries)
     cfg = _quadrature_config(args)
+    boxes, counts = [], []
+    for i, q in enumerate(queries):  # in file order, so the first bad query is the one reported
+        if q["type"] == "box":
+            boxes.append((i, validate_box(q["query"])))
+        else:
+            counts.append((i, validate_count(model, q["t"], q["n"])))
+    cells = [None] * len(queries)
+    for todo, answer in ((boxes, joint_interarrival_probabilities), (counts, count_pmfs)):
+        for start in range(0, len(todo), EXACT_BATCH):
+            ids, batch = zip(*todo[start:start + EXACT_BATCH])
+            try:
+                results = [
+                    (r.value, r.error, r.method if r.converged else NONCONVERGED)
+                    for r in answer(model, batch, cfg)
+                ]
+            except AccuracyError as exc:  # raised inside the integrand: no column is valid
+                results = [(exc.value, exc.error_estimate, NONCONVERGED)] * len(batch)
+            for i, cell in zip(ids, results):
+                cells[i] = cell
     lines = ["query_id,probability,error_estimate,method"]
-    accuracy_failed = False
-    for q in queries:
-        try:
-            if q["type"] == "box":
-                res = joint_interarrival_probability(model, q["query"], cfg)
-            else:
-                res = count_pmf(model, q["t"], q["n"], cfg)
-            method = res.method
-            value, err = res.value, res.error
-        except AccuracyError as exc:
-            accuracy_failed = True
-            value, err = exc.value, exc.error_estimate
-            method = "quadrature-gk15(nonconverged)"
-        lines.append(f"{q['id']},{value!r},{err!r},{method}")
+    lines += [f"{q['id']},{v!r},{e!r},{m}" for q, (v, e, m) in zip(queries, cells)]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
+    accuracy_failed = any(m == NONCONVERGED for _, _, m in cells)
     return EXIT_ACCURACY if accuracy_failed else EXIT_OK
 
 
@@ -188,7 +212,10 @@ def _cmd_verify(args) -> int:
         elif name == "mc-vs-exact":
             queries = _default_mc_queries(model, args.events)
             cfg = _quadrature_config(args)
-            exact_values = [joint_interarrival_probability(model, q, cfg) for q in queries]
+            exact_values = [
+                require_converged(res, cfg)
+                for res in joint_interarrival_probabilities(model, queries, cfg)
+            ]
             reports.append(mc_vs_exact(ensemble(), queries, exact_values))
         elif name == "mixed-poisson":
             if model.kernel.family != "exponential" or not model.is_proper_mrp:

@@ -48,6 +48,11 @@ class AccuracyError(MrplabError):
         self.value = value
         self.error_estimate = error_estimate
 
+    def __reduce__(self):
+        # `args` holds only the message, so the default reduction cannot rebuild
+        # the error, and a worker process could not hand it back to its parent
+        return type(self), (self.args[0], self.value, self.error_estimate)
+
 
 class InsufficientDataError(MrplabError, ValueError):
     """Sample too small for the requested statistical check."""

@@ -1,11 +1,17 @@
 """Exact finite-dimensional mixture probabilities.
 
-``joint_interarrival_probability`` evaluates
+``joint_interarrival_probabilities`` evaluates, for a batch of boxes,
 
     P(W in box) = integral of  prod_k [F_k(b_k; theta) - F_k(a_k; theta)]
                   over the mixing measure,
 
-and ``count_pmf`` the count law the same way.  ``cylinder_probability_density_form``
+and ``count_pmfs`` the count law at a batch of (t, n) points the same way.
+All the queries of a batch share one mixing integral whose integrand has one
+column per query, each integrated to its own tolerance; so a batch's results
+share its `n_panels` and `n_calls`, the cost of that one integral, while each
+keeps its own value, error bound and `converged` flag.  (`mrplab exact`
+answers a query file in such batches.)  ``joint_interarrival_probability``
+and ``count_pmf`` are batches of one.  ``cylinder_probability_density_form``
 evaluates the box probability for gamma-kernel models with per-theta factors
 that integrate the kernel density instead of calling the CDF special
 function.  Each route is a per-theta integrand and one call of the mixing
@@ -78,7 +84,9 @@ class ExactResult:
     """An exact value, its error bound, how it was computed and what it cost.
 
     `n_panels` and `n_calls` count the mixing integral's quadrature panels and
-    integrand calls; an atomic sum or a boundary value takes neither.
+    integrand calls; an atomic sum or a boundary value takes neither.  The
+    results of one batch share its integral, so they report the same
+    `n_panels` and `n_calls`: the cost of the whole batch, not of one query.
     """
 
     value: float
@@ -127,20 +135,26 @@ def _method(mixing: MixingMeasure, route: str = "quadrature") -> str:
     return f"{route}-gk15" + ("-iterated" if mixing.dim > 1 else "")
 
 
-def _checked(
-    res: QuadratureResult, err: float, method: str, cfg, converged: bool = True
-) -> ExactResult:
-    """The mixing integral's result in Python floats, with `err` as its bound,
-    or AccuracyError carrying the best estimate."""
-    value = res.scalar_value
-    if not (res.converged and converged):
+def _batch(res: QuadratureResult, errors, method: str, met=True) -> list[ExactResult]:
+    """One result per column of a batch's mixing integral, in Python floats, with
+    `errors` as the columns' bounds; a column converged if it met its tolerance
+    and `met` holds for it."""
+    return [
+        ExactResult(float(v), float(e), method, res.n_panels, res.n_calls, bool(ok))
+        for v, e, ok in zip(res.value, errors, res.met & met)
+    ]
+
+
+def require_converged(result: ExactResult, cfg: QuadratureConfig) -> ExactResult:
+    """`result` if it converged, else AccuracyError carrying its best estimate."""
+    if not result.converged:
         raise AccuracyError(
-            f"{method} did not converge within {cfg.max_subdivisions} subdivisions "
-            f"(best estimate {value!r} +/- {err!r})",
-            value,
-            err,
+            f"{result.method} did not converge within {cfg.max_subdivisions} subdivisions "
+            f"(best estimate {result.value!r} +/- {result.error!r})",
+            result.value,
+            result.error,
         )
-    return ExactResult(float(value), float(err), method, res.n_panels, res.n_calls, True)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -148,29 +162,61 @@ def _checked(
 # ---------------------------------------------------------------------------
 
 
+def validate_box(query: BoxQuery) -> BoxQuery:
+    """`query`, or ConfigurationError if it has more than MAX_BOX_DIM coordinates."""
+    if query.dim > MAX_BOX_DIM:
+        raise ConfigurationError(f"box dimension {query.dim} exceeds the cap {MAX_BOX_DIM}")
+    return query
+
+
+def joint_interarrival_probabilities(
+    model: MrpModel, boxes: Sequence[BoxQuery], cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> list[ExactResult]:
+    """P(W_1 in (a_1,b_1], ..., W_r in (a_r,b_r]) for each box, in order.
+
+    Every box is validated before any is answered.  Atomic mixing is summed
+    exactly; continuous mixing is integrated by adaptive Gauss-Kronrod
+    quadrature, one integral for the whole batch, whose integrand evaluates
+    every box's factor columns in one CDF call.  Each result's error estimate
+    bounds its own quadrature error, and a box whose integral missed its
+    tolerance within the panel limit comes back with `converged=False` and
+    its best estimate.  An AccuracyError raised by the integrand (the
+    incomplete gamma function) ends the whole batch.
+    """
+    boxes = [validate_box(q) for q in boxes]
+    if not boxes:
+        return []
+    spec, mixing = model.kernel, model.mixing
+    layouts = [_box_columns(q) for q in boxes]
+    indices = [i for ind, _, _ in layouts for i in ind]
+    xs = [x for _, pts, _ in layouts for x in pts]
+    stops = np.cumsum([0] + [len(ind) for ind, _, _ in layouts]).tolist()
+
+    def g(thetas: np.ndarray) -> np.ndarray:
+        # every box's factor per theta, from one CDF call
+        cdf = kernel_cdf_batch(spec, indices, thetas, xs)
+        return np.column_stack([
+            _box_product(cdf[:, a:b], lower)
+            for a, b, (_, _, lower) in zip(stops, stops[1:], layouts)
+        ])
+
+    res = mixing.integrate(g, cfg)
+    # an atomic sum is exact up to the rounding of its factors
+    errors = (
+        [4.0 * _EPS * q.dim * len(mixing.atoms) for q in boxes] if mixing.is_atomic else res.error
+    )
+    return _batch(res, errors, _method(mixing))
+
+
 def joint_interarrival_probability(
     model: MrpModel, query: BoxQuery, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> ExactResult:
     """P(W_1 in (a_1,b_1], ..., W_r in (a_r,b_r]) for the mixture model.
 
-    Atomic mixing is summed exactly; continuous mixing is integrated by
-    adaptive Gauss-Kronrod quadrature.  The returned error estimate bounds
-    the quadrature error; non-convergence raises :class:`AccuracyError`
-    carrying the best estimate.
+    `joint_interarrival_probabilities` on a batch of one; non-convergence
+    raises :class:`AccuracyError` carrying the best estimate.
     """
-    if query.dim > MAX_BOX_DIM:
-        raise ConfigurationError(f"box dimension {query.dim} exceeds the cap {MAX_BOX_DIM}")
-    spec, mixing = model.kernel, model.mixing
-    indices, xs, lower = _box_columns(query)
-
-    def g(thetas: np.ndarray) -> np.ndarray:
-        # the box's factor per theta, from one CDF call
-        return _box_product(kernel_cdf_batch(spec, indices, thetas, xs), lower)
-
-    res = mixing.integrate(g, cfg)
-    # an atomic sum is exact up to the rounding of its factors
-    err = 4.0 * _EPS * query.dim * len(mixing.atoms) if mixing.is_atomic else res.scalar_error
-    return _checked(res, err, _method(mixing), cfg)
+    return require_converged(joint_interarrival_probabilities(model, [query], cfg)[0], cfg)
 
 
 def example16_closed_form(w1: float, w2: float) -> float:
@@ -186,26 +232,21 @@ def example16_closed_form(w1: float, w2: float) -> float:
     return w2 / (w2 + 1.0) - 2.0 * (1.0 / (w1 + 2.0) - 1.0 / (w1 + 2.0 * w2 + 2.0))
 
 
-def _poisson_weight_batch(spec: KernelSpec, thetas: np.ndarray, n: int, t: float) -> np.ndarray:
-    """P(N_t = n | theta) for a constant exponential kernel: the Poisson pmf at lam = theta*a*t."""
-    lam = np.asarray(thetas, dtype=np.float64) * (spec.rate_map.a * t)
-    if n == 0:
-        return np.exp(-lam)
-    with np.errstate(divide="ignore"):
-        return np.exp(n * np.log(lam) - lam - math.lgamma(n + 1.0))
+def _poisson_weights(
+    spec: KernelSpec, thetas: np.ndarray, ts: np.ndarray, ns: np.ndarray
+) -> np.ndarray:
+    """P(N_t = n | theta) per theta (rows) and (t, n) point (columns) for a constant
+    exponential kernel: the Poisson pmf at lam = theta*a*t."""
+    lam = np.multiply.outer(np.asarray(thetas, dtype=np.float64), spec.rate_map.a * ts)
+    lgam = np.array([math.lgamma(n + 1.0) for n in ns.tolist()])
+    with np.errstate(divide="ignore", invalid="ignore"):  # n = 0 at lam = 0 takes exp(-lam)
+        logp = ns * np.log(lam) - lam - lgam
+    return np.where(ns == 0, np.exp(-lam), np.exp(logp))
 
 
-def count_pmf(
-    model: MrpModel, t: float, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> ExactResult:
-    """P(N_t = n) for a proper (constant-family) model.
-
-    Uses P(N_t = n) = integral of [F_{T_n}(t; theta) - F_{T_{n+1}}(t; theta)]
-    over the mixing measure, where T_n given theta is a gamma law whose shape
-    accumulates over the n summed interarrivals.  For an exponential kernel
-    the bracket is the Poisson weight, which is integrated directly: the
-    difference of two CDFs near 1 would lose every digit of a small pmf.
-    """
+def validate_count(model: MrpModel, t: float, n: int) -> tuple:
+    """(t, n) with n as an int, or the typed error a count query at (t, n) on
+    `model` raises."""
     if not model.is_proper_mrp:
         raise UnsupportedModelError(
             "count law has no product form for an index-dependent kernel family"
@@ -214,24 +255,60 @@ def count_pmf(
         raise ConfigurationError(f"count must be a nonnegative integer, got {n!r}")
     if not 0.0 <= t < math.inf:  # false for NaN too
         raise ConfigurationError(f"time must be finite and nonnegative, got {t!r}")
-    n = int(n)
-    if t == 0.0:
-        return ExactResult(1.0 if n == 0 else 0.0, 0.0, "boundary")
+    return t, int(n)
+
+
+def count_pmfs(
+    model: MrpModel, points: Sequence[tuple], cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> list[ExactResult]:
+    """P(N_t = n) for each (t, n) point, in order, for a proper (constant-family) model.
+
+    Uses P(N_t = n) = integral of [F_{T_n}(t; theta) - F_{T_{n+1}}(t; theta)]
+    over the mixing measure, where T_n given theta is a gamma law whose shape
+    accumulates over the n summed interarrivals.  For an exponential kernel
+    the bracket is the Poisson weight, which is integrated directly: the
+    difference of two CDFs near 1 would lose every digit of a small pmf.
+    Every point is validated before any is answered; t = 0 is a boundary
+    value, and the other points share one mixing integral, as in
+    `joint_interarrival_probabilities`.
+    """
+    points = [validate_count(model, t, n) for t, n in points]
+    results = [ExactResult(1.0 if n == 0 else 0.0, 0.0, "boundary") for _, n in points]
+    live = [i for i, (t, _) in enumerate(points) if t > 0.0]
+    if not live:
+        return results
     spec, mixing = model.kernel, model.mixing
+    ts = np.array([points[i][0] for i in live], dtype=np.float64)
+    ns = np.array([points[i][1] for i in live])
 
     def g(thetas: np.ndarray) -> np.ndarray:
         if spec.family == "exponential":
-            return _poisson_weight_batch(spec, thetas, n, t)
+            return _poisson_weights(spec, thetas, ts, ns)
         # T_n given theta sums n interarrivals of the constant family
-        cdf = kernel_cdf_batch(spec, 1, thetas, [t, t], n_terms=[n, n + 1])
-        return cdf[:, 0] - cdf[:, 1]
+        terms = np.stack([ns, ns + 1], axis=1).ravel()
+        cdf = kernel_cdf_batch(spec, 1, thetas, np.repeat(ts, 2), n_terms=terms)
+        return cdf[:, 0::2] - cdf[:, 1::2]
 
     # given theta the count weight has the shape theta**(n*shape) * exp(-a*t*theta);
     # a shape tied to theta2 needs two-dimensional mixing, which takes no tilt
     shape = 1.0 if spec.shape in (None, SHAPE_FROM_THETA2) else spec.shape
-    res = mixing.integrate(g, cfg, tilt=(n * shape, spec.rate_map.a * t))
-    err = 8.0 * _EPS if mixing.is_atomic else res.scalar_error
-    return _checked(res, err, _method(mixing), cfg)
+    tilts = [(points[i][1] * shape, spec.rate_map.a * points[i][0]) for i in live]
+    res = mixing.integrate(g, cfg, tilts=tilts)
+    errors = [8.0 * _EPS] * len(live) if mixing.is_atomic else res.error
+    for i, result in zip(live, _batch(res, errors, _method(mixing))):
+        results[i] = result
+    return results
+
+
+def count_pmf(
+    model: MrpModel, t: float, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> ExactResult:
+    """P(N_t = n) for a proper (constant-family) model.
+
+    `count_pmfs` on a batch of one; non-convergence raises
+    :class:`AccuracyError` carrying the best estimate.
+    """
+    return require_converged(count_pmfs(model, [(t, n)], cfg)[0], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -341,4 +418,4 @@ def cylinder_probability_density_form(
         return _box_product(mass, lower)
 
     res = mixing.integrate(g, cfg, clip)
-    return _checked(res, res.scalar_error + factor_err, method, cfg, factor_ok)
+    return require_converged(_batch(res, res.error + factor_err, method, factor_ok)[0], cfg)

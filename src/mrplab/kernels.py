@@ -374,16 +374,21 @@ class Marginal:
         """
         raise NotImplementedError
 
+    def tilted_edges(self, tilts) -> list:
+        """The union of `edges(k, lam)` over the (k, lam) pairs of `tilts`."""
+        return [p for tilt in tilts for p in self.edges(*tilt)]
+
     def integrate(
-        self, g, cfg: QuadratureConfig = DEFAULT_CONFIG, clip=None, tilt=(0.0, 0.0)
+        self, g, cfg: QuadratureConfig = DEFAULT_CONFIG, clip=None, tilts=((0.0, 0.0),)
     ) -> QuadratureResult:
         """integral of density(x) * g(x) over the support, or its part inside `clip`.
 
         `g` is a bounded vectorized function, scalar valued (shape (n,) on n
-        nodes) or vector valued (n, m).  `tilt` = (k, lam) says that g has
-        the shape x**k * exp(-lam*x), so the initial panels are `edges(*tilt)`.
-        This rule integrates in x coordinates; an unbounded support maps the
-        half line onto (0, 1) at the scale of the mean.
+        nodes) or vector valued (n, m).  `tilts` lists (k, lam) pairs such
+        that each component of g has the shape x**k * exp(-lam*x) for one of
+        them, so the initial panels are the union of their edges.  This rule
+        integrates in x coordinates; an unbounded support maps the half line
+        onto (0, 1) at the scale of the mean.
         """
         lo, hi = self.support()
         if clip is not None:
@@ -392,7 +397,7 @@ class Marginal:
         def f(x):
             return _weighted(self.density_batch(x), g(x))
 
-        edges = self.edges(*tilt)
+        edges = self.tilted_edges(tilts)
         if hi == math.inf:
             return integrate_half_line(f, lo, self.mean(), cfg, edges)
         return adaptive_gauss_kronrod(f, lo, hi, cfg, edges)
@@ -481,10 +486,10 @@ class GammaMarginal(Marginal):
         """The tilted density is Gamma(rate+lam, shape+k): its closed-form edges."""
         return _gamma_edges(self.rate + lam, self.shape + k)
 
-    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, tilt=(0.0, 0.0)):
+    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, tilts=((0.0, 0.0),)):
         a = self.shape
         if a >= 1.0:  # the density is bounded
-            return super().integrate(g, cfg, clip, tilt)
+            return super().integrate(g, cfg, clip, tilts)
         # v = x**a coordinates absorb the power factor of the density exactly
         lo = 0.0 if clip is None else max(0.0, clip[0])
         hi = math.inf if clip is None else clip[1]
@@ -497,7 +502,7 @@ class GammaMarginal(Marginal):
                 return _weighted(const * np.exp(-gam * x), g(x))
 
         vlo = lo**a
-        vedges = [p**a for p in self.edges(*tilt)]
+        vedges = [p**a for p in self.tilted_edges(tilts)]
         if math.isfinite(hi):
             return adaptive_gauss_kronrod(fv, vlo, hi**a, cfg, vedges)
         scale = max(self.mean() ** a - vlo, self.mean() ** a * 0.5)
@@ -565,11 +570,11 @@ class BetaMarginal(Marginal):
         near = grid[logf > logf[top] - 40.0]
         return [float(near[0]), float(grid[top]), float(near[-1])]
 
-    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, tilt=(0.0, 0.0)):
+    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, tilts=((0.0, 0.0),)):
         lo = 0.0 if clip is None else max(0.0, clip[0])
         hi = 1.0 if clip is None else min(1.0, clip[1])
         if lo > 0.0 and hi < 1.0:
-            return super().integrate(g, cfg, clip, tilt)
+            return super().integrate(g, cfg, clip, tilts)
         # split at the midpoint and desingularize each endpoint with a power substitution
         a, b = self.a, self.b
         norm = math.exp(-self._log_norm())
@@ -583,14 +588,14 @@ class BetaMarginal(Marginal):
             x = 1.0 - v ** (1.0 / b)
             return _weighted(norm / b * np.maximum(x, 0.0) ** (a - 1.0), g(x))
 
-        edges = self.edges(*tilt)
+        edges = self.tilted_edges(tilts)
         r1 = adaptive_gauss_kronrod(left, lo**a, mid**a, cfg, [p**a for p in edges])
         r2 = adaptive_gauss_kronrod(
             right, (1.0 - hi) ** b, (1.0 - mid) ** b, cfg, [(1.0 - p) ** b for p in edges]
         )
         return QuadratureResult(
             r1.value + r2.value, r1.error + r2.error, r1.n_panels + r2.n_panels,
-            r1.n_calls + r2.n_calls, r1.converged and r2.converged,
+            r1.n_calls + r2.n_calls, r1.met & r2.met,
         )
 
     def to_dict(self):
@@ -624,14 +629,16 @@ class MixingMeasure:
         raise NotImplementedError
 
     def integrate(
-        self, g, cfg: QuadratureConfig = DEFAULT_CONFIG, clip=None, tilt=(0.0, 0.0)
+        self, g, cfg: QuadratureConfig = DEFAULT_CONFIG, clip=None, tilts=((0.0, 0.0),)
     ) -> QuadratureResult:
         """integral of g(theta) against the measure, or over its part inside `clip`.
 
         `g` maps a batch of parameter points (shape (n,) in one dimension,
-        (n, dim) otherwise) to n bounded values.  For product mixing, `clip`
-        is one (lo, hi) interval per dimension, and `tilt` = (k, lam) says
-        that g has the shape theta**k * exp(-lam*theta), which places the
+        (n, dim) otherwise) to n bounded values, or to an (n, m) array whose
+        m columns are integrated at once, each to its own tolerance.  For
+        product mixing, `clip` is one (lo, hi) interval per dimension, and
+        `tilts` lists (k, lam) pairs such that each column of g has the
+        shape theta**k * exp(-lam*theta) for one of them, which places the
         marginal's initial panels (`Marginal.edges`; one dimension only); an
         atomic measure takes neither.
         """
@@ -685,39 +692,41 @@ class ProductRectangleMixing(MixingMeasure):
             m.contains(v) for m, v in zip(self.marginals, theta)
         )
 
-    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, tilt=(0.0, 0.0)):
+    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, tilts=((0.0, 0.0),)):
         """Each marginal's own rule; in two dimensions iterated one-dimensional
         quadrature, outer over the second coordinate and inner over the first
-        at `cfg.tighter()`."""
+        at `cfg.tighter()`.  A column's inner error is the largest over the
+        outer nodes of that column's inner errors."""
         clips = clip or (None,) * self.dim
         if self.dim == 1:
-            return self.marginals[0].integrate(g, cfg, clips[0], tilt)
+            return self.marginals[0].integrate(g, cfg, clips[0], tilts)
         if self.dim > 2:
             raise UnsupportedModelError("product mixing beyond two dimensions is not supported")
         m1, m2 = self.marginals
         inner_cfg = cfg.tighter()
-        inner_err, inner_ok, inner_panels, inner_calls = 0.0, True, 0, 0
+        inner_err, inner_met, inner_panels, inner_calls = 0.0, True, 0, 0
 
         def outer_integrand(t2s: np.ndarray) -> np.ndarray:
-            # one vector-valued inner integral: component j is the inner integral
-            # at the outer node t2s[j]
-            nonlocal inner_err, inner_ok, inner_panels, inner_calls
+            # one vector-valued inner integral: component (j, c) is the inner
+            # integral of column c at the outer node t2s[j]
+            nonlocal inner_err, inner_met, inner_panels, inner_calls
 
             def g1(t1s: np.ndarray) -> np.ndarray:
                 th = np.column_stack([np.repeat(t1s, t2s.size), np.tile(t2s, t1s.size)])
-                return g(th).reshape(t1s.size, t2s.size)
+                return g(th).reshape(t1s.size, -1)
 
             res = m1.integrate(g1, inner_cfg, clips[0])
-            inner_err = max(inner_err, float(res.error.max()))
-            inner_ok = inner_ok and res.converged
+            err, met = res.error.reshape(t2s.size, -1), res.met.reshape(t2s.size, -1)
+            inner_err = np.maximum(inner_err, err.max(axis=0))
+            inner_met = inner_met & met.all(axis=0)
             inner_panels, inner_calls = inner_panels + res.n_panels, inner_calls + res.n_calls
-            return res.value
+            return res.value.reshape(t2s.size, -1)
 
         res = m2.integrate(outer_integrand, cfg, clips[1])
         # g is called only by the inner integrals
         return QuadratureResult(
             res.value, res.error + inner_err, res.n_panels + inner_panels, inner_calls,
-            res.converged and inner_ok,
+            res.met & inner_met,
         )
 
     def to_dict(self):
@@ -804,11 +813,14 @@ class DiscreteMixing(MixingMeasure):
     def contains(self, theta):
         return tuple(theta) in self.atoms
 
-    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, tilt=(0.0, 0.0)):
+    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, tilts=((0.0, 0.0),)):
         """The weighted sum of g over all atoms, exact: error 0."""
         th = np.asarray(self.atoms, dtype=np.float64)
-        value = float(np.dot(self.weights, g(th if self.dim > 1 else th[:, 0])))
-        return QuadratureResult(np.array([value]), np.zeros(1), 0, 0, True)
+        gx = np.asarray(g(th if self.dim > 1 else th[:, 0]), dtype=np.float64)
+        # one dot product per column, the same sum for any number of columns
+        cols = np.ascontiguousarray(gx.reshape(len(th), -1).T)
+        value = np.array([np.dot(self.weights, col) for col in cols])
+        return QuadratureResult(value, np.zeros(value.size), 0, 0, np.ones(value.size, bool))
 
     def to_dict(self):
         atoms = [a[0] if self.dim == 1 else list(a) for a in self.atoms]

@@ -8,9 +8,9 @@ panel, and each later round bisects the fewest panels whose errors cover
 every component's excess over its tolerance, taken in order of a panel's
 worst error in units of its component's tolerance, and evaluates all their
 children at once.  The loop stops when every component meets its tolerance,
-or when the panel count reaches the limit.  The per-panel error estimate is
-the raw |K15 - G7| difference, which is a deliberately conservative bound
-for smooth integrands.
+or when the panel count reaches the limit; the result says which components
+met theirs.  The per-panel error estimate is the raw |K15 - G7| difference,
+which is a deliberately conservative bound for smooth integrands.
 
 The tolerances and the panel limit are one `QuadratureConfig`, defined here
 and passed whole down to the panel loop; `DEFAULT_CONFIG` holds the package's
@@ -104,7 +104,12 @@ class QuadratureResult:
     error: np.ndarray  # shape (m,)
     n_panels: int
     n_calls: int  # integrand calls
-    converged: bool
+    met: np.ndarray  # shape (m,): whether each component met its tolerance
+
+    @property
+    def converged(self) -> bool:
+        """Whether every component met its tolerance."""
+        return bool(self.met.all())
 
     @property
     def scalar_value(self) -> float:
@@ -168,7 +173,7 @@ def adaptive_gauss_kronrod(
     while not np.all(total[1] <= tol):
         room = cfg.max_subdivisions - len(lo)
         if room <= 0:
-            return QuadratureResult(total[0], total[1], len(lo), n_calls, False)
+            break
         split = _worst(est[:, 1], score, total[1] - tol)[:room]
         mid = 0.5 * (lo[split] + hi[split])
         child = _panels(f, np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]))
@@ -182,7 +187,7 @@ def adaptive_gauss_kronrod(
         hi[split] = mid
         est[split], score[split] = child[:k], child_score[:k]
         est, score = np.concatenate([est, child[k:]]), np.concatenate([score, child_score[k:]])
-    return QuadratureResult(total[0], total[1], len(lo), n_calls, True)
+    return QuadratureResult(total[0], total[1], len(lo), n_calls, total[1] <= tol)
 
 
 def integrate_half_line(

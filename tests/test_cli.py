@@ -6,7 +6,10 @@ import pytest
 
 from mrplab import cli, special
 from mrplab.cli import main
-from mrplab.modelfile import bundled_model_path
+from mrplab.errors import AccuracyError
+from mrplab.exact import count_pmf, joint_interarrival_probability
+from mrplab.modelfile import bundled_model_path, load_bundled_model, parse_queries_document
+from mrplab.quadrature import QuadratureConfig
 
 E16 = bundled_model_path("example16")
 GH = bundled_model_path("gamma_half")
@@ -180,6 +183,85 @@ def test_exact_incomplete_gamma_nonconvergence_exits_4(tmp_path, monkeypatch):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["method"].endswith("(nonconverged)")
+
+
+_MIXED_QUERIES = [
+    {"id": "b0", "bounds": [[None, 1.0]]},
+    {"id": "c0", "type": "count", "t": 2.0, "n": 3},
+    {"id": "b1", "bounds": [[0.3, 1.5], [None, 2.0]]},
+    {"id": "c1", "type": "count", "t": 0.5, "n": 0},
+    {"id": "b1-rev", "bounds": [[None, 2.0], [0.3, 1.5]]},
+    {"id": "b2", "bounds": [[0.1, 0.9], [0.5, None], [None, 1.2]]},
+    {"id": "c2", "type": "count", "t": 6.0, "n": 12},
+]
+
+
+def _exact_rows(tmp_path, queries, model=GH):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(queries))
+    out = tmp_path / "res.csv"
+    code = run(["exact", "--model", model, "--queries", str(path), "--out", str(out)])
+    with open(out) as fh:
+        return code, list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("batch", [64, 2])
+def test_exact_answers_batches_in_file_order(tmp_path, monkeypatch, batch):
+    monkeypatch.setattr(cli, "EXACT_BATCH", batch)
+    code, rows = _exact_rows(tmp_path, _MIXED_QUERIES)
+    assert code == 0
+    assert [r["query_id"] for r in rows] == [q["id"] for q in _MIXED_QUERIES]
+    got = {r["query_id"]: (float(r["probability"]), float(r["error_estimate"])) for r in rows}
+    assert abs(got["b1"][0] - got["b1-rev"][0]) <= 1e-9
+    gh = load_bundled_model("gamma_half")[0]
+    for q in parse_queries_document(_MIXED_QUERIES):
+        if q["type"] == "count":
+            single = count_pmf(gh, q["t"], q["n"])
+        else:
+            single = joint_interarrival_probability(gh, q["query"])
+        value, err = got[q["id"]]
+        # each within its single query's bound, give or take a few ulps of rounding
+        assert abs(value - single.value) <= err + single.error + 1e-15
+
+
+def test_exact_flags_only_the_rows_that_missed_their_tolerance(tmp_path, monkeypatch):
+    # eight panels answer the easy boxes of the batch but not the 4-D one
+    cfg = QuadratureConfig(max_subdivisions=8)
+    monkeypatch.setattr(cli, "_quadrature_config", lambda args: cfg)
+    code, rows = _exact_rows(tmp_path, [
+        {"id": "easy", "bounds": [[None, 1.0]]},
+        {"id": "hard", "bounds": [[0.3, 1.2], [None, 2.0], [0.1, None], [0.05, 0.4]]},
+        {"id": "tiny", "bounds": [[None, 0.01]]},
+    ])
+    assert code == 4
+    assert [r["method"] for r in rows] == [
+        "quadrature-gk15", "quadrature-gk15(nonconverged)", "quadrature-gk15"
+    ]
+    assert 0.0 < float(rows[1]["probability"]) < 1.0
+
+
+def test_exact_integrand_accuracy_error_flags_its_whole_batch(tmp_path, monkeypatch):
+    def failing(model, points, cfg):
+        raise AccuracyError("incomplete gamma did not converge", math.nan, math.inf)
+
+    monkeypatch.setattr(cli, "count_pmfs", failing)
+    code, rows = _exact_rows(tmp_path, _MIXED_QUERIES)
+    assert code == 4
+    for row in rows:
+        flagged = row["method"].endswith("(nonconverged)")
+        assert flagged == row["query_id"].startswith("c")
+        if flagged:
+            assert (row["probability"], row["error_estimate"]) == ("nan", "inf")
+
+
+def test_exact_validates_every_query_before_answering(tmp_path, capsys):
+    queries = _MIXED_QUERIES + [{"id": "late", "type": "count", "t": -1.0, "n": 2}]
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(queries))
+    out = tmp_path / "res.csv"
+    assert run(["exact", "--model", GH, "--queries", str(path), "--out", str(out)]) == 2
+    assert "time must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exact_dirac_model_matches_closed_form_cdf(tmp_path):

@@ -24,8 +24,10 @@ from mrplab.exact import (
     MAX_BOX_DIM,
     QuadratureConfig,
     count_pmf,
+    count_pmfs,
     cylinder_probability_density_form,
     example16_closed_form,
+    joint_interarrival_probabilities,
     joint_interarrival_probability,
 )
 from mrplab.kernels import (
@@ -42,6 +44,9 @@ from mrplab.kernels import (
     verify_mixing_mass,
 )
 from mrplab.modelfile import load_bundled_model
+
+
+_EPS = np.finfo(float).eps
 
 
 def example16_model():
@@ -406,6 +411,111 @@ def test_count_pmf_boundary_and_errors():
         count_pmf(improper, 1.0, 0)
     with pytest.raises(ConfigurationError):
         count_pmf(model, 1.0, -1)
+
+
+# ---------------------------------------------------------------------------
+# batches: one mixing integral for many queries
+# ---------------------------------------------------------------------------
+
+
+def _batch_models():
+    names = ("gamma_half", "bivariate", "example16")
+    models = {name: load_bundled_model(name)[0] for name in names}
+    models["beta"] = build_model(
+        KernelSpec("gamma", shape=0.8), ProductRectangleMixing((BetaMarginal(0.7, 2.5),))
+    )
+    models["uniform"] = build_model(
+        KernelSpec("exponential"), ProductRectangleMixing((UniformMarginal(0.2, 0.8),))
+    )
+    models["discrete"] = build_model(
+        KernelSpec("gamma", shape=1.5), DiscreteMixing((0.5, 2.0), (0.25, 0.75))
+    )
+    return models
+
+
+_BATCH_BOXES = [
+    BoxQuery.upper(1.0),
+    BoxQuery(((0.3, 1.5), (-math.inf, 2.0))),
+    BoxQuery(((-math.inf, 2.0), (0.3, 1.5))),  # the one above, reversed
+    BoxQuery(((0.1, 0.9), (0.5, math.inf), (-math.inf, 1.2))),
+    BoxQuery(((0.05, 0.4), (1.0, 3.0), (-math.inf, 0.7), (0.2, math.inf))),
+    BoxQuery.upper(0.02),
+]
+
+
+def _within_single_bounds(batch, singles):
+    # the quadrature bounds leave out rounding, which the panels of a batch and
+    # of a single query take in different sums: a few ulps of the value
+    for b, s in zip(batch, singles):
+        assert b.converged and b.method == s.method
+        assert abs(b.value - s.value) <= b.error + s.error + 4.0 * _EPS * abs(s.value), (b, s)
+
+
+@pytest.mark.parametrize(
+    "name", ["gamma_half", "bivariate", "example16", "beta", "uniform", "discrete"]
+)
+def test_box_batch_lies_within_single_query_bounds(name):
+    model = _batch_models()[name]
+    boxes = _BATCH_BOXES if name != "bivariate" else _BATCH_BOXES[:3]
+    batch = joint_interarrival_probabilities(model, boxes)
+    singles = [joint_interarrival_probability(model, q) for q in boxes]
+    _within_single_bounds(batch, singles)
+    # a batch of one is the single call, bit for bit
+    assert [joint_interarrival_probabilities(model, [q])[0] for q in boxes] == singles
+    if model.is_proper_mrp:  # exchangeable: the reversed box shares its twin's value
+        assert abs(batch[1].value - batch[2].value) <= 1e-9
+    # one integral: every result reports the whole batch's cost
+    assert len({(r.n_panels, r.n_calls) for r in batch}) == 1
+
+
+@pytest.mark.parametrize(
+    "name", ["gamma_half", "bivariate", "beta", "uniform", "discrete", "expgamma"]
+)
+def test_count_batch_with_different_tilts_matches_single_queries(name):
+    models = _batch_models()
+    models["expgamma"] = build_model(KernelSpec("exponential"), GammaMixing(2.0, 1.5))
+    model = models[name]
+    # tilts from theta**0 near the mixing mean to theta**24 far out in its tail
+    points = [(0.5, 0), (2.0, 3), (0.0, 0), (6.0, 24), (1.0, 1), (0.0, 2), (10.0, 2)]
+    if name == "bivariate":
+        points = [(2.0, 2), (0.0, 0), (3.0, 5)]
+    batch = count_pmfs(model, points)
+    singles = [count_pmf(model, t, n) for t, n in points]
+    _within_single_bounds(batch, singles)
+    assert [count_pmfs(model, [p])[0] for p in points] == singles
+    for (t, n), r in zip(points, batch):
+        if t == 0.0:
+            assert (r.value, r.error, r.method) == (1.0 if n == 0 else 0.0, 0.0, "boundary")
+
+
+def test_batch_flags_only_the_query_that_missed_the_panel_cap():
+    gh = load_bundled_model("gamma_half")[0]
+    hard = BoxQuery(((0.3, 1.2), (-math.inf, 2.0), (0.1, math.inf), (0.05, 0.4)))
+    boxes = [BoxQuery.upper(1.0), hard, BoxQuery.upper(0.01)]
+    cfg = QuadratureConfig(max_subdivisions=8)
+    batch = joint_interarrival_probabilities(gh, boxes, cfg)
+    assert [r.converged for r in batch] == [True, False, True]
+    singles = [joint_interarrival_probability(gh, q) for q in boxes[::2]]
+    _within_single_bounds(batch[::2], singles)
+    assert abs(batch[1].value - joint_interarrival_probability(gh, hard).value) < 1e-6
+    # a single query raises, with the best estimate of its batch of one
+    alone = joint_interarrival_probabilities(gh, [hard], cfg)[0]
+    with pytest.raises(AccuracyError) as exc:
+        joint_interarrival_probability(gh, hard, cfg)
+    assert not alone.converged
+    assert (exc.value.value, exc.value.error_estimate) == (alone.value, alone.error)
+
+
+def test_batch_validates_every_query_first():
+    gh = load_bundled_model("gamma_half")[0]
+    too_big = BoxQuery(tuple((0.0, 1.0) for _ in range(MAX_BOX_DIM + 1)))
+    with pytest.raises(ConfigurationError, match="cap"):
+        joint_interarrival_probabilities(gh, [BoxQuery.upper(1.0), too_big])
+    with pytest.raises(ConfigurationError, match="time"):
+        count_pmfs(gh, [(1.0, 2), (-1.0, 2)])
+    with pytest.raises(UnsupportedModelError):
+        count_pmfs(example16_model(), [(1.0, 2)])
+    assert joint_interarrival_probabilities(gh, []) == count_pmfs(gh, []) == []
 
 
 # ---------------------------------------------------------------------------
