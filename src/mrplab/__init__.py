@@ -22,6 +22,7 @@ from .counting import (
     arrivals_from_interarrivals,
     count_at,
     counts_on_grid,
+    interarrivals_from_arrivals,
     validate_counting_axioms,
 )
 from .errors import (

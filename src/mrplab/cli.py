@@ -36,6 +36,7 @@ from .errors import (
 # joint_interarrival_probability is not called here, but bench/test_bench.py
 # checks that the tracer restores this module's reference to it
 from .exact import (  # noqa: F401
+    MAX_BATCH,
     BoxQuery,
     count_pmfs,
     joint_interarrival_probabilities,
@@ -69,9 +70,6 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_ACCURACY = 4
 
-# the most queries `exact` answers with one mixing integral; it bounds the
-# integrand's columns, and so its memory
-EXACT_BATCH = 64
 NONCONVERGED = "quadrature-gk15(nonconverged)"
 
 
@@ -131,7 +129,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_exact(args) -> int:
     """Validate every query, answer the boxes and then the counts in batches of
-    at most EXACT_BATCH, and write one row per query in file order."""
+    at most MAX_BATCH, and write one row per query in file order."""
     model, _meta = load_model_file(args.model)
     queries = load_queries_file(args.queries)
     cfg = _quadrature_config(args)
@@ -143,8 +141,8 @@ def _cmd_exact(args) -> int:
             counts.append((i, validate_count(model, q["t"], q["n"])))
     cells = [None] * len(queries)
     for todo, answer in ((boxes, joint_interarrival_probabilities), (counts, count_pmfs)):
-        for start in range(0, len(todo), EXACT_BATCH):
-            ids, batch = zip(*todo[start:start + EXACT_BATCH])
+        for start in range(0, len(todo), MAX_BATCH):
+            ids, batch = zip(*todo[start:start + MAX_BATCH])
             try:
                 results = [
                     (r.value, r.error, r.method if r.converged else NONCONVERGED)
@@ -161,7 +159,7 @@ def _cmd_exact(args) -> int:
     return EXIT_ACCURACY if accuracy_failed else EXIT_OK
 
 
-def _default_mc_queries(model, n_events):
+def _default_mc_queries(n_events):
     boxes = [BoxQuery.upper(1.0), BoxQuery.upper(2.0)]
     if n_events >= 2:
         boxes.extend(BoxQuery.upper(*b) for b in WITNESS_BOXES)
@@ -171,7 +169,7 @@ def _default_mc_queries(model, n_events):
 
 def _counting_axiom_report(model, seed, n_events):
     path = sample_path(model, max(n_events, 50), seed)
-    cpath = CountingPath.from_arrivals(path.arrivals, horizon=float(path.arrivals[-1]))
+    cpath = CountingPath.from_arrivals(path.arrivals)
     grid = np.union1d(np.linspace(0.0, cpath.horizon, 201), cpath.event_times)
     samples = list(zip(grid, counts_on_grid(cpath, grid)))
     return validate_counting_axioms(samples)
@@ -210,7 +208,7 @@ def _cmd_verify(args) -> int:
                 )
             )
         elif name == "mc-vs-exact":
-            queries = _default_mc_queries(model, args.events)
+            queries = _default_mc_queries(args.events)
             cfg = _quadrature_config(args)
             exact_values = [
                 require_converged(res, cfg)

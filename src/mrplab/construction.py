@@ -13,7 +13,7 @@ paths are chunked.  `simulate_ensemble` draws them in this process;
 `simulate_to_csv` (``mrplab simulate``) draws and renders each block of
 paths in a forked worker, one per available core, and streams the blocks to
 the CSV in order.  Infinite interarrival sequences are truncated at a fixed
-per-path length, recorded in the ensemble metadata.
+per-path length, recorded in the ensemble manifest.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ import contextlib
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
-from .counting import compensated_cumsum_rows
+from .counting import arrivals_from_interarrivals, compensated_cumsum_rows
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -40,13 +40,15 @@ from .kernels import (
     KernelSpec,
     MixingMeasure,
     kernel_sample_batch,
+    theta_tuple,
     verify_mixing_mass,
 )
 from .rng import StreamBank, UniformStream, child_seed
 from . import rng as _rng
 
 MAX_ENSEMBLE_DRAWS = 50_000_000
-_CHUNK = 65_536
+# paths per block: ensembles are drawn, and their CSV rendered, a block at a time
+_RENDER_BLOCK = 8192
 
 SEED_RULE = "splitmix64-child-v1"
 
@@ -141,20 +143,12 @@ class MrpPath:
 
     @classmethod
     def from_interarrivals(cls, theta, interarrivals) -> "MrpPath":
-        from .counting import arrivals_from_interarrivals
-
         w = np.asarray(interarrivals, dtype=np.float64)
-        return cls(_as_theta_tuple(theta), w, arrivals_from_interarrivals(w))
+        return cls(theta_tuple(theta), w, arrivals_from_interarrivals(w))
 
     @property
     def n_events(self) -> int:
         return int(self.interarrivals.size)
-
-
-def _as_theta_tuple(theta) -> tuple:
-    if np.isscalar(theta):
-        return (float(theta),)
-    return tuple(float(v) for v in theta)
 
 
 def _as_stream(rng: Union[int, UniformStream]) -> UniformStream:
@@ -162,7 +156,7 @@ def _as_stream(rng: Union[int, UniformStream]) -> UniformStream:
 
 
 def _in_support(model: MrpModel, theta) -> tuple:
-    pt = _as_theta_tuple(theta)
+    pt = theta_tuple(theta)
     if not model.mixing.contains(pt):
         raise ParameterDomainError(f"theta {pt} is outside the mixing support")
     return pt
@@ -188,14 +182,18 @@ def _draw(model: MrpModel, bank: StreamBank, n_events: int, theta=None):
     return thetas, w
 
 
+def _draw_span(model: MrpModel, n_events: int, root_seed: int, lo: int, hi: int, theta=None):
+    """`_draw` on child streams lo..hi-1 of the root seed."""
+    return _draw(model, StreamBank.from_root(root_seed, hi - lo, offset=lo), n_events, theta)
+
+
 def _draw_paths(model: MrpModel, n_paths: int, n_events: int, root_seed: int, theta=None):
-    """`_draw` on child streams 0..n_paths-1 of the root seed, `_CHUNK` paths at a time."""
+    """`_draw` on child streams 0..n_paths-1 of the root seed, a block at a time."""
     thetas = np.empty((n_paths, model.param_dim), dtype=np.float64)
     w = np.empty((n_paths, n_events), dtype=np.float64)
-    for lo in range(0, n_paths, _CHUNK):
-        hi = min(lo + _CHUNK, n_paths)
-        bank = StreamBank.from_root(root_seed, hi - lo, offset=lo)
-        thetas[lo:hi], w[lo:hi] = _draw(model, bank, n_events, theta)
+    for lo in range(0, n_paths, _RENDER_BLOCK):
+        hi = min(lo + _RENDER_BLOCK, n_paths)
+        thetas[lo:hi], w[lo:hi] = _draw_span(model, n_events, root_seed, lo, hi, theta)
     return thetas, w
 
 
@@ -246,17 +244,13 @@ class Ensemble:
     interarrivals: np.ndarray  # (n_paths, n_events)
     arrivals: np.ndarray  # (n_paths, n_events)
     created_at: str = ""
-    metadata: dict = field(default_factory=dict)
 
     def manifest(self) -> dict:
         """The reproducible description of the ensemble, plus a ``run`` section
         with what differs between runs at the same seed (the timestamp)."""
-        return {
-            **_ensemble_manifest(
-                self.model, self.root_seed, self.n_paths, self.n_events, self.created_at
-            ),
-            **self.metadata,
-        }
+        return _ensemble_manifest(
+            self.model, self.root_seed, self.n_paths, self.n_events, self.created_at
+        )
 
 
 def _ensemble_manifest(
@@ -343,8 +337,6 @@ def atomic_write_text(path: str, text: str) -> None:
     _write_chunks(path, [text.encode()])
 
 
-# paths per CSV block; blocks are drawn and rendered in worker processes
-_RENDER_BLOCK = 8192
 # CSV rows assembled at a time within a block
 _RENDER_ROWS = 16_384
 
@@ -405,7 +397,7 @@ def _ensemble_block(thetas, w, t, lo: int, hi: int) -> bytes:
 def _drawn_block(model: MrpModel, n_events: int, root_seed: int, lo: int, hi: int) -> bytes:
     """CSV rows of paths lo..hi-1 of the ensemble at `root_seed`, drawn here
     on their own child streams, so they equal the rows of `simulate_ensemble`."""
-    thetas, w = _draw(model, StreamBank.from_root(root_seed, hi - lo, offset=lo), n_events)
+    thetas, w = _draw_span(model, n_events, root_seed, lo, hi)
     return _render_block(thetas, w, compensated_cumsum_rows(w), lo)
 
 
@@ -478,18 +470,17 @@ def _write_csv(csv_path: str, chunks) -> None:
         _write_chunks(csv_path, chunks)
 
 
-def _write_manifest(manifest: dict, csv_path: str, manifest_path: Optional[str] = None) -> str:
-    if manifest_path is None:
-        manifest_path = csv_path + ".manifest.json"
+def _write_manifest(manifest: dict, csv_path: str) -> str:
+    manifest_path = csv_path + ".manifest.json"
     manifest = dict(manifest, csv=os.path.basename(csv_path))
     atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
 
 
-def write_ensemble(ensemble: Ensemble, csv_path: str, manifest_path: Optional[str] = None) -> str:
-    """Write the ensemble CSV (and manifest JSON) atomically; returns manifest path."""
+def write_ensemble(ensemble: Ensemble, csv_path: str) -> str:
+    """Write the ensemble CSV and its manifest JSON atomically; returns the manifest path."""
     _write_csv(csv_path, _ensemble_chunks(ensemble))
-    return _write_manifest(ensemble.manifest(), csv_path, manifest_path)
+    return _write_manifest(ensemble.manifest(), csv_path)
 
 
 def simulate_to_csv(model: MrpModel, n_paths: int, n_events: int, root_seed: int, csv_path: str) -> str:

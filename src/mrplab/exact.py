@@ -8,20 +8,21 @@
 and ``count_pmfs`` the count law at a batch of (t, n) points the same way.
 All the queries of a batch share one mixing integral whose integrand has one
 column per query, each integrated to its own tolerance; so a batch's results
-share its `n_panels` and `n_calls`, the cost of that one integral, while each
-keeps its own value, error bound and `converged` flag.  (`mrplab exact`
-answers a query file in such batches.)  ``joint_interarrival_probability``
-and ``count_pmf`` are batches of one.  ``cylinder_probability_density_form``
-evaluates the box probability for gamma-kernel models with per-theta factors
-that integrate the kernel density instead of calling the CDF special
-function.  Each route is a per-theta integrand and one call of the mixing
-measure's own integral (`MixingMeasure.integrate`: an exact sum over atoms,
-or adaptive Gauss-Kronrod quadrature by each marginal's rule, whose initial
-panels the marginal places itself; `count_pmf` only names its integrand's
-shape as a tilt, theta**k * exp(-lam*theta)); the routes
-stay independent in the per-theta factor, so any disagreement between them
-beyond combined tolerance indicates a convention error in the model rather
-than something to renormalize away.
+share its `n_panels` and `n_calls`, the cost of that one integral, while
+each keeps its own value, error bound and `converged` flag.  The integrand's
+memory grows with its columns, so callers answer at most `MAX_BATCH` queries
+a batch.  ``joint_interarrival_probability`` and ``count_pmf`` are batches
+of one.  ``cylinder_probability_density_form`` evaluates the box probability
+for gamma-kernel models with per-theta factors that integrate the kernel
+density instead of calling the CDF special function.  Each route is a
+per-theta integrand and one call of the mixing measure's own integral
+(`MixingMeasure.integrate`: an exact sum over atoms, or adaptive
+Gauss-Kronrod quadrature by each marginal's rule, whose initial panels the
+marginal places itself; `count_pmf` only names its integrand's shape as a
+tilt, theta**k * exp(-lam*theta)); the routes stay independent in the
+per-theta factor, so any disagreement between them beyond combined tolerance
+indicates a convention error in the model rather than something to
+renormalize away.
 
 Every route takes one `QuadratureConfig` (tolerances and panel limit; see
 `quadrature`, which owns it and its defaults) and passes it whole to the
@@ -48,6 +49,9 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, adap
 
 # the largest box dimension a query may have
 MAX_BOX_DIM = 16
+# the most queries a caller answers with one mixing integral; it bounds the
+# integrand's columns, and so its memory
+MAX_BATCH = 64
 _EPS = np.finfo(float).eps
 
 

@@ -137,11 +137,13 @@ class KernelSpec:
         return d
 
 
+def theta_tuple(theta) -> tuple:
+    """A parameter point as a tuple of floats; a scalar is a point of one component."""
+    return (float(theta),) if np.isscalar(theta) else tuple(float(v) for v in theta)
+
+
 def _coerce_theta(spec: KernelSpec, theta) -> tuple:
-    if np.isscalar(theta):
-        pt = (float(theta),)
-    else:
-        pt = tuple(float(v) for v in theta)
+    pt = theta_tuple(theta)
     if len(pt) != spec.param_dim:
         raise ParameterDomainError(
             f"theta has {len(pt)} component(s); kernel expects {spec.param_dim}"
@@ -865,22 +867,20 @@ def mixing_density(mu: MixingMeasure, theta) -> float:
     """Density of a continuous mixing measure at theta (0 outside the support)."""
     if mu.is_atomic:
         raise UnsupportedOperationError(f"{mu.kind} mixing has no density")
-    pt = np.asarray([theta] if np.isscalar(theta) else list(theta), dtype=np.float64)
+    pt = np.array(theta_tuple(theta))
     if pt.shape[0] != mu.dim:
         raise ParameterDomainError(f"theta has {pt.shape[0]} component(s); mixing has dim {mu.dim}")
     return float(mu.density_batch(pt[None, :] if mu.dim > 1 else pt)[0])
 
 
-def verify_mixing_mass(mu: MixingMeasure, tol: float = 1e-8) -> float:
+def verify_mixing_mass(mu: MixingMeasure) -> float:
     """Check the total mass of a mixing measure; returns the computed mass.
 
     The mass is the integral of 1 against the measure at `DEFAULT_CONFIG`,
-    taken as the exact routes take theirs; it must match 1 within tol.
+    taken as the exact routes take theirs; it must match 1 within 1e-8.
     """
     res = mu.integrate(lambda th: np.ones(len(th)))
     total = res.scalar_value
-    if not res.converged or abs(total - 1.0) > tol:
-        raise ConfigurationError(
-            f"mixing mass {total!r} deviates from 1 by more than {tol}"
-        )
+    if not res.converged or abs(total - 1.0) > 1e-8:
+        raise ConfigurationError(f"mixing mass {total!r} deviates from 1 by more than 1e-8")
     return total

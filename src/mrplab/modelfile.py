@@ -138,13 +138,17 @@ def parse_model_document(doc: dict) -> tuple[MrpModel, dict]:
     return build_model(kernel, mixing), dict(meta)
 
 
-def load_model_file(path: str) -> tuple[MrpModel, dict]:
+def _load_json(path: str):
+    """The JSON document in the file at `path`; SchemaError if it is not valid JSON."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_model_document(doc)
+
+
+def load_model_file(path: str) -> tuple[MrpModel, dict]:
+    return parse_model_document(_load_json(path))
 
 
 def bundled_model_path(name: str) -> str:
@@ -217,9 +221,4 @@ def parse_queries_document(doc) -> list[dict]:
 
 
 def load_queries_file(path: str) -> list[dict]:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_queries_document(doc)
+    return parse_queries_document(_load_json(path))

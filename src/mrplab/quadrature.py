@@ -88,9 +88,9 @@ class QuadratureConfig:
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):  # false for NaN too
             raise ConfigurationError("tolerances must be positive")
 
-    def tighter(self, factor: float = 0.1) -> "QuadratureConfig":
-        """Both tolerances scaled by `factor`, for an integral nested inside another."""
-        return replace(self, rel_tol=self.rel_tol * factor, abs_tol=self.abs_tol * factor)
+    def tighter(self) -> "QuadratureConfig":
+        """Both tolerances scaled by 0.1, for an integral nested inside another."""
+        return replace(self, rel_tol=self.rel_tol * 0.1, abs_tol=self.abs_tol * 0.1)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -114,10 +114,6 @@ class QuadratureResult:
     @property
     def scalar_value(self) -> float:
         return float(self.value[0])
-
-    @property
-    def scalar_error(self) -> float:
-        return float(self.error[0])
 
 
 def _panels(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

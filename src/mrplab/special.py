@@ -187,15 +187,3 @@ def ks_statistic_lambda(d: float, n: float) -> float:
 def ks_one_sample_pvalue(d: float, n: int) -> float:
     """Asymptotic p-value of a one-sample KS statistic at sample size n."""
     return kolmogorov_sf(ks_statistic_lambda(d, n))
-
-
-def ks_critical_value(n: int, alpha: float) -> float:
-    """Critical one-sample KS distance at level alpha (asymptotic, Stephens scaled)."""
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if ks_one_sample_pvalue(mid, n) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

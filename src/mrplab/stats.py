@@ -13,6 +13,10 @@ so the null is computed from integer counts of paths per cell and replica.
 Its permutations come from one uniform stream in path blocks, which bounds
 its memory by one block whatever the number of paths.
 
+The mixed-Poisson fit takes the exact count pmf at 0..max N_t from
+`count_pmfs` in batches of at most `MAX_BATCH` counts: at the sizes
+`mrplab verify` runs, one mixing integral per time.
+
 All tests are deterministic given their seeds; reports record the seeds and
 sample sizes needed to reproduce every statistic bitwise.
 """
@@ -38,8 +42,9 @@ from .errors import (
     InvalidInterarrivalError,
     UnsupportedModelError,
 )
-from .exact import BoxQuery, ExactResult, count_pmf
-from .kernels import kernel_cdf_batch, kernel_sample_batch
+from .exact import MAX_BATCH, BoxQuery, ExactResult, count_pmfs, require_converged
+from .kernels import kernel_cdf_batch, kernel_sample_batch, theta_tuple
+from .quadrature import DEFAULT_CONFIG
 from .report import VerificationReport
 from .rng import StreamBank, UniformStream
 from .special import chi_square_sf, ks_one_sample_pvalue
@@ -51,6 +56,11 @@ _BOREL_CAVEAT = (
 )
 
 WITNESS_BOXES = ((2.0, 1.0), (1.0, 2.0))
+
+
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:  # false for NaN too
+        raise ConfigurationError(f"level must lie strictly between 0 and 1, got {level!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +179,14 @@ def exchangeability_test(
         Upper-box thresholds to probe; defaults to the pooled-quartile tensor
         grid plus the (2,1)/(1,2) witness boxes when r = 2.
     level : float
-        Rejection level; the report fails exactly when the resampling
-        p-value is below it.
+        Rejection level in (0, 1); the report fails exactly when the
+        resampling p-value is below it.
 
-    Raises ConfigurationError when a probe threshold is NaN or when the
-    distinct thresholds cut the first-r space into more than 2**14 cells
-    (at r = 4, more than 10 distinct values).
+    Raises ConfigurationError when `level` is outside (0, 1), when a probe
+    threshold is NaN or when the distinct thresholds cut the first-r space
+    into more than 2**14 cells (at r = 4, more than 10 distinct values).
     """
+    _check_level(level)
     if r < 2:
         raise DegenerateTestError("exchangeability needs a prefix length of at least 2")
     if r > 4:
@@ -342,13 +353,14 @@ def conditional_iid_test(
 
     Per-index one-sample KS against the index-1 kernel law, plus pairwise
     chi-square independence on a 5x5 quantile grid for all index pairs up to
-    `max_index`; aggregated with a Bonferroni correction at `level`.
+    `max_index`; aggregated with a Bonferroni correction at `level` in (0, 1).
     """
+    _check_level(level)
     if n_samples < 100:
         raise InsufficientDataError(f"need at least 100 samples, got {n_samples}")
     if max_index < 1:
         raise ConfigurationError("max_index must be >= 1")
-    pt = (float(theta),) if np.isscalar(theta) else tuple(float(v) for v in theta)
+    pt = theta_tuple(theta)
     w = sample_conditional_interarrivals(model, pt, n_samples, max_index, seed)
 
     ks_results = []
@@ -463,8 +475,8 @@ def _simulate_counts_at(model: MrpModel, times: np.ndarray, n_paths: int, root_s
     return thetas, counts
 
 
-def _merge_bins(expected: np.ndarray, *observed: np.ndarray, min_expected: float = 5.0):
-    """Merge adjacent count values, left to right, into bins with expected count >= min_expected.
+def _merge_bins(expected: np.ndarray, *observed: np.ndarray):
+    """Merge adjacent count values, left to right, into bins with expected count >= 5.
 
     Each bin accumulates one value at a time; the leftover after the last
     full bin joins that bin.  The observed arrays are merged in lockstep.
@@ -474,7 +486,7 @@ def _merge_bins(expected: np.ndarray, *observed: np.ndarray, min_expected: float
     acc = np.zeros(1 + len(observed))
     for col in np.column_stack([expected, *observed]):
         acc = acc + col
-        if acc[0] >= min_expected:
+        if acc[0] >= 5.0:
             bins.append(acc)
             acc = np.zeros_like(acc)
     if acc.any():
@@ -486,10 +498,15 @@ def _merge_bins(expected: np.ndarray, *observed: np.ndarray, min_expected: float
 
 
 def _chi2_gof_counts(values: np.ndarray, model: MrpModel, t: float, n: int):
-    """Chi-square GOF of empirical N_t against the exact count pmf."""
+    """Chi-square GOF of empirical N_t against the exact count pmf (AccuracyError
+    if a pmf value missed its tolerance)."""
     kmax = int(values.max())
     observed = np.bincount(values, minlength=kmax + 1).astype(np.float64)
-    probs = np.array([count_pmf(model, t, k).value for k in range(kmax + 1)])
+    probs = np.array([
+        require_converged(r, DEFAULT_CONFIG).value
+        for lo in range(0, kmax + 1, MAX_BATCH)
+        for r in count_pmfs(model, [(t, k) for k in range(lo, min(lo + MAX_BATCH, kmax + 1))])
+    ])
     tail = max(1.0 - probs.sum(), 0.0)
     observed = np.append(observed, 0.0)
     probs = np.append(probs, tail)
@@ -533,17 +550,20 @@ def mixed_poisson_check(
     exact count pmf for each t in `t_grid`; (b) stationary increments:
     two-sample chi-square between N_{t+h} - N_t and an independently
     simulated N_h.  Aggregated with a Bonferroni correction at `level`.
+    Before any draw, raises ConfigurationError unless every t is finite and
+    nonnegative, h is finite and positive, and `level` lies in (0, 1).
     """
     if model.kernel.family != "exponential" or not model.is_proper_mrp:
         raise UnsupportedModelError(
             "mixed-Poisson checks require a proper exponential-kernel model "
             "(stationary increments need not hold otherwise)"
         )
-    if h <= 0.0:
-        raise ConfigurationError("increment width h must be positive")
+    _check_level(level)
+    if not 0.0 < h < math.inf:  # false for NaN too
+        raise ConfigurationError(f"increment width h must be finite and positive, got {h!r}")
     t_grid = [float(t) for t in t_grid]
-    if any(t < 0.0 for t in t_grid):
-        raise ConfigurationError("t_grid must be nonnegative")
+    if not all(0.0 <= t < math.inf for t in t_grid):
+        raise ConfigurationError(f"t_grid must be finite and nonnegative, got {t_grid!r}")
 
     times = sorted({t for t in t_grid} | {t + h for t in t_grid} | {h})
     times_arr = np.array(times)

@@ -207,7 +207,7 @@ def _exact_rows(tmp_path, queries, model=GH):
 
 @pytest.mark.parametrize("batch", [64, 2])
 def test_exact_answers_batches_in_file_order(tmp_path, monkeypatch, batch):
-    monkeypatch.setattr(cli, "EXACT_BATCH", batch)
+    monkeypatch.setattr(cli, "MAX_BATCH", batch)
     code, rows = _exact_rows(tmp_path, _MIXED_QUERIES)
     assert code == 0
     assert [r["query_id"] for r in rows] == [q["id"] for q in _MIXED_QUERIES]

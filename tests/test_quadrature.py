@@ -22,7 +22,7 @@ def test_error_estimate_bounds_true_error():
     for f, a, b, truth in cases:
         r = adaptive_gauss_kronrod(f, a, b)
         assert r.converged
-        assert abs(r.scalar_value - truth) <= max(r.scalar_error, 1e-13)
+        assert abs(r.scalar_value - truth) <= max(float(r.error[0]), 1e-13)
 
 
 def test_vector_valued_matches_scalar_runs():
@@ -47,7 +47,7 @@ def test_nonconvergence_flagged():
     f = lambda x: 1.0 / np.sqrt(np.abs(x - 0.3123456) + 1e-14)
     r = adaptive_gauss_kronrod(f, 0.0, 1.0, QuadratureConfig(max_subdivisions=3))
     assert not r.converged
-    assert r.scalar_error > 0.0
+    assert float(r.error[0]) > 0.0
 
 
 def test_half_line_gamma_mass():
@@ -140,13 +140,13 @@ def test_reaching_the_cap_is_an_accuracy_error(tmp_path):
 def test_half_line_error_bounds_power_times_exponential(k):
     r = integrate_half_line(lambda x: x**k * np.exp(-x), 0.0, 1.0 + k)
     assert r.converged
-    assert abs(r.scalar_value - math.factorial(k)) <= r.scalar_error
+    assert abs(r.scalar_value - math.factorial(k)) <= float(r.error[0])
 
 
 def test_error_bounds_square_root():
     r = adaptive_gauss_kronrod(np.sqrt, 0.0, 1.0)
     assert r.converged
-    assert abs(r.scalar_value - 2.0 / 3.0) <= r.scalar_error
+    assert abs(r.scalar_value - 2.0 / 3.0) <= float(r.error[0])
 
 
 @pytest.mark.parametrize("width", [1e-2, 1e-4, 1e-6])
@@ -159,4 +159,4 @@ def test_error_bounds_narrow_gaussian_peak(width):
     s = width * math.sqrt(2.0)
     truth = width * math.sqrt(0.5 * math.pi) * (math.erf((1.0 - centre) / s) + math.erf(centre / s))
     assert r.converged
-    assert abs(r.scalar_value - truth) <= r.scalar_error
+    assert abs(r.scalar_value - truth) <= float(r.error[0])

@@ -13,8 +13,6 @@ from mrplab.errors import AccuracyError, ParameterDomainError
 from mrplab.special import (
     chi_square_sf,
     kolmogorov_sf,
-    ks_critical_value,
-    ks_one_sample_pvalue,
     regularized_incomplete_gamma,
     regularized_incomplete_gamma_upper,
 )
@@ -135,9 +133,3 @@ def test_chi_square_sf_matches_scipy():
 def test_kolmogorov_sf_matches_scipy():
     for lam in [0.05, 0.2, 0.39, 0.41, 0.7, 1.0, 1.36, 1.95, 3.0]:
         assert kolmogorov_sf(lam) == pytest.approx(sp.kolmogorov(lam), abs=1e-12)
-
-
-def test_ks_critical_value_inverts_pvalue():
-    for n, alpha in [(100, 0.05), (1000, 0.01), (100000, 0.001)]:
-        d = ks_critical_value(n, alpha)
-        assert ks_one_sample_pvalue(d, n) == pytest.approx(alpha, rel=1e-6)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -9,6 +10,7 @@ import pytest
 from mrplab import stats
 from mrplab.construction import build_model, simulate_ensemble
 from mrplab.errors import (
+    AccuracyError,
     ConfigurationError,
     DegenerateTestError,
     InsufficientDataError,
@@ -16,7 +18,7 @@ from mrplab.errors import (
     ParameterDomainError,
     UnsupportedModelError,
 )
-from mrplab.exact import BoxQuery, count_pmf, joint_interarrival_probability
+from mrplab.exact import MAX_BATCH, BoxQuery, count_pmf, joint_interarrival_probability
 from mrplab.kernels import (
     DiracMixing,
     GammaMixing,
@@ -488,6 +490,91 @@ def test_mixed_poisson_reproducible():
     a = mixed_poisson_check(model, t_grid=(0.5,), h=0.5, n_paths=2000, seed=8)
     b = mixed_poisson_check(model, t_grid=(0.5,), h=0.5, n_paths=2000, seed=8)
     assert a.to_json() == b.to_json()
+
+
+def _expgamma():
+    return build_model(KernelSpec("exponential"), GammaMixing(2.0, 1.5))
+
+
+def _record_count_batches(monkeypatch):
+    """Patch the fit's `count_pmfs` to record each call's points and results."""
+    calls = []
+    answer = stats.count_pmfs
+
+    def recording(model, points, *args):
+        results = answer(model, points, *args)
+        calls.append((list(points), results))
+        return results
+
+    monkeypatch.setattr(stats, "count_pmfs", recording)
+    return calls
+
+
+def test_mixed_poisson_fit_takes_one_count_batch_per_time(monkeypatch):
+    # the grid and path count of `mrplab verify`, plus t = 0, which needs no pmf
+    calls = _record_count_batches(monkeypatch)
+    mixed_poisson_check(_expgamma(), t_grid=(0.0, 0.5, 1.0, 2.0), h=0.5, n_paths=100_000, seed=11)
+    assert [points[0][0] for points, _ in calls] == [0.5, 1.0, 2.0]
+    for points, _ in calls:
+        assert [n for _, n in points] == list(range(len(points)))
+
+
+def test_mixed_poisson_fit_batches_stay_within_the_bound(monkeypatch):
+    # at t = 100 the largest count is several times MAX_BATCH
+    calls = _record_count_batches(monkeypatch)
+    mixed_poisson_check(_expgamma(), t_grid=(100.0,), h=0.5, n_paths=300, seed=12)
+    sizes = [len(points) for points, _ in calls]
+    assert len(sizes) > 2 and max(sizes) == MAX_BATCH
+    assert [n for points, _ in calls for _, n in points] == list(range(sum(sizes)))
+
+
+def test_mixed_poisson_fit_probabilities_match_single_counts(monkeypatch):
+    model = _expgamma()
+    calls = _record_count_batches(monkeypatch)
+    mixed_poisson_check(model, t_grid=(0.5, 2.0), h=0.5, n_paths=20_000, seed=13)
+    for points, results in calls:
+        for (t, n), r in zip(points, results):
+            single = count_pmf(model, t, n)
+            assert abs(r.value - single.value) <= r.error + single.error
+
+
+def test_mixed_poisson_fit_raises_on_a_missed_tolerance(monkeypatch):
+    answer = stats.count_pmfs
+
+    def one_missed(model, points, *args):
+        results = answer(model, points, *args)
+        results[1] = dataclasses.replace(results[1], converged=False)
+        return results
+
+    monkeypatch.setattr(stats, "count_pmfs", one_missed)
+    with pytest.raises(AccuracyError):
+        mixed_poisson_check(_expgamma(), t_grid=(1.0,), h=0.5, n_paths=2000, seed=14)
+
+
+def _no_draws(*args):
+    raise AssertionError("counts were simulated")
+
+
+@pytest.mark.parametrize(
+    "t_grid,h", [((math.inf,), 0.5), ((math.nan,), 0.5), ((1.0,), math.inf), ((1.0,), math.nan)]
+)
+def test_mixed_poisson_rejects_non_finite_times_before_drawing(monkeypatch, t_grid, h):
+    monkeypatch.setattr(stats, "_simulate_counts_at", _no_draws)
+    with pytest.raises(ConfigurationError):
+        mixed_poisson_check(_expgamma(), t_grid=t_grid, h=h, n_paths=1000)
+
+
+@pytest.mark.parametrize("level", [math.nan, 2.0, 1.0, 0.0, -0.5])
+@pytest.mark.parametrize("check", ["exchangeability", "conditional-iid", "mixed-poisson"])
+def test_checks_reject_a_level_outside_0_1(check, level):
+    model = _expgamma()
+    with pytest.raises(ConfigurationError, match="level"):
+        if check == "exchangeability":
+            exchangeability_test(simulate_ensemble(model, 200, 2, root_seed=1), r=2, level=level)
+        elif check == "conditional-iid":
+            conditional_iid_test(model, 0.7, n_samples=200, level=level)
+        else:
+            mixed_poisson_check(model, t_grid=(1.0,), h=0.5, n_paths=200, level=level)
 
 
 # ---------------------------------------------------------------------------
