@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .construction import (
+    ForkMap,
     atomic_write_text,
     aux_seed,
     sample_path,
@@ -64,6 +65,16 @@ SUITES = (
     "all",
 )
 
+# the suites that read the simulated ensemble: `mrplab verify --suite all` runs
+# them in this process, so the ensemble is simulated once and never copied,
+# while one forked worker runs the other suites
+ENSEMBLE_SUITES = ("exchangeability", "mc-vs-exact")
+# the fewest ensemble draws (paths x events) at which verify forks that
+# worker: the fork costs about 15 ms and slows both processes, so smaller runs
+# gain nothing (5e4 paths x 2 events: gamma_half 0.4 ms faster, example16
+# 22 ms slower; 1e5 x 2: 20 ms and 1 ms faster, on 2 cores)
+FORK_MIN_DRAWS = 100_000
+
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
@@ -78,6 +89,17 @@ def _level(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:  # false for NaN too
         raise argparse.ArgumentTypeError(f"level must lie strictly between 0 and 1, got {text}")
+    return value
+
+
+def _at_least_one(text: str) -> int:
+    """A count of paths or events: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text}")
     return value
 
 
@@ -109,8 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", required=True, choices=SUITES)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out", required=True, help="output JSON report path")
-    ver.add_argument("--paths", type=int, default=20000)
-    ver.add_argument("--events", type=int, default=3)
+    ver.add_argument("--paths", type=_at_least_one, default=20000)
+    ver.add_argument("--events", type=_at_least_one, default=3)
     ver.add_argument("--level", type=_level, default=0.01)
     ver.add_argument("--tol", type=float, default=DEFAULT_CONFIG.rel_tol)
     return parser
@@ -175,64 +197,84 @@ def _counting_axiom_report(model, seed, n_events):
     return validate_counting_axioms(samples)
 
 
+def _suite(name, args, model, ensemble):
+    """The report of one suite, or a ``{"suite", "reason"}`` record if it was skipped."""
+    if name == "exchangeability":
+        if args.events < 2:
+            return {"suite": name, "reason": "needs at least 2 events per path"}
+        return exchangeability_test(ensemble(), r=min(args.events, 3), level=args.level)
+    if name == "conditional-iid":
+        theta = model.mixing.mean_point()
+        if not model.mixing.contains(theta):
+            theta = model.mixing.atoms[int(np.argmax(model.mixing.weights))]
+        return conditional_iid_test(
+            model,
+            theta,
+            n_samples=max(args.paths, 100),
+            max_index=max(args.events, 2),
+            level=args.level,
+            seed=aux_seed(args.seed, 2),
+        )
+    if name == "mc-vs-exact":
+        queries = _default_mc_queries(args.events)
+        cfg = _quadrature_config(args)
+        exact_values = [
+            require_converged(res, cfg)
+            for res in joint_interarrival_probabilities(model, queries, cfg)
+        ]
+        return mc_vs_exact(ensemble(), queries, exact_values)
+    if name == "mixed-poisson":
+        if model.kernel.family != "exponential" or not model.is_proper_mrp:
+            return {"suite": name, "reason": "requires a proper exponential-kernel model"}
+        return mixed_poisson_check(
+            model,
+            t_grid=(0.5, 1.0, 2.0),
+            h=0.5,
+            n_paths=args.paths,
+            level=args.level,
+            seed=aux_seed(args.seed, 3),
+        )
+    return _counting_axiom_report(model, aux_seed(args.seed, 4), args.events)
+
+
 def _cmd_verify(args) -> int:
     model, meta = load_model_file(args.model)
     suite = args.suite
     selected = list(SUITES[:-1]) if suite == "all" else [suite]
-    reports = []
-    skipped = []
     # exchangeability and mc-vs-exact read the same ensemble: simulate it once
     ensemble = functools.cache(
         lambda: simulate_ensemble(model, args.paths, args.events, args.seed)
     )
 
+    def run(names):
+        # (name, outcome) of each suite in turn, up to the first that raises,
+        # whose outcome is its error
+        done = []
+        for name in names:
+            try:
+                done.append((name, _suite(name, args, model, ensemble)))
+            except Exception as exc:  # re-raised below, in suite order
+                done.append((name, exc))
+                break
+        return done
+
+    # every suite reads its own seeded substream, so the two groups are
+    # independent and can run at once
+    forked = []
+    if len(selected) > 1 and args.paths * args.events >= FORK_MIN_DRAWS:
+        forked = [n for n in selected if n not in ENSEMBLE_SUITES]
+    with ForkMap(run, [forked] if forked else [], alongside=True) as later:
+        outcomes = dict(run([n for n in selected if n not in forked]))
+        for done in later:
+            outcomes.update(done)
+    reports, skipped = [], []
+    # a group stops at its first error, so every suite before the earliest
+    # error ran: that error is the one a serial run raises
     for name in selected:
-        if name == "exchangeability":
-            if args.events < 2:
-                skipped.append({"suite": name, "reason": "needs at least 2 events per path"})
-                continue
-            r = min(args.events, 3)
-            reports.append(exchangeability_test(ensemble(), r=r, level=args.level))
-        elif name == "conditional-iid":
-            theta = model.mixing.mean_point()
-            if not model.mixing.contains(theta):
-                theta = model.mixing.atoms[int(np.argmax(model.mixing.weights))]
-            reports.append(
-                conditional_iid_test(
-                    model,
-                    theta,
-                    n_samples=max(args.paths, 100),
-                    max_index=max(args.events, 2),
-                    level=args.level,
-                    seed=aux_seed(args.seed, 2),
-                )
-            )
-        elif name == "mc-vs-exact":
-            queries = _default_mc_queries(args.events)
-            cfg = _quadrature_config(args)
-            exact_values = [
-                require_converged(res, cfg)
-                for res in joint_interarrival_probabilities(model, queries, cfg)
-            ]
-            reports.append(mc_vs_exact(ensemble(), queries, exact_values))
-        elif name == "mixed-poisson":
-            if model.kernel.family != "exponential" or not model.is_proper_mrp:
-                skipped.append(
-                    {"suite": name, "reason": "requires a proper exponential-kernel model"}
-                )
-                continue
-            reports.append(
-                mixed_poisson_check(
-                    model,
-                    t_grid=(0.5, 1.0, 2.0),
-                    h=0.5,
-                    n_paths=args.paths,
-                    level=args.level,
-                    seed=aux_seed(args.seed, 3),
-                )
-            )
-        elif name == "counting-axioms":
-            reports.append(_counting_axiom_report(model, aux_seed(args.seed, 4), args.events))
+        outcome = outcomes[name]
+        if isinstance(outcome, Exception):
+            raise outcome
+        (skipped if isinstance(outcome, dict) else reports).append(outcome)
 
     all_passed = all(r.passed for r in reports)
     doc = {

@@ -11,9 +11,13 @@ Ensembles are reproducible: path ``i`` owns the child stream ``i`` of the
 root seed (see :mod:`mrplab.rng`), so results are bitwise identical however
 paths are chunked.  `simulate_ensemble` draws them in this process;
 `simulate_to_csv` (``mrplab simulate``) draws and renders each block of
-paths in a forked worker, one per available core, and streams the blocks to
-the CSV in order.  Infinite interarrival sequences are truncated at a fixed
-per-path length, recorded in the ensemble manifest.
+paths in a worker of a `ForkMap` and streams the blocks to the CSV in order.
+`ForkMap` is the one engine that hands work to other cores: forked workers,
+one per available core, that return their results in item order, or this
+process alone on one core or without ``fork``.  ``mrplab verify`` runs its
+suites that do not read the ensemble through it too.  Infinite interarrival
+sequences are truncated at a fixed per-path length, recorded in the ensemble
+manifest.
 """
 
 from __future__ import annotations
@@ -340,20 +344,6 @@ def atomic_write_text(path: str, text: str) -> None:
 # CSV rows assembled at a time within a block
 _RENDER_ROWS = 16_384
 
-# (block function, its leading arguments), set in each block worker
-_worker_args: tuple = ()
-
-
-def _block_init(*args) -> None:
-    global _worker_args
-    _worker_args = args
-
-
-def _block_worker(span: tuple) -> bytes:
-    block, *args = _worker_args
-    return block(*args, *span)
-
-
 def _render_block(thetas, w, t, first_id: int) -> bytes:
     """CSV rows of the given paths, numbered from `first_id`:
     ``path_id,theta..,k,w,t`` for each event.
@@ -408,44 +398,86 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _render_workers(n_blocks: int) -> int:
-    """CSV block workers: the available cores, capped by the block count."""
-    return max(1, min(_available_cores(), n_blocks))
+def _map_workers(n_items: int) -> int:
+    """Forked workers of a map of `n_items`: one per available core, at most
+    one per item, and none on one core."""
+    cores = _available_cores()
+    return min(cores, n_items) if cores > 1 else 0
+
+
+# (function, items) of the map a forked worker serves, set in that worker
+_map_task: tuple = ()
+
+
+def _map_init(fn, items) -> None:
+    global _map_task
+    _map_task = (fn, items)
+
+
+def _map_item(i: int):
+    fn, items = _map_task
+    return fn(items[i])
+
+
+class ForkMap:
+    """``fn(item)`` for each item, iterated once, in item order.
+
+    Where forked workers make at least two processes compute at once (two or
+    more items, or one while the caller works `alongside` before it reads the
+    results), and the platform can ``fork``, every item is submitted when the
+    map is made, to one worker per available core, at most one per item.  The
+    workers inherit `fn` and the items through the fork, so neither is pickled
+    and `fn` may be a closure; each result (or error, which comes back typed)
+    is pickled to this process.  Otherwise each item is computed in this
+    process as the iteration reaches it.  Closing the map cancels the items
+    not yet started and shuts its workers down; it is a context manager that
+    closes on exit.
+    """
+
+    def __init__(self, fn, items, *, alongside: bool = False):
+        self._pool = None
+        workers = _map_workers(len(items))
+        if workers > 1 or (workers and alongside):
+            import multiprocessing
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                from concurrent.futures import ProcessPoolExecutor
+
+                self._pool = ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_map_init,
+                    initargs=(fn, items),
+                )
+                self._results = self._pool.map(_map_item, range(len(items)))
+        if self._pool is None:
+            self._results = map(fn, items)
+
+    def __iter__(self):
+        return self._results
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+    def __enter__(self) -> "ForkMap":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def _csv_chunks(dim: int, block, args: tuple, n_paths: int):
     """The CSV as bytes: the header, then ``block(*args, lo, hi)`` for each
-    block of `_RENDER_BLOCK` paths, in path order.
-
-    Blocks are computed on the available cores in forked processes, else in
-    this process; the bytes do not depend on the worker count.  Closing the
-    generator early cancels the pending blocks and shuts the workers down.
+    block of `_RENDER_BLOCK` paths, in path order, computed by a `ForkMap`
+    (so the bytes do not depend on the worker count).  Closing the generator
+    early closes the map.
     """
     theta_cols = ["theta"] if dim == 1 else [f"theta{j + 1}" for j in range(dim)]
     yield (",".join(["path_id", *theta_cols, "k", "w", "t"]) + "\n").encode()
     spans = [(lo, min(lo + _RENDER_BLOCK, n_paths)) for lo in range(0, n_paths, _RENDER_BLOCK)]
-    workers = _render_workers(len(spans))
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            # fork children inherit the block function and its arguments (the
-            # arrays or the model) through initargs without pickling
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_block_init,
-                initargs=(block, *args),
-            )
-            try:
-                yield from pool.map(_block_worker, spans)
-            finally:
-                pool.shutdown(cancel_futures=True)
-            return
-    for lo, hi in spans:
-        yield block(*args, lo, hi)
+    with ForkMap(lambda span: block(*args, *span), spans) as blocks:
+        yield from blocks
 
 
 def _ensemble_chunks(ensemble: Ensemble):

@@ -271,6 +271,30 @@ def _exponential_from_bank(bank: StreamBank, rates: np.ndarray, lanes=None) -> n
     return -np.log1p(-u) / rates
 
 
+# half-width of the band around the squeeze bound, relative to the size
+# 1 + 0.0331*z**4 of its terms: (z*z)*(z*z) and numpy's z**4 differ by a few
+# ulps, far inside it
+_SQUEEZE_GUARD = 2.0**-40
+
+
+def _squeeze_accepts(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``u < 1 - 0.0331 * z**4`` on every lane, with ``z**4`` taken only on
+    the lanes within the guard band of the bound.
+
+    Two multiplications give z**4 cheaply but not always with the last bits
+    of numpy's ``power``; outside the band that cannot change a decision, and
+    inside it the decision is the ``z**4`` one, so the accept set is exactly
+    that of ``z**4`` (Shewchuk's filtered predicates work the same way).
+    """
+    z2 = z * z
+    q = 0.0331 * (z2 * z2)
+    bound = 1.0 - q
+    accept = u < bound
+    near = np.flatnonzero(np.abs(u - bound) <= _SQUEEZE_GUARD * (1.0 + q))
+    accept[near] = u[near] < 1.0 - 0.0331 * z[near] ** 4
+    return accept
+
+
 def _gamma_from_bank(bank: StreamBank, shapes: np.ndarray, rates: np.ndarray, lanes=None) -> np.ndarray:
     """Marsaglia-Tsang gamma draws; 3 uniforms per attempt, +1 for shape < 1."""
     if lanes is None:
@@ -293,7 +317,7 @@ def _gamma_from_bank(bank: StreamBank, shapes: np.ndarray, rates: np.ndarray, la
         t = 1.0 + c[rel] * z
         v = t * t * t
         ok = v > 0.0
-        accept = ok & (u3 < 1.0 - 0.0331 * z**4)
+        accept = ok & _squeeze_accepts(z, u3)
         # the log test only where the squeeze leaves an attempt undecided
         log = np.flatnonzero(ok & ~accept)
         zl, vl = z[log], v[log]

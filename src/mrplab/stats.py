@@ -551,7 +551,8 @@ def mixed_poisson_check(
     two-sample chi-square between N_{t+h} - N_t and an independently
     simulated N_h.  Aggregated with a Bonferroni correction at `level`.
     Before any draw, raises ConfigurationError unless every t is finite and
-    nonnegative, h is finite and positive, and `level` lies in (0, 1).
+    nonnegative, h is finite and positive, and `level` lies in (0, 1), and
+    InsufficientDataError unless `n_paths` >= 1.
     """
     if model.kernel.family != "exponential" or not model.is_proper_mrp:
         raise UnsupportedModelError(
@@ -564,6 +565,8 @@ def mixed_poisson_check(
     t_grid = [float(t) for t in t_grid]
     if not all(0.0 <= t < math.inf for t in t_grid):
         raise ConfigurationError(f"t_grid must be finite and nonnegative, got {t_grid!r}")
+    if n_paths < 1:
+        raise InsufficientDataError(f"need at least one path, got {n_paths}")
 
     times = sorted({t for t in t_grid} | {t + h for t in t_grid} | {h})
     times_arr = np.array(times)

@@ -1,12 +1,13 @@
 import csv
 import json
 import math
+import multiprocessing
 
 import pytest
 
-from mrplab import cli, special
+from mrplab import cli, construction, special
 from mrplab.cli import main
-from mrplab.errors import AccuracyError
+from mrplab.errors import AccuracyError, ConfigurationError
 from mrplab.exact import count_pmf, joint_interarrival_probability
 from mrplab.modelfile import bundled_model_path, load_bundled_model, parse_queries_document
 from mrplab.quadrature import QuadratureConfig
@@ -453,3 +454,115 @@ def test_verify_all_simulates_once_and_matches_single_suites(tmp_path, monkeypat
         single = tmp_path / f"{suite}.json"
         run(["verify", *common, "--suite", suite, "--out", str(single)])
         assert json.loads(single.read_text())["reports"] == [reports[suite]]
+
+
+_PROPER_EXP = {
+    "kernel": {"family": "exponential", "rate_map": {"a": 1.0, "b": 0.0}},
+    "mixing": {"kind": "gamma", "rate": 2.0, "shape": 1.5},
+}
+
+# one core, three forked workers, and three cores without fork
+CORES_AND_METHODS = [(1, None), (3, None), (3, ["spawn"])]
+
+
+def _set_cores(monkeypatch, cores, methods):
+    # and fork at any size
+    monkeypatch.setattr(cli, "FORK_MIN_DRAWS", 0)
+    monkeypatch.setattr(construction, "_available_cores", lambda: cores)
+    if methods:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+
+
+def _verify_all(tmp_path, model, out, *extra):
+    return run(["verify", "--model", model, "--suite", "all", "--paths", "3000",
+                "--events", "3", "--seed", "12", "--out", str(tmp_path / out), *extra])
+
+
+@pytest.mark.parametrize("name", ["gamma_half", "bivariate", "example16", "proper-exponential"])
+def test_verify_all_reports_do_not_depend_on_cores_or_fork(tmp_path, monkeypatch, name):
+    if name == "proper-exponential":
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(_PROPER_EXP))
+        model = str(model)
+    else:
+        model = bundled_model_path(name)
+    suite = cli._suite
+    here = []  # the suites run in this process
+
+    def counted(name, *args):
+        here.append(name)
+        return suite(name, *args)
+
+    monkeypatch.setattr(cli, "_suite", counted)
+    reports = []
+    for cores, methods in CORES_AND_METHODS:
+        _set_cores(monkeypatch, cores, methods)
+        here.clear()
+        code = _verify_all(tmp_path, model, f"{cores}-{methods}.json")
+        assert multiprocessing.active_children() == []
+        assert code == (1 if name == "example16" else 0)
+        assert sorted(here) == sorted(cli.ENSEMBLE_SUITES if methods is None and cores > 1
+                                      else cli.SUITES[:-1])
+        reports.append((tmp_path / f"{cores}-{methods}.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    checks = [r["check"] for r in json.loads(reports[0])["reports"]]
+    assert checks == [s for s in cli.SUITES[:-1] if name == "proper-exponential" or s != "mixed-poisson"]
+
+
+def _raising(error):
+    def suite(*args, **kwargs):
+        raise error
+    return suite
+
+
+@pytest.mark.parametrize("cores,methods", CORES_AND_METHODS)
+@pytest.mark.parametrize("error,code,message", [
+    (AccuracyError("count pmf missed its tolerance", 0.5, 1e-3), 4,
+     "mrplab: accuracy error: count pmf missed its tolerance\n"),
+    (ConfigurationError("bad increment width"), 2, "mrplab: error: bad increment width\n"),
+])
+def test_verify_all_error_in_the_forked_group(tmp_path, capsys, monkeypatch, cores, methods,
+                                              error, code, message):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(_PROPER_EXP))
+    monkeypatch.setattr(cli, "mixed_poisson_check", _raising(error))
+    _set_cores(monkeypatch, cores, methods)
+    assert _verify_all(tmp_path, str(model), "r.json") == code
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "r.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cores,methods", CORES_AND_METHODS)
+def test_verify_all_raises_the_earliest_suites_error(tmp_path, capsys, monkeypatch, cores, methods):
+    # suites in order: exchangeability, conditional-iid (forked), mc-vs-exact,
+    # mixed-poisson (forked), counting-axioms (forked)
+    _set_cores(monkeypatch, cores, methods)
+    monkeypatch.setattr(cli, "conditional_iid_test", _raising(AccuracyError("second", 0.0, 1.0)))
+    monkeypatch.setattr(cli, "mc_vs_exact", _raising(ConfigurationError("third")))
+    assert _verify_all(tmp_path, GH, "r.json") == 4
+    assert capsys.readouterr().err == "mrplab: accuracy error: second\n"
+    monkeypatch.setattr(cli, "exchangeability_test", _raising(ConfigurationError("first")))
+    assert _verify_all(tmp_path, GH, "r.json") == 2
+    assert capsys.readouterr().err == "mrplab: error: first\n"
+    assert not (tmp_path / "r.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("argv", [["--paths", "0"], ["--paths=-5"], ["--events", "0"],
+                                  ["--paths=-5", "--events", "0"], ["--events", "2.5"]])
+def test_verify_sizes_below_one_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    code = run(["verify", "--model", GH, "--suite", "conditional-iid", *argv, "--out", str(out)])
+    assert code == 2
+    assert "must be an integer of at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_small_sizes_keep_their_meaning(tmp_path):
+    # conditional-iid takes at least 100 samples and 2 indices
+    out = tmp_path / "r.json"
+    assert run(["verify", "--model", GH, "--suite", "conditional-iid", "--paths", "1",
+                "--events", "1", "--out", str(out)]) == 0
+    sizes = json.loads(out.read_text())["reports"][0]["sample_sizes"]
+    assert (sizes["samples"], sizes["max_index"]) == (100, 2)

@@ -503,9 +503,9 @@ def test_csv_render_serial_equals_parallel(render_ensemble, monkeypatch):
 
 def test_csv_render_worker_count(monkeypatch):
     monkeypatch.setattr(construction, "_available_cores", lambda: 3)
-    assert [construction._render_workers(b) for b in (1, 2, 5)] == [1, 2, 3]
+    assert [construction._map_workers(b) for b in (0, 1, 2, 5)] == [0, 1, 2, 3]
     monkeypatch.setattr(construction, "_available_cores", lambda: 1)
-    assert [construction._render_workers(b) for b in (1, 5)] == [1, 1]
+    assert [construction._map_workers(b) for b in (1, 5)] == [0, 0]
 
 
 def test_csv_render_without_fork_is_serial(render_ensemble, monkeypatch):
@@ -607,7 +607,7 @@ def test_import_loads_no_process_pool():
     import mrplab
 
     src = os.path.dirname(os.path.dirname(mrplab.__file__))
-    code = "import sys, mrplab; print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    code = "import sys, mrplab, mrplab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"

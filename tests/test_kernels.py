@@ -6,6 +6,7 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from mrplab import kernels
 from mrplab.errors import (
     ConfigurationError,
     ParameterDomainError,
@@ -243,6 +244,29 @@ def test_sample_batch_on_lanes_equals_full_bank(spec):
     others = np.setdiff1d(np.arange(10), lanes)
     assert np.all(bank.counters[others] == 0)
     assert np.all(bank.counters[lanes] > 0)
+
+
+def test_squeeze_decisions_equal_the_power_decisions():
+    # the gamma sampler's squeeze u < 1 - 0.0331 * z**4, on 1e6 attempts drawn
+    # as the sampler draws them and on lanes up to 3 ulps either side of the bound
+    gen = np.random.default_rng(17)
+    z = np.sqrt(-2.0 * np.log(gen.random(10**6))) * np.cos(2.0 * math.pi * gen.random(10**6))
+    u = gen.random(z.size)
+    zb = z[:100_000]
+    bound = 1.0 - 0.0331 * zb**4
+    near = [bound]
+    up = down = bound
+    for _ in range(3):
+        up, down = np.nextafter(up, 2.0), np.nextafter(down, -1.0)
+        near += [up, down]
+    zn, un = np.tile(zb, len(near)), np.concatenate(near)
+    inside = (un > 0.0) & (un < 1.0)
+    z, u = np.concatenate([z, zn[inside]]), np.concatenate([u, un[inside]])
+    expected = u < 1.0 - 0.0331 * z**4
+    assert np.array_equal(kernels._squeeze_accepts(z, u), expected)
+    # the product alone decides some of the near lanes the other way
+    z2 = z * z
+    assert np.count_nonzero((u < 1.0 - 0.0331 * (z2 * z2)) != expected) > 0
 
 
 def test_scalar_batch_bitwise_identical():

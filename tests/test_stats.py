@@ -465,6 +465,18 @@ def test_mixed_poisson_t_zero_trivial():
     assert first["t"] == 0.0 and first["p_value"] == 1.0
 
 
+@pytest.mark.parametrize("n_paths", [0, -5])
+def test_mixed_poisson_empty_sample_is_insufficient_data(monkeypatch, n_paths):
+    model = build_model(KernelSpec("exponential"), GammaMixing(2.0, 1.0))
+
+    def no_draw(*args):
+        raise AssertionError("drew counts")
+
+    monkeypatch.setattr(stats, "_simulate_counts_at", no_draw)
+    with pytest.raises(InsufficientDataError, match="at least one path"):
+        mixed_poisson_check(model, t_grid=(0.5, 1.0), h=0.5, n_paths=n_paths)
+
+
 def test_mixed_poisson_rejects_non_exponential():
     model = build_model(KernelSpec("gamma", shape=0.5), GammaMixing(2.0, 1.0))
     with pytest.raises(UnsupportedModelError):
