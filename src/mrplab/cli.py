@@ -38,6 +38,7 @@ from .errors import (
 # checks that the tracer restores this module's reference to it
 from .exact import (  # noqa: F401
     MAX_BATCH,
+    MAX_BATCH_2D,
     BoxQuery,
     count_pmfs,
     joint_interarrival_probabilities,
@@ -151,7 +152,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_exact(args) -> int:
     """Validate every query, answer the boxes and then the counts in batches of
-    at most MAX_BATCH, and write one row per query in file order."""
+    at most MAX_BATCH (MAX_BATCH_2D on a 2-D mixing measure), and write one
+    row per query in file order."""
     model, _meta = load_model_file(args.model)
     queries = load_queries_file(args.queries)
     cfg = _quadrature_config(args)
@@ -162,9 +164,10 @@ def _cmd_exact(args) -> int:
         else:
             counts.append((i, validate_count(model, q["t"], q["n"])))
     cells = [None] * len(queries)
+    size = MAX_BATCH if model.param_dim == 1 else MAX_BATCH_2D
     for todo, answer in ((boxes, joint_interarrival_probabilities), (counts, count_pmfs)):
-        for start in range(0, len(todo), MAX_BATCH):
-            ids, batch = zip(*todo[start:start + MAX_BATCH])
+        for start in range(0, len(todo), size):
+            ids, batch = zip(*todo[start:start + size])
             try:
                 results = [
                     (r.value, r.error, r.method if r.converged else NONCONVERGED)

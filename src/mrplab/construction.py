@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .counting import arrivals_from_interarrivals, compensated_cumsum_rows
+from .counting import check_interarrivals, compensated_cumsum, compensated_cumsum_rows
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -136,19 +136,13 @@ class MrpPath:
     arrivals: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.interarrivals, dtype=np.float64)
-        object.__setattr__(self, "interarrivals", w)
-        bad = np.flatnonzero(~(w > 0.0))
-        if bad.size:
-            i = int(bad[0])
-            raise InvalidInterarrivalError(
-                f"interarrival {i + 1} is not strictly positive: {w[i]!r}"
-            )
+        object.__setattr__(self, "interarrivals", check_interarrivals(self.interarrivals))
 
     @classmethod
     def from_interarrivals(cls, theta, interarrivals) -> "MrpPath":
+        # the arrivals unchecked: the path checks its interarrivals once
         w = np.asarray(interarrivals, dtype=np.float64)
-        return cls(theta_tuple(theta), w, arrivals_from_interarrivals(w))
+        return cls(theta_tuple(theta), w, np.append(0.0, compensated_cumsum(w)))
 
     @property
     def n_events(self) -> int:
@@ -379,18 +373,6 @@ def _render_block(thetas, w, t, first_id: int) -> bytes:
     return b"".join(parts)
 
 
-def _ensemble_block(thetas, w, t, lo: int, hi: int) -> bytes:
-    """CSV rows of paths lo..hi-1 of an ensemble's arrays."""
-    return _render_block(thetas[lo:hi], w[lo:hi], t[lo:hi], lo)
-
-
-def _drawn_block(model: MrpModel, n_events: int, root_seed: int, lo: int, hi: int) -> bytes:
-    """CSV rows of paths lo..hi-1 of the ensemble at `root_seed`, drawn here
-    on their own child streams, so they equal the rows of `simulate_ensemble`."""
-    thetas, w = _draw_span(model, n_events, root_seed, lo, hi)
-    return _render_block(thetas, w, compensated_cumsum_rows(w), lo)
-
-
 def _available_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -467,22 +449,23 @@ class ForkMap:
         self.close()
 
 
-def _csv_chunks(dim: int, block, args: tuple, n_paths: int):
-    """The CSV as bytes: the header, then ``block(*args, lo, hi)`` for each
-    block of `_RENDER_BLOCK` paths, in path order, computed by a `ForkMap`
-    (so the bytes do not depend on the worker count).  Closing the generator
-    early closes the map.
+def _csv_chunks(dim: int, n_paths: int, block):
+    """The CSV as bytes: the header, then ``block(lo, hi)``, the rows of paths
+    lo..hi-1, for each block of `_RENDER_BLOCK` paths, in path order,
+    computed by a `ForkMap` (so the bytes do not depend on the worker count).
+    Closing the generator early closes the map.
     """
     theta_cols = ["theta"] if dim == 1 else [f"theta{j + 1}" for j in range(dim)]
     yield (",".join(["path_id", *theta_cols, "k", "w", "t"]) + "\n").encode()
     spans = [(lo, min(lo + _RENDER_BLOCK, n_paths)) for lo in range(0, n_paths, _RENDER_BLOCK)]
-    with ForkMap(lambda span: block(*args, *span), spans) as blocks:
+    with ForkMap(lambda span: block(*span), spans) as blocks:
         yield from blocks
 
 
 def _ensemble_chunks(ensemble: Ensemble):
-    args = (ensemble.thetas, ensemble.interarrivals, ensemble.arrivals)
-    return _csv_chunks(ensemble.thetas.shape[1], _ensemble_block, args, ensemble.n_paths)
+    thetas, w, t = ensemble.thetas, ensemble.interarrivals, ensemble.arrivals
+    return _csv_chunks(thetas.shape[1], ensemble.n_paths,
+                       lambda lo, hi: _render_block(thetas[lo:hi], w[lo:hi], t[lo:hi], lo))
 
 
 def ensemble_csv_text(ensemble: Ensemble) -> str:
@@ -525,7 +508,12 @@ def simulate_to_csv(model: MrpModel, n_paths: int, n_events: int, root_seed: int
     no process holds the whole ensemble.
     """
     _check_size(n_paths, n_events)
-    args = (model, n_events, root_seed)
-    _write_csv(csv_path, _csv_chunks(model.param_dim, _drawn_block, args, n_paths))
+
+    def block(lo: int, hi: int) -> bytes:
+        # drawn on the paths' own child streams, so the rows equal those of `simulate_ensemble`
+        thetas, w = _draw_span(model, n_events, root_seed, lo, hi)
+        return _render_block(thetas, w, compensated_cumsum_rows(w), lo)
+
+    _write_csv(csv_path, _csv_chunks(model.param_dim, n_paths, block))
     manifest = _ensemble_manifest(model, root_seed, n_paths, n_events, _utc_now())
     return _write_manifest(manifest, csv_path)

@@ -54,19 +54,20 @@ def compensated_cumsum(values: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
-def arrivals_from_interarrivals(interarrivals: Sequence[float]) -> np.ndarray:
-    """Arrival times [T_0=0, T_1, ..., T_n] from positive interarrivals."""
+def check_interarrivals(interarrivals: Sequence[float]) -> np.ndarray:
+    """The interarrivals as a float64 array; InvalidInterarrivalError names
+    the first one that is not strictly positive."""
     w = np.asarray(interarrivals, dtype=np.float64)
     bad = np.flatnonzero(~(w > 0.0))
     if bad.size:
         i = int(bad[0])
-        raise InvalidInterarrivalError(
-            f"interarrival {i + 1} is not strictly positive: {w[i]!r}"
-        )
-    out = np.empty(len(w) + 1, dtype=np.float64)
-    out[0] = 0.0
-    out[1:] = compensated_cumsum(w)
-    return out
+        raise InvalidInterarrivalError(f"interarrival {i + 1} is not strictly positive: {float(w[i])!r}")
+    return w
+
+
+def arrivals_from_interarrivals(interarrivals: Sequence[float]) -> np.ndarray:
+    """Arrival times [T_0=0, T_1, ..., T_n] from positive interarrivals."""
+    return np.append(0.0, compensated_cumsum(check_interarrivals(interarrivals)))
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class CountingPath:
         t = np.asarray(self.event_times, dtype=np.float64)
         object.__setattr__(self, "event_times", t)
         if t.size and not t[0] > 0.0:
-            raise IngestionError(f"first event time must be positive, got {t[0]!r}")
+            raise IngestionError(f"first event time must be positive, got {float(t[0])!r}")
         if np.any(np.diff(t) <= 0.0):
             i = int(np.flatnonzero(np.diff(t) <= 0.0)[0])
             raise IngestionError(
@@ -150,58 +151,37 @@ def validate_counting_axioms(samples: Iterable[tuple[float, float]]) -> Verifica
     pts = [(float(t), float(n)) for t, n in samples]
     if not pts:
         raise IngestionError("no samples provided")
-    ts = np.array([p[0] for p in pts])
-    ns = np.array([p[1] for p in pts])
-    if np.any(~np.isfinite(ts)) or np.any(~np.isfinite(ns)):
+    ts, ns = np.array(pts).T
+    if not (np.isfinite(ts).all() and np.isfinite(ns).all()):
         raise IngestionError("samples must be finite")
     if np.any(np.diff(ts) < 0.0):
         raise IngestionError("samples must be sorted by t")
-    if np.any(np.diff(ts) == 0.0):
-        dup = int(np.flatnonzero(np.diff(ts) == 0.0)[0])
-        if ns[dup] != ns[dup + 1]:
-            raise IngestionError(f"duplicate grid point t={ts[dup]!r} with conflicting counts")
+    dup = np.flatnonzero((np.diff(ts) == 0.0) & (np.diff(ns) != 0.0))
+    if dup.size:
+        raise IngestionError(f"duplicate grid point t={float(ts[dup[0]])!r} with conflicting counts")
 
     violations: list[str] = []
     checks: dict[str, str] = {}
 
+    def check(name: str, bad: np.ndarray, message) -> None:
+        # the axiom fails at the first True of `bad`; message(i) describes it
+        hits = np.flatnonzero(bad)
+        checks[name] = "violated" if hits.size else "ok"
+        if hits.size:
+            violations.append(message(int(hits[0])))
+
     if ts[0] == 0.0:
-        if ns[0] != 0.0:
-            violations.append(f"start-at-zero: N_0 = {ns[0]:g} != 0")
-            checks["start_at_zero"] = "violated"
-        else:
-            checks["start_at_zero"] = "ok"
+        check("start_at_zero", ns[:1] != 0.0, lambda i: f"start-at-zero: N_0 = {ns[0]:g} != 0")
     else:
         checks["start_at_zero"] = "not sampled (t=0 missing)"
-
-    integral = np.all(ns >= 0.0) and np.all(ns == np.floor(ns))
-    if not integral:
-        i = int(np.flatnonzero(~((ns >= 0.0) & (ns == np.floor(ns))))[0])
-        violations.append(f"integer-values: N at t={ts[i]:g} is {ns[i]!r}")
-        checks["integer_values"] = "violated"
-    else:
-        checks["integer_values"] = "ok"
-
-    dec = np.flatnonzero(np.diff(ns) < 0.0)
-    if dec.size:
-        i = int(dec[0])
-        violations.append(
-            f"right-continuity/monotonicity: N decreases from {ns[i]:g} to {ns[i+1]:g} at t={ts[i+1]:g}"
-        )
-        checks["right_continuity"] = "violated"
-    else:
-        checks["right_continuity"] = "ok"
-
+    check("integer_values", ~((ns >= 0.0) & (ns == np.floor(ns))),
+          lambda i: f"integer-values: N at t={ts[i]:g} is {float(ns[i])!r}")
+    check("right_continuity", np.diff(ns) < 0.0, lambda i: (
+        f"right-continuity/monotonicity: N decreases from {ns[i]:g} to {ns[i+1]:g} at t={ts[i+1]:g}"))
     running_max = np.maximum.accumulate(ns)
-    jump = np.flatnonzero(ns[1:] > running_max[:-1] + 1.0)
-    if jump.size:
-        i = int(jump[0])
-        violations.append(
-            f"unit-jumps: N jumps from {running_max[i]:g} to {ns[i+1]:g} between "
-            f"t={ts[i]:g} and t={ts[i+1]:g}"
-        )
-        checks["unit_jumps"] = "violated"
-    else:
-        checks["unit_jumps"] = "ok"
+    check("unit_jumps", ns[1:] > running_max[:-1] + 1.0, lambda i: (
+        f"unit-jumps: N jumps from {running_max[i]:g} to {ns[i+1]:g} between "
+        f"t={ts[i]:g} and t={ts[i+1]:g}"))
 
     checks["divergence"] = f"informational: observed max N = {ns.max():g}"
 

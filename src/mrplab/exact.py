@@ -11,8 +11,9 @@ column per query, each integrated to its own tolerance; so a batch's results
 share its `n_panels` and `n_calls`, the cost of that one integral, while
 each keeps its own value, error bound and `converged` flag.  The integrand's
 memory grows with its columns, so callers answer at most `MAX_BATCH` queries
-a batch.  ``joint_interarrival_probability`` and ``count_pmf`` are batches
-of one.  ``cylinder_probability_density_form`` evaluates the box probability
+a batch (`MAX_BATCH_2D` on a 2-D mixing measure).
+``joint_interarrival_probability`` and ``count_pmf`` are batches of one.
+``cylinder_probability_density_form`` evaluates the box probability
 for gamma-kernel models with per-theta factors that integrate the kernel
 density instead of calling the CDF special function.  Each route is a
 per-theta integrand and one call of the mixing measure's own integral
@@ -50,8 +51,10 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, adap
 # the largest box dimension a query may have
 MAX_BOX_DIM = 16
 # the most queries a caller answers with one mixing integral; it bounds the
-# integrand's columns, and so its memory
+# integrand's columns, and so its memory, which a 2-D mixing measure's tensor
+# grid of nodes multiplies: there a quarter of the columns
 MAX_BATCH = 64
+MAX_BATCH_2D = MAX_BATCH // 4
 _EPS = np.finfo(float).eps
 
 

@@ -73,10 +73,7 @@ def _default_probe_boxes(w: np.ndarray, r: int) -> list[tuple]:
     boxes = [tuple(b) for b in itertools.product(pooled, repeat=r)]
     if r == 2:
         boxes.extend(WITNESS_BOXES)
-    seen: dict = {}
-    for b in boxes:
-        seen.setdefault(b, None)
-    return list(seen)
+    return list(dict.fromkeys(boxes))
 
 
 # paths per block of the resampling null: a block holds its group ids, one
@@ -136,27 +133,6 @@ def _group_id_blocks(stream: UniformStream, n_paths: int, m: int, n_group: int):
         yield ids[:want].reshape(-1, m)
 
 
-def _cdf_discrepancy_pairs(base_boxes, perms):
-    """(box index pairs, eval box list) for D = max |F(w) - F(w o pi)|."""
-    index: dict = {}
-    eval_boxes: list = []
-
-    def idx(box):
-        if box not in index:
-            index[box] = len(eval_boxes)
-            eval_boxes.append(box)
-        return index[box]
-
-    pairs = []
-    for b in base_boxes:
-        i0 = idx(b)
-        for p in perms:
-            bp = tuple(b[j] for j in p)
-            if bp != b:
-                pairs.append((i0, idx(bp)))
-    return pairs, eval_boxes
-
-
 def exchangeability_test(
     data,
     r: int,
@@ -212,16 +188,22 @@ def exchangeability_test(
         )
 
     if probe_boxes is None:
-        base_boxes = _default_probe_boxes(w, r)
-    else:
-        base_boxes = [tuple(float(v) for v in b) for b in probe_boxes]
-        if any(len(b) != r for b in base_boxes):
-            raise ConfigurationError("probe boxes must have r coordinates")
-
-    group = list(itertools.permutations(range(r)))
-    stat_perms = [p for p in group if p != tuple(range(r))]
-    pairs, eval_boxes = _cdf_discrepancy_pairs(base_boxes, stat_perms)
-    if not pairs:
+        probe_boxes = _default_probe_boxes(w, r)
+    elif any(len(b) != r for b in probe_boxes):
+        raise ConfigurationError("probe boxes must have r coordinates")
+    base = np.asarray(probe_boxes, dtype=np.float64).reshape(-1, r)
+    if np.isnan(base).any():
+        raise ConfigurationError("probe box thresholds must not be NaN")
+    # D = max |F(b) - F(b o sigma)| over the probe boxes b and the elements
+    # sigma of the group (row 0 the identity) that move b: the boxes to
+    # count are the distinct permuted boxes, and a pair is the index of b
+    # and of b o sigma among them
+    group = np.array(list(itertools.permutations(range(r))))
+    boxes, index = np.unique(base[:, group].reshape(-1, r), axis=0, return_inverse=True)
+    index = index.reshape(len(base), -1)
+    moves = index != index[:, :1]
+    p1, p2 = np.broadcast_to(index[:, :1], index.shape)[moves], index[moves]
+    if not p1.size:
         raise DegenerateTestError(
             "every probe box is symmetric under coordinate permutations, so the "
             "statistic is identically 0"
@@ -232,9 +214,6 @@ def exchangeability_test(
     # bin k of a path counts the thresholds below its k-th interarrival, and
     # the path lies in a box exactly when each bin is at most the index of
     # the box's threshold in that coordinate
-    boxes = np.asarray(eval_boxes, dtype=np.float64)
-    if np.isnan(boxes).any():
-        raise ConfigurationError("probe box thresholds must not be NaN")
     thresholds = np.unique(boxes)
     n_bins = thresholds.size + 1
     n_cells = n_bins**r
@@ -251,8 +230,6 @@ def exchangeability_test(
     ncell = np.bincount(cell, minlength=n_cells)
     counts = in_box.astype(np.int64) @ ncell
     fhat = counts / n
-    p1 = np.array([a for a, _ in pairs])
-    p2 = np.array([b for _, b in pairs])
     d_obs = float(np.abs(fhat[p1] - fhat[p2]).max())
     k_obs = float(np.abs(counts[p1] - counts[p2]).max())
 
@@ -264,7 +241,7 @@ def exchangeability_test(
     # moves the path to the cell with bins (bin[sigma[0]], ..., bin[sigma[r-1]]);
     # the paths per moved cell and replica give every replica's box counts
     n_group = len(group)
-    moved = digits[:, np.array(group)] @ radix  # (cell, id) -> moved cell
+    moved = digits[:, group] @ radix  # (cell, id) -> moved cell
     k_null = np.empty(n_permutations)
     for done in range(0, n_permutations, _REPLICA_CHUNK):
         m = min(_REPLICA_CHUNK, n_permutations - done)
@@ -307,9 +284,9 @@ def exchangeability_test(
         sample_sizes={"paths": n, "prefix": r, "replicas": n_permutations},
         caveats=(_BOREL_CAVEAT,),
         details={
-            "n_probe_boxes": len(base_boxes),
-            "n_eval_boxes": len(eval_boxes),
-            "n_pairs": len(pairs),
+            "n_probe_boxes": len(base),
+            "n_eval_boxes": len(boxes),
+            "n_pairs": p1.size,
             "null_quantile_99": float(np.quantile(d_null, 0.99)) if n_permutations else None,
         },
     )

@@ -225,6 +225,23 @@ def test_exact_answers_batches_in_file_order(tmp_path, monkeypatch, batch):
         assert abs(value - single.value) <= err + single.error + 1e-15
 
 
+@pytest.mark.parametrize("name,sizes", [("gamma_half", [20]), ("bivariate", [16, 4])])
+def test_exact_batch_bound_follows_the_mixing_dimension(tmp_path, monkeypatch, name, sizes):
+    # a 2-D mixing integral's node grid is far larger, so its batches are smaller
+    assert cli.MAX_BATCH_2D == 16 < cli.MAX_BATCH
+    seen, original = [], cli.joint_interarrival_probabilities
+
+    def answer(model, batch, cfg):
+        seen.append(len(batch))
+        return original(model, batch, cfg)
+
+    monkeypatch.setattr(cli, "joint_interarrival_probabilities", answer)
+    queries = [{"id": f"b{i}", "bounds": [[None, 0.1 * (i + 1)]]} for i in range(20)]
+    code, rows = _exact_rows(tmp_path, queries, bundled_model_path(name))
+    assert code == 0 and len(rows) == 20
+    assert seen == sizes
+
+
 def test_exact_flags_only_the_rows_that_missed_their_tolerance(tmp_path, monkeypatch):
     # eight panels answer the easy boxes of the batch but not the 4-D one
     cfg = QuadratureConfig(max_subdivisions=8)

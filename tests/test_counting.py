@@ -186,6 +186,58 @@ def test_axiom_unsorted_input_rejected():
         validate_counting_axioms([])
 
 
+def test_axiom_violations_name_each_first_offender():
+    report = validate_counting_axioms([(0.0, 1), (0.5, 1.5), (1.0, 1), (2.0, 3), (3.0, 3)])
+    assert report.statistic == 4.0
+    assert report.details["violations"] == [
+        "start-at-zero: N_0 = 1 != 0",
+        "integer-values: N at t=0.5 is 1.5",
+        "right-continuity/monotonicity: N decreases from 1.5 to 1 at t=1",
+        "unit-jumps: N jumps from 1.5 to 3 between t=1 and t=2",
+    ]
+    assert report.details["checks"] == {
+        "start_at_zero": "violated",
+        "integer_values": "violated",
+        "right_continuity": "violated",
+        "unit_jumps": "violated",
+        "divergence": "informational: observed max N = 3",
+    }
+
+
+def test_axiom_conflicting_duplicate_rejected_after_a_consistent_one():
+    with pytest.raises(IngestionError, match=r"t=1\.0 "):
+        validate_counting_axioms([(0.0, 0), (0.5, 0), (0.5, 0), (1.0, 1), (1.0, 2)])
+
+
+def _raised(fn, *args):
+    with pytest.raises((IngestionError, InvalidInterarrivalError)) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_messages_write_values_as_plain_floats():
+    from mrplab.construction import MrpPath
+
+    w = np.array([1.0, -2.0])
+    texts = [
+        _raised(arrivals_from_interarrivals, w),
+        _raised(MrpPath.from_interarrivals, 1.0, w),
+        _raised(MrpPath, (1.0,), w, np.zeros(3)),
+    ]
+    assert all(t == "interarrival 2 is not strictly positive: -2.0" for t in texts)
+    texts = [
+        _raised(CountingPath, np.array([-1.0, 2.0]), 3.0),
+        _raised(validate_counting_axioms, np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 1.0]])),
+        *validate_counting_axioms(np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 1.5]])).details["violations"],
+    ]
+    assert texts == [
+        "first event time must be positive, got -1.0",
+        "duplicate grid point t=0.5 with conflicting counts",
+        "integer-values: N at t=1 is 1.5",
+    ]
+    assert not any("np." in t for t in texts)
+
+
 def test_divergence_reported_as_caveat_never_failure():
     report = validate_counting_axioms([(0.0, 0), (1.0, 1)])
     assert report.passed

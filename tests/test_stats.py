@@ -138,29 +138,53 @@ def _group_ids(stream, n_paths, m, n_group):
     return np.concatenate(list(_group_id_blocks(stream, n_paths, m, n_group)))
 
 
-def _integer_null_exceedances(w, r, n_permutations, resample_seed):
-    """n_ge recomputed in int64 box counts by permuting the data itself.
+def _reference_pairs(base_boxes, r):
+    """(box index pairs, boxes to count) of D = max |F(b) - F(b o sigma)|,
+    built one box at a time: every probe box b, and for each permutation
+    sigma that moves b, the pair (b, b o sigma), each box indexed by its
+    first appearance."""
+    index: dict = {}
+    eval_boxes: list = []
+
+    def idx(box):
+        if box not in index:
+            index[box] = len(eval_boxes)
+            eval_boxes.append(box)
+        return index[box]
+
+    pairs = []
+    for b in base_boxes:
+        i0 = idx(b)
+        for p in itertools.permutations(range(r)):
+            bp = tuple(b[j] for j in p)
+            if bp != b:
+                pairs.append((i0, idx(bp)))
+    return pairs, eval_boxes
+
+
+def _integer_null_exceedances(w, r, n_permutations, resample_seed, probe_boxes=None):
+    """(k_obs, n_ge) recomputed in int64 box counts by permuting the data itself.
 
     Replica j gives path i the group element sigma = group[id[i, j]] and
     reads its interarrivals as w[i, sigma]; the statistic is the largest
-    |count(box) - count(permuted box)| over the probe boxes.
+    |count(box) - count(permuted box)| over the reference pairs.
     """
     group = list(itertools.permutations(range(r)))
-    boxes = [np.asarray(b) for b in _default_probe_boxes(w, r)]
-    perms = [p for p in group if p != tuple(range(r))]
+    if probe_boxes is None:
+        probe_boxes = _default_probe_boxes(w, r)
+    pairs, eval_boxes = _reference_pairs(probe_boxes, r)
+    boxes = np.asarray(eval_boxes)
 
     def stat(x):
-        return max(
-            abs(int(np.sum(np.all(x <= b, axis=1))) - int(np.sum(np.all(x <= b[list(p)], axis=1))))
-            for b in boxes for p in perms
-        )
+        counts = np.sum(np.all(x[None] <= boxes[:, None], axis=2), axis=1)
+        return max(abs(int(counts[a]) - int(counts[b])) for a, b in pairs)
 
     n = w.shape[0]
     ids = _group_ids(UniformStream(resample_seed), n, n_permutations, len(group))
     sigma = np.asarray(group)
     k_obs = stat(w)
     k_null = [stat(np.take_along_axis(w, sigma[ids[:, j]], axis=1)) for j in range(n_permutations)]
-    return sum(k >= k_obs for k in k_null)
+    return k_obs, sum(k >= k_obs for k in k_null)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -171,7 +195,30 @@ def test_exchangeability_counts_tied_replicas(seed):
     w = 1.0 + np.floor(raw * 3.0)
     n_perm = 99
     rep = exchangeability_test(w, r=2, n_permutations=n_perm, resample_seed=seed + 500)
-    n_ge = _integer_null_exceedances(w, 2, n_perm, seed + 500)
+    _, n_ge = _integer_null_exceedances(w, 2, n_perm, seed + 500)
+    assert rep.p_value == (1.0 + n_ge) / (n_perm + 1.0)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_exchangeability_pairs_match_a_box_by_box_reference(r):
+    # random probes on a few thresholds: repeated boxes, boxes fixed by
+    # some or all permutations, and infinite thresholds
+    rng = np.random.default_rng(r)
+    values = np.array([-np.inf, 0.4, 0.9, 1.6, np.inf])
+    probes = [tuple(float(v) for v in rng.choice(values, r)) for _ in range(6)]
+    probes += [probes[0], (0.9,) * r, (0.4,) * (r - 1) + (np.inf,)]
+    w = -np.log(UniformStream(40 + r).uniforms(400 * r).reshape(400, r))
+    n_perm = 49
+    rep = exchangeability_test(w, r=r, n_permutations=n_perm, probe_boxes=probes, resample_seed=r)
+    pairs, eval_boxes = _reference_pairs(probes, r)
+    counts = np.array([np.sum(np.all(w <= b, axis=1)) for b in eval_boxes])
+    fhat = counts / len(w)
+    k_obs, n_ge = _integer_null_exceedances(w, r, n_perm, r, probes)
+    assert rep.details["n_probe_boxes"] == len(probes)
+    assert rep.details["n_eval_boxes"] == len(eval_boxes)
+    assert rep.details["n_pairs"] == len(pairs)
+    assert rep.statistic == max(abs(fhat[a] - fhat[b]) for a, b in pairs)
+    assert rep.statistic * len(w) == pytest.approx(k_obs)
     assert rep.p_value == (1.0 + n_ge) / (n_perm + 1.0)
 
 
@@ -285,14 +332,16 @@ def test_exchangeability_does_not_depend_on_block_size(monkeypatch):
             assert _sha(rep.to_json().encode()) == PINNED_EXCHANGEABILITY["bivariate", r, m]
 
 
-def test_exchangeability_memory_is_bounded_by_a_path_block():
+@pytest.mark.parametrize("r", [2, 3])
+def test_exchangeability_memory_is_bounded_by_a_path_block(r):
     # the null never holds a paths x replicas array: at 1e5 paths its
-    # traced peak stays far below one float32 mask of 1e5 x 199 (76 MiB)
+    # traced peak stays far below one float32 mask of 1e5 x 199 (76 MiB),
+    # both in the float32 products of r = 2 and the count tables of r = 3
     model, _meta = load_bundled_model("gamma_half")
-    ens = simulate_ensemble(model, 100_000, 3, root_seed=1)
+    ens = simulate_ensemble(model, 100_000, r, root_seed=1)
     tracemalloc.start()
     try:
-        exchangeability_test(ens, r=3)
+        exchangeability_test(ens, r=r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
