@@ -37,8 +37,6 @@ from .errors import (
 # joint_interarrival_probability is not called here, but bench/test_bench.py
 # checks that the tracer restores this module's reference to it
 from .exact import (  # noqa: F401
-    MAX_BATCH,
-    MAX_BATCH_2D,
     BoxQuery,
     count_pmfs,
     joint_interarrival_probabilities,
@@ -67,14 +65,9 @@ SUITES = (
 )
 
 # the suites that read the simulated ensemble: `mrplab verify --suite all` runs
-# them in this process, so the ensemble is simulated once and never copied,
-# while one forked worker runs the other suites
+# them as one item of its fork map, so the ensemble is simulated once, in one
+# process, and never copied; the other suites are the other item
 ENSEMBLE_SUITES = ("exchangeability", "mc-vs-exact")
-# the fewest ensemble draws (paths x events) at which verify forks that
-# worker: the fork costs about 15 ms and slows both processes, so smaller runs
-# gain nothing (5e4 paths x 2 events: gamma_half 0.4 ms faster, example16
-# 22 ms slower; 1e5 x 2: 20 ms and 1 ms faster, on 2 cores)
-FORK_MIN_DRAWS = 100_000
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -151,9 +144,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    """Validate every query, answer the boxes and then the counts in batches of
-    at most MAX_BATCH (MAX_BATCH_2D on a 2-D mixing measure), and write one
-    row per query in file order."""
+    """Validate every query, answer the boxes and then the counts, one call
+    each, and write one row per query in file order."""
     model, _meta = load_model_file(args.model)
     queries = load_queries_file(args.queries)
     cfg = _quadrature_config(args)
@@ -164,19 +156,17 @@ def _cmd_exact(args) -> int:
         else:
             counts.append((i, validate_count(model, q["t"], q["n"])))
     cells = [None] * len(queries)
-    size = MAX_BATCH if model.param_dim == 1 else MAX_BATCH_2D
     for todo, answer in ((boxes, joint_interarrival_probabilities), (counts, count_pmfs)):
-        for start in range(0, len(todo), size):
-            ids, batch = zip(*todo[start:start + size])
-            try:
-                results = [
-                    (r.value, r.error, r.method if r.converged else NONCONVERGED)
-                    for r in answer(model, batch, cfg)
-                ]
-            except AccuracyError as exc:  # raised inside the integrand: no column is valid
-                results = [(exc.value, exc.error_estimate, NONCONVERGED)] * len(batch)
-            for i, cell in zip(ids, results):
-                cells[i] = cell
+        asked = [query for _, query in todo]
+        try:
+            results = [
+                (r.value, r.error, r.method if r.converged else NONCONVERGED)
+                for r in answer(model, asked, cfg)
+            ]
+        except AccuracyError as exc:  # raised inside an integrand: no result is valid
+            results = [(exc.value, exc.error_estimate, NONCONVERGED)] * len(asked)
+        for (i, _), cell in zip(todo, results):
+            cells[i] = cell
     lines = ["query_id,probability,error_estimate,method"]
     lines += [f"{q['id']},{v!r},{e!r},{m}" for q, (v, e, m) in zip(queries, cells)]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
@@ -263,13 +253,10 @@ def _cmd_verify(args) -> int:
 
     # every suite reads its own seeded substream, so the two groups are
     # independent and can run at once
-    forked = []
-    if len(selected) > 1 and args.paths * args.events >= FORK_MIN_DRAWS:
-        forked = [n for n in selected if n not in ENSEMBLE_SUITES]
-    with ForkMap(run, [forked] if forked else [], alongside=True) as later:
-        outcomes = dict(run([n for n in selected if n not in forked]))
-        for done in later:
-            outcomes.update(done)
+    groups = ([n for n in selected if n in ENSEMBLE_SUITES],
+              [n for n in selected if n not in ENSEMBLE_SUITES])
+    with ForkMap(run, [g for g in groups if g]) as done:
+        outcomes = {name: outcome for group in done for name, outcome in group}
     reports, skipped = [], []
     # a group stops at its first error, so every suite before the earliest
     # error ran: that error is the one a serial run raises

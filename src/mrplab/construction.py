@@ -13,9 +13,9 @@ paths are chunked.  `simulate_ensemble` draws them in this process;
 `simulate_to_csv` (``mrplab simulate``) draws and renders each block of
 paths in a worker of a `ForkMap` and streams the blocks to the CSV in order.
 `ForkMap` is the one engine that hands work to other cores: forked workers,
-one per available core, that return their results in item order, or this
-process alone on one core or without ``fork``.  ``mrplab verify`` runs its
-suites that do not read the ensemble through it too.  Infinite interarrival
+one per available core and item, that return their results in item order, or
+this process alone on one core or item or without ``fork``.  ``mrplab
+verify`` runs its two groups of suites through it too.  Infinite interarrival
 sequences are truncated at a fixed per-path length, recorded in the ensemble
 manifest.
 """
@@ -380,13 +380,6 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _map_workers(n_items: int) -> int:
-    """Forked workers of a map of `n_items`: one per available core, at most
-    one per item, and none on one core."""
-    cores = _available_cores()
-    return min(cores, n_items) if cores > 1 else 0
-
-
 # (function, items) of the map a forked worker serves, set in that worker
 _map_task: tuple = ()
 
@@ -404,10 +397,9 @@ def _map_item(i: int):
 class ForkMap:
     """``fn(item)`` for each item, iterated once, in item order.
 
-    Where forked workers make at least two processes compute at once (two or
-    more items, or one while the caller works `alongside` before it reads the
-    results), and the platform can ``fork``, every item is submitted when the
-    map is made, to one worker per available core, at most one per item.  The
+    Where there are at least two available cores and two items, and the
+    platform can ``fork``, every item is submitted when the map is made, to
+    one forked worker per available core, at most one per item.  The
     workers inherit `fn` and the items through the fork, so neither is pickled
     and `fn` may be a closure; each result (or error, which comes back typed)
     is pickled to this process.  Otherwise each item is computed in this
@@ -416,10 +408,10 @@ class ForkMap:
     closes on exit.
     """
 
-    def __init__(self, fn, items, *, alongside: bool = False):
+    def __init__(self, fn, items):
         self._pool = None
-        workers = _map_workers(len(items))
-        if workers > 1 or (workers and alongside):
+        workers = min(_available_cores(), len(items))
+        if workers > 1:
             import multiprocessing
 
             if "fork" in multiprocessing.get_all_start_methods():

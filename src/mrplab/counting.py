@@ -141,7 +141,7 @@ def interarrivals_from_arrivals(arrivals: Sequence[float]) -> np.ndarray:
 
 
 def validate_counting_axioms(samples: Iterable[tuple[float, float]]) -> VerificationReport:
-    """Check the counting-process axioms on a sorted (t, N_t) sample grid.
+    """Check the counting-process axioms on a sorted (t, N_t) sample grid at t >= 0.
 
     Grid-level semantics: start at zero, nonnegative-integer values,
     no decreases, and no jumps larger than one between grid neighbours.
@@ -156,6 +156,8 @@ def validate_counting_axioms(samples: Iterable[tuple[float, float]]) -> Verifica
         raise IngestionError("samples must be finite")
     if np.any(np.diff(ts) < 0.0):
         raise IngestionError("samples must be sorted by t")
+    if ts[0] < 0.0:
+        raise IngestionError(f"sample at negative time t={float(ts[0])!r}: N_t lives on t >= 0")
     dup = np.flatnonzero((np.diff(ts) == 0.0) & (np.diff(ns) != 0.0))
     if dup.size:
         raise IngestionError(f"duplicate grid point t={float(ts[dup[0]])!r} with conflicting counts")

@@ -6,12 +6,12 @@
                   over the mixing measure,
 
 and ``count_pmfs`` the count law at a batch of (t, n) points the same way.
-All the queries of a batch share one mixing integral whose integrand has one
-column per query, each integrated to its own tolerance; so a batch's results
-share its `n_panels` and `n_calls`, the cost of that one integral, while
-each keeps its own value, error bound and `converged` flag.  The integrand's
-memory grows with its columns, so callers answer at most `MAX_BATCH` queries
-a batch (`MAX_BATCH_2D` on a 2-D mixing measure).
+The queries share mixing integrals whose integrand has one column per query,
+each integrated to its own tolerance; so the results of one integral share
+its `n_panels` and `n_calls`, while each keeps its own value, error bound and
+`converged` flag.  The integrand's memory grows with its columns, so a call
+takes consecutive integrals of at most `MAX_BATCH` queries (`MAX_BATCH_2D` on
+a 2-D mixing measure), however many queries it is given.
 ``joint_interarrival_probability`` and ``count_pmf`` are batches of one.
 ``cylinder_probability_density_form`` evaluates the box probability
 for gamma-kernel models with per-theta factors that integrate the kernel
@@ -50,7 +50,7 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, adap
 
 # the largest box dimension a query may have
 MAX_BOX_DIM = 16
-# the most queries a caller answers with one mixing integral; it bounds the
+# the most queries answered with one mixing integral; it bounds the
 # integrand's columns, and so its memory, which a 2-D mixing measure's tensor
 # grid of nodes multiplies: there a quarter of the columns
 MAX_BATCH = 64
@@ -92,8 +92,8 @@ class ExactResult:
 
     `n_panels` and `n_calls` count the mixing integral's quadrature panels and
     integrand calls; an atomic sum or a boundary value takes neither.  The
-    results of one batch share its integral, so they report the same
-    `n_panels` and `n_calls`: the cost of the whole batch, not of one query.
+    results of one integral report the same `n_panels` and `n_calls`: the
+    cost of that integral, not of one query.
     """
 
     value: float
@@ -152,6 +152,12 @@ def _batch(res: QuadratureResult, errors, method: str, met=True) -> list[ExactRe
     ]
 
 
+def _in_batches(model: MrpModel, queries: list, answer) -> list[ExactResult]:
+    """``answer(batch)`` on consecutive batches of the size `model` allows, joined."""
+    size = MAX_BATCH if model.param_dim == 1 else MAX_BATCH_2D
+    return [r for lo in range(0, len(queries), size) for r in answer(queries[lo:lo + size])]
+
+
 def require_converged(result: ExactResult, cfg: QuadratureConfig) -> ExactResult:
     """`result` if it converged, else AccuracyError carrying its best estimate."""
     if not result.converged:
@@ -183,36 +189,38 @@ def joint_interarrival_probabilities(
 
     Every box is validated before any is answered.  Atomic mixing is summed
     exactly; continuous mixing is integrated by adaptive Gauss-Kronrod
-    quadrature, one integral for the whole batch, whose integrand evaluates
-    every box's factor columns in one CDF call.  Each result's error estimate
-    bounds its own quadrature error, and a box whose integral missed its
-    tolerance within the panel limit comes back with `converged=False` and
-    its best estimate.  An AccuracyError raised by the integrand (the
-    incomplete gamma function) ends the whole batch.
+    quadrature, one integral per batch of at most `MAX_BATCH` boxes, whose
+    integrand evaluates every box's factor columns in one CDF call.  Each
+    result's error estimate bounds its own quadrature error, and a box whose
+    integral missed its tolerance within the panel limit comes back with
+    `converged=False` and its best estimate.  An AccuracyError raised by the
+    integrand (the incomplete gamma function) ends the whole call.
     """
     boxes = [validate_box(q) for q in boxes]
-    if not boxes:
-        return []
     spec, mixing = model.kernel, model.mixing
-    layouts = [_box_columns(q) for q in boxes]
-    indices = [i for ind, _, _ in layouts for i in ind]
-    xs = [x for _, pts, _ in layouts for x in pts]
-    stops = np.cumsum([0] + [len(ind) for ind, _, _ in layouts]).tolist()
 
-    def g(thetas: np.ndarray) -> np.ndarray:
-        # every box's factor per theta, from one CDF call
-        cdf = kernel_cdf_batch(spec, indices, thetas, xs)
-        return np.column_stack([
-            _box_product(cdf[:, a:b], lower)
-            for a, b, (_, _, lower) in zip(stops, stops[1:], layouts)
-        ])
+    def answer(batch: list) -> list[ExactResult]:
+        layouts = [_box_columns(q) for q in batch]
+        indices = [i for ind, _, _ in layouts for i in ind]
+        xs = [x for _, pts, _ in layouts for x in pts]
+        stops = np.cumsum([0] + [len(ind) for ind, _, _ in layouts]).tolist()
 
-    res = mixing.integrate(g, cfg)
-    # an atomic sum is exact up to the rounding of its factors
-    errors = (
-        [4.0 * _EPS * q.dim * len(mixing.atoms) for q in boxes] if mixing.is_atomic else res.error
-    )
-    return _batch(res, errors, _method(mixing))
+        def g(thetas: np.ndarray) -> np.ndarray:
+            # every box's factor per theta, from one CDF call
+            cdf = kernel_cdf_batch(spec, indices, thetas, xs)
+            return np.column_stack([
+                _box_product(cdf[:, a:b], lower)
+                for a, b, (_, _, lower) in zip(stops, stops[1:], layouts)
+            ])
+
+        res = mixing.integrate(g, cfg)
+        # an atomic sum is exact up to the rounding of its factors
+        errors = (
+            [4.0 * _EPS * q.dim * len(mixing.atoms) for q in batch] if mixing.is_atomic else res.error
+        )
+        return _batch(res, errors, _method(mixing))
+
+    return _in_batches(model, boxes, answer)
 
 
 def joint_interarrival_probability(
@@ -276,35 +284,39 @@ def count_pmfs(
     the bracket is the Poisson weight, which is integrated directly: the
     difference of two CDFs near 1 would lose every digit of a small pmf.
     Every point is validated before any is answered; t = 0 is a boundary
-    value, and the other points share one mixing integral, as in
-    `joint_interarrival_probabilities`.
+    value, and the other points of a batch share one mixing integral, in
+    batches as in `joint_interarrival_probabilities`.
     """
     points = [validate_count(model, t, n) for t, n in points]
-    results = [ExactResult(1.0 if n == 0 else 0.0, 0.0, "boundary") for _, n in points]
-    live = [i for i, (t, _) in enumerate(points) if t > 0.0]
-    if not live:
-        return results
     spec, mixing = model.kernel, model.mixing
-    ts = np.array([points[i][0] for i in live], dtype=np.float64)
-    ns = np.array([points[i][1] for i in live])
-
-    def g(thetas: np.ndarray) -> np.ndarray:
-        if spec.family == "exponential":
-            return _poisson_weights(spec, thetas, ts, ns)
-        # T_n given theta sums n interarrivals of the constant family
-        terms = np.stack([ns, ns + 1], axis=1).ravel()
-        cdf = kernel_cdf_batch(spec, 1, thetas, np.repeat(ts, 2), n_terms=terms)
-        return cdf[:, 0::2] - cdf[:, 1::2]
-
     # given theta the count weight has the shape theta**(n*shape) * exp(-a*t*theta);
     # a shape tied to theta2 needs two-dimensional mixing, which takes no tilt
     shape = 1.0 if spec.shape in (None, SHAPE_FROM_THETA2) else spec.shape
-    tilts = [(points[i][1] * shape, spec.rate_map.a * points[i][0]) for i in live]
-    res = mixing.integrate(g, cfg, tilts=tilts)
-    errors = [8.0 * _EPS] * len(live) if mixing.is_atomic else res.error
-    for i, result in zip(live, _batch(res, errors, _method(mixing))):
-        results[i] = result
-    return results
+
+    def answer(batch: list) -> list[ExactResult]:
+        results = [ExactResult(1.0 if n == 0 else 0.0, 0.0, "boundary") for _, n in batch]
+        live = [i for i, (t, _) in enumerate(batch) if t > 0.0]
+        if not live:
+            return results
+        ts = np.array([batch[i][0] for i in live], dtype=np.float64)
+        ns = np.array([batch[i][1] for i in live])
+
+        def g(thetas: np.ndarray) -> np.ndarray:
+            if spec.family == "exponential":
+                return _poisson_weights(spec, thetas, ts, ns)
+            # T_n given theta sums n interarrivals of the constant family
+            terms = np.stack([ns, ns + 1], axis=1).ravel()
+            cdf = kernel_cdf_batch(spec, 1, thetas, np.repeat(ts, 2), n_terms=terms)
+            return cdf[:, 0::2] - cdf[:, 1::2]
+
+        tilts = [(batch[i][1] * shape, spec.rate_map.a * batch[i][0]) for i in live]
+        res = mixing.integrate(g, cfg, tilts=tilts)
+        errors = [8.0 * _EPS] * len(live) if mixing.is_atomic else res.error
+        for i, result in zip(live, _batch(res, errors, _method(mixing))):
+            results[i] = result
+        return results
+
+    return _in_batches(model, points, answer)
 
 
 def count_pmf(

@@ -13,8 +13,8 @@ so the null is computed from integer counts of paths per cell and replica.
 Its permutations come from one uniform stream in path blocks, which bounds
 its memory by one block whatever the number of paths.
 
-The mixed-Poisson fit takes the exact count pmf at 0..max N_t from
-`count_pmfs` in batches of at most `MAX_BATCH` counts: at the sizes
+The mixed-Poisson fit takes the exact count pmf at 0..max N_t from one
+`count_pmfs` call per time, which bounds its own integrals: at the sizes
 `mrplab verify` runs, one mixing integral per time.
 
 All tests are deterministic given their seeds; reports record the seeds and
@@ -42,7 +42,7 @@ from .errors import (
     InvalidInterarrivalError,
     UnsupportedModelError,
 )
-from .exact import MAX_BATCH, BoxQuery, ExactResult, count_pmfs, require_converged
+from .exact import BoxQuery, ExactResult, count_pmfs, require_converged
 from .kernels import kernel_cdf_batch, kernel_sample_batch, theta_tuple
 from .quadrature import DEFAULT_CONFIG
 from .report import VerificationReport
@@ -158,11 +158,14 @@ def exchangeability_test(
         Rejection level in (0, 1); the report fails exactly when the
         resampling p-value is below it.
 
-    Raises ConfigurationError when `level` is outside (0, 1), when a probe
-    threshold is NaN or when the distinct thresholds cut the first-r space
+    Raises ConfigurationError when `level` is outside (0, 1), when
+    `n_permutations` is not an integer >= 1, when `probe_boxes` is empty or a
+    probe threshold is NaN, or when the distinct thresholds cut the first-r space
     into more than 2**14 cells (at r = 4, more than 10 distinct values).
     """
     _check_level(level)
+    if not isinstance(n_permutations, (int, np.integer)) or n_permutations < 1:
+        raise ConfigurationError(f"n_permutations must be an integer >= 1, got {n_permutations!r}")
     if r < 2:
         raise DegenerateTestError("exchangeability needs a prefix length of at least 2")
     if r > 4:
@@ -189,8 +192,8 @@ def exchangeability_test(
 
     if probe_boxes is None:
         probe_boxes = _default_probe_boxes(w, r)
-    elif any(len(b) != r for b in probe_boxes):
-        raise ConfigurationError("probe boxes must have r coordinates")
+    elif len(probe_boxes) == 0 or any(len(b) != r for b in probe_boxes):
+        raise ConfigurationError("need at least one probe box, each of r coordinates")
     base = np.asarray(probe_boxes, dtype=np.float64).reshape(-1, r)
     if np.isnan(base).any():
         raise ConfigurationError("probe box thresholds must not be NaN")
@@ -287,7 +290,7 @@ def exchangeability_test(
             "n_probe_boxes": len(base),
             "n_eval_boxes": len(boxes),
             "n_pairs": p1.size,
-            "null_quantile_99": float(np.quantile(d_null, 0.99)) if n_permutations else None,
+            "null_quantile_99": float(np.quantile(d_null, 0.99)),
         },
     )
 
@@ -481,8 +484,7 @@ def _chi2_gof_counts(values: np.ndarray, model: MrpModel, t: float, n: int):
     observed = np.bincount(values, minlength=kmax + 1).astype(np.float64)
     probs = np.array([
         require_converged(r, DEFAULT_CONFIG).value
-        for lo in range(0, kmax + 1, MAX_BATCH)
-        for r in count_pmfs(model, [(t, k) for k in range(lo, min(lo + MAX_BATCH, kmax + 1))])
+        for r in count_pmfs(model, [(t, k) for k in range(kmax + 1)])
     ])
     tail = max(1.0 - probs.sum(), 0.0)
     observed = np.append(observed, 0.0)
@@ -527,9 +529,9 @@ def mixed_poisson_check(
     exact count pmf for each t in `t_grid`; (b) stationary increments:
     two-sample chi-square between N_{t+h} - N_t and an independently
     simulated N_h.  Aggregated with a Bonferroni correction at `level`.
-    Before any draw, raises ConfigurationError unless every t is finite and
-    nonnegative, h is finite and positive, and `level` lies in (0, 1), and
-    InsufficientDataError unless `n_paths` >= 1.
+    Before any draw, raises ConfigurationError unless `t_grid` holds at least
+    one time, every t is finite and nonnegative, h is finite and positive, and
+    `level` lies in (0, 1), and InsufficientDataError unless `n_paths` >= 1.
     """
     if model.kernel.family != "exponential" or not model.is_proper_mrp:
         raise UnsupportedModelError(
@@ -540,8 +542,8 @@ def mixed_poisson_check(
     if not 0.0 < h < math.inf:  # false for NaN too
         raise ConfigurationError(f"increment width h must be finite and positive, got {h!r}")
     t_grid = [float(t) for t in t_grid]
-    if not all(0.0 <= t < math.inf for t in t_grid):
-        raise ConfigurationError(f"t_grid must be finite and nonnegative, got {t_grid!r}")
+    if not t_grid or not all(0.0 <= t < math.inf for t in t_grid):
+        raise ConfigurationError(f"t_grid must hold finite, nonnegative times, got {t_grid!r}")
     if n_paths < 1:
         raise InsufficientDataError(f"need at least one path, got {n_paths}")
 

@@ -5,7 +5,7 @@ import multiprocessing
 
 import pytest
 
-from mrplab import cli, construction, special
+from mrplab import cli, construction, exact, special
 from mrplab.cli import main
 from mrplab.errors import AccuracyError, ConfigurationError
 from mrplab.exact import count_pmf, joint_interarrival_probability
@@ -208,7 +208,7 @@ def _exact_rows(tmp_path, queries, model=GH):
 
 @pytest.mark.parametrize("batch", [64, 2])
 def test_exact_answers_batches_in_file_order(tmp_path, monkeypatch, batch):
-    monkeypatch.setattr(cli, "MAX_BATCH", batch)
+    monkeypatch.setattr(exact, "MAX_BATCH", batch)
     code, rows = _exact_rows(tmp_path, _MIXED_QUERIES)
     assert code == 0
     assert [r["query_id"] for r in rows] == [q["id"] for q in _MIXED_QUERIES]
@@ -226,20 +226,13 @@ def test_exact_answers_batches_in_file_order(tmp_path, monkeypatch, batch):
 
 
 @pytest.mark.parametrize("name,sizes", [("gamma_half", [20]), ("bivariate", [16, 4])])
-def test_exact_batch_bound_follows_the_mixing_dimension(tmp_path, monkeypatch, name, sizes):
+def test_exact_batch_bound_follows_the_mixing_dimension(tmp_path, integral_columns, name, sizes):
     # a 2-D mixing integral's node grid is far larger, so its batches are smaller
-    assert cli.MAX_BATCH_2D == 16 < cli.MAX_BATCH
-    seen, original = [], cli.joint_interarrival_probabilities
-
-    def answer(model, batch, cfg):
-        seen.append(len(batch))
-        return original(model, batch, cfg)
-
-    monkeypatch.setattr(cli, "joint_interarrival_probabilities", answer)
+    assert exact.MAX_BATCH_2D == 16 < exact.MAX_BATCH
     queries = [{"id": f"b{i}", "bounds": [[None, 0.1 * (i + 1)]]} for i in range(20)]
     code, rows = _exact_rows(tmp_path, queries, bundled_model_path(name))
     assert code == 0 and len(rows) == 20
-    assert seen == sizes
+    assert integral_columns == sizes
 
 
 def test_exact_flags_only_the_rows_that_missed_their_tolerance(tmp_path, monkeypatch):
@@ -454,6 +447,8 @@ def test_verify_all_on_proper_exponential_model(tmp_path):
 
 
 def test_verify_all_simulates_once_and_matches_single_suites(tmp_path, monkeypatch):
+    # on one core every suite runs in this process, where the calls are counted
+    monkeypatch.setattr(construction, "_available_cores", lambda: 1)
     calls = []
     simulate = cli.simulate_ensemble
 
@@ -483,8 +478,6 @@ CORES_AND_METHODS = [(1, None), (3, None), (3, ["spawn"])]
 
 
 def _set_cores(monkeypatch, cores, methods):
-    # and fork at any size
-    monkeypatch.setattr(cli, "FORK_MIN_DRAWS", 0)
     monkeypatch.setattr(construction, "_available_cores", lambda: cores)
     if methods:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
@@ -518,8 +511,8 @@ def test_verify_all_reports_do_not_depend_on_cores_or_fork(tmp_path, monkeypatch
         code = _verify_all(tmp_path, model, f"{cores}-{methods}.json")
         assert multiprocessing.active_children() == []
         assert code == (1 if name == "example16" else 0)
-        assert sorted(here) == sorted(cli.ENSEMBLE_SUITES if methods is None and cores > 1
-                                      else cli.SUITES[:-1])
+        # forked, both suite groups run in workers and none in this process
+        assert sorted(here) == ([] if methods is None and cores > 1 else sorted(cli.SUITES[:-1]))
         reports.append((tmp_path / f"{cores}-{methods}.json").read_bytes())
     assert reports[0] == reports[1] == reports[2]
     checks = [r["check"] for r in json.loads(reports[0])["reports"]]

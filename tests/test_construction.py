@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.stats as st
 from mrplab import construction
 from mrplab.cli import main
 from mrplab.construction import (
+    ForkMap,
     MrpPath,
     build_model,
     ensemble_csv_text,
@@ -501,11 +503,20 @@ def test_csv_render_serial_equals_parallel(render_ensemble, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_csv_render_worker_count(monkeypatch):
-    monkeypatch.setattr(construction, "_available_cores", lambda: 3)
-    assert [construction._map_workers(b) for b in (0, 1, 2, 5)] == [0, 1, 2, 3]
-    monkeypatch.setattr(construction, "_available_cores", lambda: 1)
-    assert [construction._map_workers(b) for b in (1, 5)] == [0, 0]
+def test_fork_map_forks_only_for_two_cores_and_two_items(monkeypatch):
+    # the pid that computed each item: this process's unless the map forked
+    def pids(cores, n_items):
+        monkeypatch.setattr(construction, "_available_cores", lambda: cores)
+        with ForkMap(lambda _: os.getpid(), range(n_items)) as done:
+            return list(done)
+
+    here = os.getpid()
+    assert pids(1, 3) == [here] * 3
+    assert pids(3, 1) == [here]
+    assert pids(3, 0) == []
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert here not in pids(3, 2)
+    assert multiprocessing.active_children() == []
 
 
 def test_csv_render_without_fork_is_serial(render_ensemble, monkeypatch):

@@ -186,6 +186,13 @@ def test_axiom_unsorted_input_rejected():
         validate_counting_axioms([])
 
 
+@pytest.mark.parametrize("samples", [[(-2.0, 3), (-1.0, 3)], [(-1.0, 0), (0.0, 0), (1.0, 1)]])
+def test_axiom_samples_at_negative_times_rejected(samples):
+    # N_t lives on t >= 0
+    with pytest.raises(IngestionError, match="negative time"):
+        validate_counting_axioms(samples)
+
+
 def test_axiom_violations_name_each_first_offender():
     report = validate_counting_axioms([(0.0, 1), (0.5, 1.5), (1.0, 1), (2.0, 3), (3.0, 3)])
     assert report.statistic == 4.0

@@ -518,6 +518,28 @@ def test_batch_validates_every_query_first():
     assert joint_interarrival_probabilities(gh, []) == count_pmfs(gh, []) == []
 
 
+def test_box_calls_take_integrals_of_at_most_the_2d_bound(integral_columns):
+    # a 2-D mixing measure's integrals take at most MAX_BATCH_2D = 16 boxes
+    model = load_bundled_model("bivariate")[0]
+    boxes = [
+        BoxQuery(((0.04 * k, 1.0 + 0.1 * k), (-math.inf, 2.0), (0.1, math.inf),
+                  (-math.inf, 0.5 + 0.05 * k)))
+        for k in range(40)
+    ]
+    batch = joint_interarrival_probabilities(model, boxes)
+    assert integral_columns == [16, 16, 8]
+    _within_single_bounds(batch, [joint_interarrival_probability(model, q) for q in boxes])
+
+
+def test_count_calls_take_integrals_of_at_most_the_bound(integral_columns):
+    # a 1-D mixing measure's integrals take at most MAX_BATCH = 64 counts
+    model = build_model(KernelSpec("exponential"), GammaMixing(2.0, 1.5))
+    points = [(t, n) for t in (0.5, 2.0, 6.0) for n in range(50)]
+    batch = count_pmfs(model, points)
+    assert integral_columns == [64, 64, 22]
+    _within_single_bounds(batch, [count_pmf(model, t, n) for t, n in points])
+
+
 # ---------------------------------------------------------------------------
 # density-form route
 # ---------------------------------------------------------------------------

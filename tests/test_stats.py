@@ -111,6 +111,16 @@ def test_exchangeability_errors():
         exchangeability_test(ens, r=2, probe_boxes=[(1.0,)])
 
 
+@pytest.mark.parametrize("kwargs", [{"n_permutations": 0}, {"n_permutations": -1},
+                                    {"n_permutations": 2.5}, {"probe_boxes": []}])
+def test_exchangeability_needs_a_replica_and_a_probe_box_before_drawing(monkeypatch, kwargs):
+    # no replica leaves no null (n_permutations = 0 once passed with p = 1)
+    monkeypatch.setattr(stats, "_group_id_blocks", _no_draws)
+    w = -np.log(UniformStream(3).uniforms(200 * 2).reshape(200, 2))
+    with pytest.raises(ConfigurationError, match="n_permutations|probe box"):
+        exchangeability_test(w, r=2, **kwargs)
+
+
 def test_exchangeability_symmetric_probes_are_degenerate():
     # a probe set closed under coordinate permutations leaves no pair to compare
     w = -np.log(UniformStream(9).uniforms(200 * 2).reshape(200, 2))
@@ -580,13 +590,15 @@ def test_mixed_poisson_fit_takes_one_count_batch_per_time(monkeypatch):
         assert [n for _, n in points] == list(range(len(points)))
 
 
-def test_mixed_poisson_fit_batches_stay_within_the_bound(monkeypatch):
-    # at t = 100 the largest count is several times MAX_BATCH
+def test_mixed_poisson_fit_batches_stay_within_the_bound(monkeypatch, integral_columns):
+    # at t = 100 the largest count is several times MAX_BATCH: one call, whose
+    # integrals take at most MAX_BATCH counts each
     calls = _record_count_batches(monkeypatch)
     mixed_poisson_check(_expgamma(), t_grid=(100.0,), h=0.5, n_paths=300, seed=12)
-    sizes = [len(points) for points, _ in calls]
-    assert len(sizes) > 2 and max(sizes) == MAX_BATCH
-    assert [n for points, _ in calls for _, n in points] == list(range(sum(sizes)))
+    [(points, _)] = calls
+    assert [n for _, n in points] == list(range(len(points)))
+    assert len(integral_columns) > 2 and max(integral_columns) == MAX_BATCH
+    assert sum(integral_columns) == len(points)
 
 
 def test_mixed_poisson_fit_probabilities_match_single_counts(monkeypatch):
@@ -617,7 +629,8 @@ def _no_draws(*args):
 
 
 @pytest.mark.parametrize(
-    "t_grid,h", [((math.inf,), 0.5), ((math.nan,), 0.5), ((1.0,), math.inf), ((1.0,), math.nan)]
+    "t_grid,h",
+    [((math.inf,), 0.5), ((math.nan,), 0.5), ((1.0,), math.inf), ((1.0,), math.nan), ((), 0.5)],
 )
 def test_mixed_poisson_rejects_non_finite_times_before_drawing(monkeypatch, t_grid, h):
     monkeypatch.setattr(stats, "_simulate_counts_at", _no_draws)
