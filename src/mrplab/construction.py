@@ -40,9 +40,9 @@ from .errors import (
 )
 from .kernels import (
     GAMMA_SHAPE_FLOOR,
-    SHAPE_FROM_THETA2,
     KernelSpec,
     MixingMeasure,
+    kernel_law,
     kernel_sample_batch,
     theta_tuple,
     verify_mixing_mass,
@@ -108,15 +108,13 @@ def build_model(kernel: KernelSpec, mixing: MixingMeasure) -> MrpModel:
                 raise ConfigurationError(
                     f"atom {atom} lies outside the kernel-admissible region"
                 )
-    if kernel.family == "gamma":
-        # the lowest shape a draw can have: the fixed one, or the lower end of
-        # the second parameter component's support
-        shape = mixing.support_box()[1][0] if kernel.shape == SHAPE_FROM_THETA2 else kernel.shape
-        if shape < GAMMA_SHAPE_FLOOR:
-            raise ConfigurationError(
-                f"gamma kernel shapes reach down to {shape}, below the sampler's floor "
-                f"{GAMMA_SHAPE_FLOOR:.4f}"
-            )
+    # the lowest shape a draw can have is the law's at the support's lower corner
+    shape = float(kernel_law(kernel, 1, [[lo for lo, _ in mixing.support_box()]])[1][0])
+    if shape < GAMMA_SHAPE_FLOOR:
+        raise ConfigurationError(
+            f"gamma kernel shapes reach down to {shape}, below the sampler's floor "
+            f"{GAMMA_SHAPE_FLOOR:.4f}"
+        )
     verify_mixing_mass(mixing)
     warnings = ()
     if not kernel.is_constant_family:

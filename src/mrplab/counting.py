@@ -80,6 +80,8 @@ class CountingPath:
     def __post_init__(self):
         t = np.asarray(self.event_times, dtype=np.float64)
         object.__setattr__(self, "event_times", t)
+        if not np.isfinite(t).all():
+            raise IngestionError(f"event times must be finite, got {float(t[~np.isfinite(t)][0])!r}")
         if t.size and not t[0] > 0.0:
             raise IngestionError(f"first event time must be positive, got {float(t[0])!r}")
         if np.any(np.diff(t) <= 0.0):
@@ -112,7 +114,7 @@ def count_at(path: CountingPath, t: float) -> int:
     """N_t = number of events at or before t (right-continuous)."""
     if t < 0.0:
         raise OutOfHorizonError(f"count requested at negative time {t!r}")
-    if t > path.horizon:
+    if not t <= path.horizon:  # true for NaN too
         raise OutOfHorizonError(
             f"count requested at t={t!r} beyond the observed horizon {path.horizon!r}"
         )
@@ -122,7 +124,7 @@ def count_at(path: CountingPath, t: float) -> int:
 def counts_on_grid(path: CountingPath, ts: Sequence[float]) -> np.ndarray:
     """Vectorized `count_at` over a grid (all points must be within horizon)."""
     ts = np.asarray(ts, dtype=np.float64)
-    if ts.size and (ts.min() < 0.0 or ts.max() > path.horizon):
+    if ts.size and not (ts.min() >= 0.0 and ts.max() <= path.horizon):  # a NaN fails both
         raise OutOfHorizonError("grid extends beyond the observed horizon")
     return np.searchsorted(path.event_times, ts, side="right").astype(np.int64)
 

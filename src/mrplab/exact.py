@@ -45,7 +45,7 @@ from .errors import (
     ParameterDomainError,
     UnsupportedModelError,
 )
-from .kernels import SHAPE_FROM_THETA2, KernelSpec, MixingMeasure, kernel_cdf_batch
+from .kernels import KernelSpec, MixingMeasure, kernel_cdf_batch, kernel_law
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, adaptive_gauss_kronrod
 
 # the largest box dimension a query may have
@@ -290,8 +290,8 @@ def count_pmfs(
     points = [validate_count(model, t, n) for t, n in points]
     spec, mixing = model.kernel, model.mixing
     # given theta the count weight has the shape theta**(n*shape) * exp(-a*t*theta);
-    # a shape tied to theta2 needs two-dimensional mixing, which takes no tilt
-    shape = 1.0 if spec.shape in (None, SHAPE_FROM_THETA2) else spec.shape
+    # only one-dimensional mixing reads a tilt
+    shape = float(kernel_law(spec, 1, [mixing.mean_point()])[1][0]) if mixing.dim == 1 else 1.0
 
     def answer(batch: list) -> list[ExactResult]:
         results = [ExactResult(1.0 if n == 0 else 0.0, 0.0, "boundary") for _, n in batch]
@@ -424,15 +424,12 @@ def cylinder_probability_density_form(
         return ExactResult(0.0, 0.0, method)
     inner_cfg = cfg.tighter()
     indices, xs, lower = _box_columns(query)
-    mult = np.array([spec.rate_map.multiplier(k) for k in indices])
     factor_err, factor_ok = 0.0, True
 
     def g(thetas: np.ndarray) -> np.ndarray:
         # a theta's factor error bound is the sum of its columns' bounds
         nonlocal factor_err, factor_ok
-        rates = (thetas[:, 0] if thetas.ndim == 2 else thetas)[:, None] * mult
-        shapes = thetas[:, 1:2] if spec.shape == SHAPE_FROM_THETA2 else float(spec.shape)
-        mass, err, ok = _gamma_mass_below_vec(rates, shapes, xs, inner_cfg)
+        mass, err, ok = _gamma_mass_below_vec(*kernel_law(spec, indices, thetas), xs, inner_cfg)
         factor_err, factor_ok = max(factor_err, float(err.sum(axis=1).max())), factor_ok and ok
         return _box_product(mass, lower)
 

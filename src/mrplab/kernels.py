@@ -7,10 +7,13 @@ density ``rate**shape / Gamma(shape) * x**(shape-1) * exp(-rate*x)``.  Many
 libraries use scale instead of rate; everything in this package (kernels,
 mixing measures, model files) is rate-first.
 
-A kernel family is indexed: the law at index ``n`` uses the effective rate
-``(a + b*n) * theta_rate``.  A constant family (``b == 0``) has the same law
-at every index; ``b != 0`` expresses index-dependent families such as an
-exponential kernel whose rate scales with the index.
+A kernel family is indexed, and `kernel_law` alone says what member ``n`` is
+at a parameter point: Gamma(rate, shape) with rate ``(a + b*n) * theta_1``
+and shape the kernel's fixed one, ``theta_2`` under ``"theta2"``, or 1 for
+the exponential kernel.  A constant family (``b == 0``) has the same law at
+every index; ``b != 0`` expresses index-dependent families such as an
+exponential kernel whose rate scales with the index.  The samplers, the CDF,
+the density and every caller outside this module read the law from it.
 
 Sampling is reproducible from a single uniform stream: exponentials by
 inverse CDF, gammas by the Marsaglia-Tsang squeeze (with the shape<1 boost).
@@ -32,7 +35,7 @@ tilted gamma law for gamma and uniform marginals, a grid scan for beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -85,16 +88,6 @@ class RateMap:
                 f"got a={self.a}, b={self.b}"
             )
 
-    def multiplier(self, index: int) -> float:
-        return self.a + self.b * index
-
-    @property
-    def is_constant(self) -> bool:
-        return self.b == 0.0
-
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -128,13 +121,10 @@ class KernelSpec:
 
     @property
     def is_constant_family(self) -> bool:
-        return self.rate_map.is_constant
+        return self.rate_map.b == 0.0
 
     def to_dict(self) -> dict:
-        d: dict = {"family": self.family, "rate_map": self.rate_map.to_dict()}
-        if self.shape is not None:
-            d["shape"] = self.shape
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def theta_tuple(theta) -> tuple:
@@ -148,29 +138,37 @@ def _coerce_theta(spec: KernelSpec, theta) -> tuple:
         raise ParameterDomainError(
             f"theta has {len(pt)} component(s); kernel expects {spec.param_dim}"
         )
-    if not pt[0] > 0.0:
+    if not 0.0 < pt[0] < math.inf:
         raise ParameterDomainError(
-            f"kernel rate parameter must be positive: component 0 of theta is {pt[0]}"
+            f"kernel rate parameter must be positive and finite: component 0 of theta is {pt[0]}"
         )
-    if spec.param_dim == 2 and not pt[1] > 0.0:
+    if spec.param_dim == 2 and not 0.0 < pt[1] < math.inf:
         raise ParameterDomainError(
-            f"kernel shape parameter must be positive: component 1 of theta is {pt[1]}"
+            f"kernel shape parameter must be positive and finite: component 1 of theta is {pt[1]}"
         )
     return pt
 
 
-def _check_index(index: int) -> int:
-    if not isinstance(index, (int, np.integer)) or index < 1:
+def kernel_law(spec: KernelSpec, index, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """(rates, shapes): member `index` of the family at each parameter row is
+    Gamma(rate, shape), the exponential law being the gamma law of shape 1.
+
+    rate = (a + b*index) * theta_1; shape = the fixed shape, theta_2 under
+    ``"theta2"``, or 1.  `thetas` holds one parameter point per row, shape (n,)
+    or (n, d).  An integer `index` gives two arrays of shape (n,), an index
+    array of length m two of shape (n, m).  ParameterDomainError unless every
+    index is an integer >= 1.
+    """
+    idx = np.asarray(index)
+    if idx.dtype.kind not in "iu" or np.any(idx < 1):
         raise ParameterDomainError(f"kernel index must be a positive integer, got {index!r}")
-    return int(index)
-
-
-def _rate_and_shape(spec: KernelSpec, index: int, theta: tuple) -> tuple[float, Optional[float]]:
-    rate = spec.rate_map.multiplier(index) * theta[0]
-    if spec.family == "gamma":
-        shape = theta[1] if spec.shape == SHAPE_FROM_THETA2 else float(spec.shape)
-        return rate, shape
-    return rate, None
+    th = np.asarray(thetas, dtype=np.float64)
+    base = th[:, 0] if th.ndim == 2 else th
+    shape = th[:, 1] if spec.shape == SHAPE_FROM_THETA2 else float(spec.shape or 1.0)
+    if idx.ndim:  # one column per index
+        base, shape = base[:, None], np.expand_dims(shape, -1)
+    rates = base * (spec.rate_map.a + spec.rate_map.b * idx)
+    return rates, np.broadcast_to(shape, rates.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -227,33 +225,32 @@ def kernel_cdf_batch(spec: KernelSpec, index, thetas: np.ndarray, x, n_terms=1) 
     """
     columns = np.ndim(x) > 0
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    idx = np.atleast_1d(index)
-    if idx.dtype.kind not in "iu" or np.any(idx < 1):
-        raise ParameterDomainError(f"kernel index must be a positive integer, got {index!r}")
-    if idx.size not in (1, xs.size):
+    if np.isnan(xs).any():
+        raise ParameterDomainError("kernel CDF argument must not be NaN")
+    if np.size(index) not in (1, xs.size):
         raise ParameterDomainError("kernel_cdf_batch needs one index per evaluation point")
-    mult = spec.rate_map.a + spec.rate_map.b * np.broadcast_to(idx, xs.shape)
+    rates, shapes = kernel_law(spec, np.broadcast_to(index, xs.shape), thetas)
     terms = np.broadcast_to(np.asarray(n_terms, dtype=np.float64), xs.shape)
-    th = np.asarray(thetas, dtype=np.float64)
-    base = th[:, 0] if th.ndim == 2 else th
-    out = np.zeros((base.shape[0], xs.size))
+    out = np.zeros(rates.shape)
     out[:, (xs == math.inf) | ((terms == 0.0) & (xs >= 0.0))] = 1.0
     cols = (xs > 0.0) & (xs < math.inf) & (terms > 0.0)
     if cols.any():
-        rates = base[:, None] * mult[cols]
+        rx = rates[:, cols] * xs[cols]
         if spec.family == "exponential" and np.all(terms[cols] == 1.0):
-            out[:, cols] = -np.expm1(-(rates * xs[cols]))
-        else:  # the exponential law is the gamma law of shape 1
-            shape = th[:, 1:2] if spec.shape == SHAPE_FROM_THETA2 else float(spec.shape or 1.0)
-            out[:, cols] = regularized_incomplete_gamma(shape * terms[cols], rates * xs[cols])
+            out[:, cols] = -np.expm1(-rx)
+        else:
+            out[:, cols] = regularized_incomplete_gamma(shapes[:, cols] * terms[cols], rx)
     return out if columns else out[:, 0]
 
 
 def kernel_pdf(spec: KernelSpec, index: int, theta, x: float) -> float:
     """Density of the index-n kernel member at theta."""
-    index = _check_index(index)
-    pt = _coerce_theta(spec, theta)
-    rate, shape = _rate_and_shape(spec, index, pt)
+    if np.ndim(index):
+        raise ParameterDomainError(f"kernel index must be a positive integer, got {index!r}")
+    rates, shapes = kernel_law(spec, index, np.array([_coerce_theta(spec, theta)]))
+    rate, shape = float(rates[0]), float(shapes[0])
+    if math.isnan(x):
+        raise ParameterDomainError("kernel density argument must not be NaN")
     if not x > 0.0:
         return 0.0
     if spec.family == "exponential":
@@ -340,19 +337,15 @@ def kernel_sample_batch(
     With `lanes` (an index array) only those lanes draw, one theta row each,
     and only their stream counters advance.
     """
-    index = _check_index(index)
-    th = np.asarray(thetas, dtype=np.float64)
-    rates = (th[:, 0] if th.ndim == 2 else th) * spec.rate_map.multiplier(index)
+    if np.ndim(index):
+        raise ParameterDomainError(f"kernel index must be a positive integer, got {index!r}")
+    rates, shapes = kernel_law(spec, index, thetas)
     if np.any(rates <= 0.0):
         raise ParameterDomainError("kernel rate parameter must be positive for every lane")
     if spec.family == "exponential":
         return _exponential_from_bank(bank, rates, lanes)
-    if spec.shape == SHAPE_FROM_THETA2:
-        shapes = th[:, 1]
-        if np.any(shapes <= 0.0):
-            raise ParameterDomainError("kernel shape parameter must be positive for every lane")
-    else:
-        shapes = np.full(rates.shape, float(spec.shape))
+    if np.any(shapes <= 0.0):
+        raise ParameterDomainError("kernel shape parameter must be positive for every lane")
     return _gamma_from_bank(bank, shapes, rates, lanes)
 
 
@@ -430,10 +423,15 @@ class Marginal:
 
     def contains(self, x: float) -> bool:
         lo, hi = self.support()
-        return lo <= x <= hi
+        return lo <= x <= hi and math.isfinite(x)
+
+    @classmethod
+    def file_fields(cls) -> tuple:
+        """The model-file fields besides ``kind``: the constructor's arguments, in order."""
+        return tuple(f.name for f in fields(cls) if f.init)
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, **{name: getattr(self, name) for name in self.file_fields()}}
 
 
 def _gamma_edges(rate: float, shape: float) -> list:
@@ -472,9 +470,6 @@ class UniformMarginal(Marginal):
         """The tilted density is Gamma(lam, k+1) cut to [lo, hi]: its closed-form
         edges, or none when lam = 0."""
         return _gamma_edges(lam, k + 1.0) if lam > 0.0 else []
-
-    def to_dict(self):
-        return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
 
 
 @dataclass(frozen=True)
@@ -533,9 +528,6 @@ class GammaMarginal(Marginal):
             return adaptive_gauss_kronrod(fv, vlo, hi**a, cfg, vedges)
         scale = max(self.mean() ** a - vlo, self.mean() ** a * 0.5)
         return integrate_half_line(fv, vlo, scale, cfg, vedges)
-
-    def to_dict(self):
-        return {"kind": "gamma", "rate": self.rate, "shape": self.shape}
 
 
 @dataclass(frozen=True)
@@ -623,9 +615,6 @@ class BetaMarginal(Marginal):
             r1.value + r2.value, r1.error + r2.error, r1.n_panels + r2.n_panels,
             r1.n_calls + r2.n_calls, r1.met & r2.met,
         )
-
-    def to_dict(self):
-        return {"kind": "beta", "a": self.a, "b": self.b}
 
 
 class MixingMeasure:
@@ -780,10 +769,10 @@ class GammaMixing(ProductRectangleMixing):
         return self.marginals[0].shape
 
     def contains(self, theta):
-        return len(theta) == 1 and theta[0] > 0.0
+        return len(theta) == 1 and 0.0 < theta[0] < math.inf
 
     def to_dict(self):
-        return {"kind": "gamma", "rate": self.rate, "shape": self.shape}
+        return self.marginals[0].to_dict()
 
 
 @dataclass(frozen=True)
@@ -891,10 +880,10 @@ def mixing_density(mu: MixingMeasure, theta) -> float:
     """Density of a continuous mixing measure at theta (0 outside the support)."""
     if mu.is_atomic:
         raise UnsupportedOperationError(f"{mu.kind} mixing has no density")
-    pt = np.array(theta_tuple(theta))
-    if pt.shape[0] != mu.dim:
-        raise ParameterDomainError(f"theta has {pt.shape[0]} component(s); mixing has dim {mu.dim}")
-    return float(mu.density_batch(pt[None, :] if mu.dim > 1 else pt)[0])
+    pt = theta_tuple(theta)
+    if len(pt) != mu.dim or any(map(math.isnan, pt)):
+        raise ParameterDomainError(f"theta {pt} is not a point of the {mu.dim}-dimensional mixing")
+    return float(mu.density_batch(np.array([pt]) if mu.dim > 1 else np.array(pt))[0])
 
 
 def verify_mixing_mass(mu: MixingMeasure) -> float:

@@ -27,6 +27,10 @@ from .kernels import (
 )
 
 BUNDLED_MODELS = ("gamma_half", "bivariate", "example16")
+# marginal kind -> (class, its model-file fields besides "kind")
+_MARGINALS = {
+    cls.kind: (cls, cls.file_fields()) for cls in (UniformMarginal, GammaMarginal, BetaMarginal)
+}
 
 
 def _require_keys(doc: dict, allowed: set, required: set, path: str) -> None:
@@ -78,18 +82,13 @@ def _parse_kernel(doc: dict) -> KernelSpec:
 
 
 def _parse_marginal(doc: dict, path: str):
-    _require_keys(doc, {"kind", "lo", "hi", "rate", "shape", "a", "b"}, {"kind"}, path)
+    _require_keys(doc, {"kind"}.union(*(names for _, names in _MARGINALS.values())), {"kind"}, path)
     kind = doc["kind"]
-    if kind == "uniform":
-        _require_keys(doc, {"kind", "lo", "hi"}, {"kind", "lo", "hi"}, path)
-        return UniformMarginal(_number(doc, "lo", path), _number(doc, "hi", path))
-    if kind == "gamma":
-        _require_keys(doc, {"kind", "rate", "shape"}, {"kind", "rate", "shape"}, path)
-        return GammaMarginal(_number(doc, "rate", path), _number(doc, "shape", path))
-    if kind == "beta":
-        _require_keys(doc, {"kind", "a", "b"}, {"kind", "a", "b"}, path)
-        return BetaMarginal(_number(doc, "a", path), _number(doc, "b", path))
-    raise SchemaError(f"{path}.kind: unknown marginal kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _MARGINALS:  # a list kind is unhashable
+        raise SchemaError(f"{path}.kind: unknown marginal kind {kind!r}")
+    cls, names = _MARGINALS[kind]
+    _require_keys(doc, {"kind", *names}, {"kind", *names}, path)
+    return cls(*(_number(doc, name, path) for name in names))
 
 
 def _parse_mixing(doc: dict):

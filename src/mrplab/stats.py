@@ -382,15 +382,18 @@ def mc_vs_exact(
     exact_values: Sequence,
 ) -> VerificationReport:
     """Compare empirical box frequencies against exact probabilities (4 SE rule)."""
-    if len(queries) != len(exact_values):
-        raise ConfigurationError("need one exact value per query")
+    if not queries or len(queries) != len(exact_values):
+        raise ConfigurationError("need at least one query and one exact value per query")
+    probs = [ev.value if isinstance(ev, ExactResult) else float(ev) for ev in exact_values]
+    bad = [p for p in probs if not 0.0 <= p <= 1.0]  # NaN too
+    if bad:
+        raise ConfigurationError(f"exact values must be probabilities in [0, 1], got {bad[0]!r}")
     w = ensemble.interarrivals
     n = ensemble.n_paths
     rows = []
     worst = 0.0
     ok = True
-    for q, ev in zip(queries, exact_values):
-        p_exact = ev.value if isinstance(ev, ExactResult) else float(ev)
+    for q, p_exact in zip(queries, probs):
         if q.dim > ensemble.n_events:
             raise ConfigurationError(
                 f"query dimension {q.dim} exceeds ensemble truncation {ensemble.n_events}"

@@ -45,6 +45,7 @@ from mrplab.kernels import (
 from mrplab.modelfile import bundled_model_path, load_model_file
 from mrplab.rng import UniformStream, child_seed
 from mrplab.special import ks_one_sample_pvalue
+from mrplab.stats import conditional_iid_test
 
 EXP = KernelSpec("exponential")
 EXP_SCALED = KernelSpec("exponential", RateMap(0.0, 1.0))
@@ -282,6 +283,15 @@ def test_conditional_theta_outside_support():
     )
     with pytest.raises(ParameterDomainError):
         sample_conditional_path(bi, (1.0, 0.9), 3, 0)
+
+
+@pytest.mark.parametrize("name,theta", [("example16", math.inf), ("bivariate", (math.inf, 0.5))])
+def test_an_infinite_parameter_is_outside_the_mixing_support(name, theta):
+    model, _ = load_model_file(bundled_model_path(name))
+    with pytest.raises(ParameterDomainError, match="outside the mixing support"):
+        sample_conditional_path(model, theta, 3, 0)
+    with pytest.raises(ParameterDomainError, match="outside the mixing support"):
+        conditional_iid_test(model, theta, n_samples=100, max_index=2)
 
 
 def test_conditional_moments_index_scaled():

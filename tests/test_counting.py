@@ -83,6 +83,18 @@ def test_count_at_out_of_horizon():
         count_at(path, -0.1)
 
 
+def test_nan_times_are_rejected():
+    path = CountingPath.from_arrivals([0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(OutOfHorizonError):
+        count_at(path, math.nan)
+    with pytest.raises(OutOfHorizonError):
+        counts_on_grid(path, [0.5, math.nan])
+    for events, horizon in (([1.0, math.nan, 3.0], 4.0), ([1.0, 2.0, math.nan], 5.0),
+                            ([math.nan], 1.0), ([1.0, math.inf], math.inf)):
+        with pytest.raises(IngestionError, match="finite"):
+            CountingPath(np.array(events), horizon)
+
+
 def test_count_at_matches_linear_scan_oracle():
     rng = np.random.default_rng(1)
     events = np.sort(rng.uniform(0.1, 50.0, 300))

@@ -26,6 +26,7 @@ from mrplab.kernels import (
     UniformMarginal,
     kernel_cdf,
     kernel_cdf_batch,
+    kernel_law,
     kernel_pdf,
     kernel_sample,
     kernel_sample_batch,
@@ -156,6 +157,85 @@ def test_domain_error_names_component():
         kernel_cdf(KernelSpec("gamma", shape="theta2"), 1, (1.0, -0.2), 1.0)
     with pytest.raises(ParameterDomainError):
         kernel_cdf(EXP, 0, 1.0, 1.0)
+
+
+def test_kernel_law_rates_and_shapes_by_hand():
+    theta1 = np.array([2.0, 0.5])
+    thetas = np.array([[2.0, 0.3], [0.5, 1.5]])
+    tied = KernelSpec("gamma", RateMap(0.5, 0.25), shape=SHAPE_FROM_THETA2)
+    cases = [
+        # spec, index, thetas, rates (theta1 * (a + b*index)), shapes
+        (EXP, 3, theta1, [2.0, 0.5], [1.0, 1.0]),
+        (EXP_SCALED, np.array([1, 3]), theta1, [[2.0, 6.0], [0.5, 1.5]], [[1.0, 1.0], [1.0, 1.0]]),
+        (GAMMA_HALF, 2, theta1, [2.0, 0.5], [0.5, 0.5]),
+        (GAMMA_HALF, [1, 2], thetas, [[2.0, 2.0], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]),
+        (tied, 2, thetas, [2.0, 0.5], [0.3, 1.5]),
+        (tied, np.array([1, 2]), thetas, [[1.5, 2.0], [0.375, 0.5]], [[0.3, 0.3], [1.5, 1.5]]),
+    ]
+    for spec, index, th, rates, shapes in cases:
+        got_rates, got_shapes = kernel_law(spec, index, th)
+        assert got_rates.tolist() == rates and got_shapes.tolist() == shapes
+
+
+@pytest.mark.parametrize("index", [True, 1.0, 0, np.array([1, 0])])
+def test_kernel_routes_reject_an_index_that_is_not_an_integer_at_least_one(index):
+    bank = StreamBank.from_root(3, 2)
+    calls = [
+        lambda: kernel_law(GAMMA_HALF, index, np.ones(2)),
+        lambda: kernel_cdf_batch(GAMMA_HALF, index, np.ones(2), [0.5, 1.0]),
+    ]
+    if np.ndim(index) == 0:  # the routes of one kernel member
+        calls += [
+            lambda: kernel_sample_batch(GAMMA_HALF, index, np.ones(2), bank),
+            lambda: kernel_sample(EXP, index, 1.0, UniformStream(3)),
+            lambda: kernel_cdf(GAMMA_HALF, index, 1.0, 0.5),
+            lambda: kernel_pdf(GAMMA_HALF, index, 1.0, 0.5),
+        ]
+    for call in calls:
+        with pytest.raises(ParameterDomainError, match="kernel index must be a positive integer"):
+            call()
+
+
+@pytest.mark.parametrize("index", [[1, 2], np.array([2, 3, 4])])
+def test_sampler_and_density_take_one_index(index):
+    # kernel_law maps an index array to columns; a draw or a density has one index
+    with pytest.raises(ParameterDomainError, match="kernel index"):
+        kernel_sample_batch(EXP, index, np.ones(len(index)), StreamBank.from_root(3, len(index)))
+    with pytest.raises(ParameterDomainError, match="kernel index"):
+        kernel_pdf(GAMMA_HALF, index, 1.0, 0.5)
+
+
+def test_nan_arguments_and_infinite_parameters_raise_parameter_domain_errors():
+    tied = KernelSpec("gamma", shape=SHAPE_FROM_THETA2)
+    calls = [
+        lambda: kernel_pdf(EXP, 1, math.inf, 0.5),  # was NaN: inf * exp(-inf)
+        lambda: kernel_pdf(tied, 1, (1.0, math.inf), 0.5),
+        lambda: kernel_cdf(GAMMA_HALF, 1, math.inf, 0.5),
+        lambda: kernel_sample(EXP, 1, math.inf, UniformStream(3)),
+        lambda: kernel_cdf(EXP, 1, 1.0, math.nan),
+        lambda: kernel_cdf_batch(GAMMA_HALF, 1, np.ones(3), [0.5, math.nan]),
+        lambda: kernel_pdf(EXP, 1, 1.0, math.nan),
+        lambda: kernel_pdf(GAMMA_HALF, 1, 1.0, math.nan),
+        lambda: mixing_density(GammaMixing(2.0, 1.5), math.nan),
+        lambda: mixing_density(
+            ProductRectangleMixing((GammaMarginal(2.0, 2.0), UniformMarginal(0.2, 0.8))),
+            (1.0, math.nan),
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterDomainError):
+            call()
+
+
+@pytest.mark.parametrize("mixing,theta", [
+    (GammaMixing(2.0, 1.5), (math.inf,)),
+    (ProductRectangleMixing((GammaMarginal(2.0, 1.5),)), (math.inf,)),
+    (ProductRectangleMixing((GammaMarginal(2.0, 2.0), UniformMarginal(0.2, 0.8))), (math.inf, 0.5)),
+    (ProductRectangleMixing((UniformMarginal(0.2, 0.8), BetaMarginal(2.0, 2.0))), (0.5, math.inf)),
+    (DiscreteMixing((1.0, 2.0), (0.5, 0.5)), (math.inf,)),
+])
+def test_an_infinite_component_lies_outside_every_support(mixing, theta):
+    assert not mixing.contains(theta)
 
 
 def test_kernel_spec_validation():

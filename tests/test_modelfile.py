@@ -2,8 +2,20 @@ import json
 
 import pytest
 
+from mrplab.construction import build_model
 from mrplab.errors import SchemaError
 from mrplab.exact import BoxQuery
+from mrplab.kernels import (
+    BetaMarginal,
+    DiracMixing,
+    DiscreteMixing,
+    GammaMarginal,
+    GammaMixing,
+    KernelSpec,
+    ProductRectangleMixing,
+    RateMap,
+    UniformMarginal,
+)
 from mrplab.modelfile import (
     bundled_model_path,
     load_bundled_model,
@@ -127,6 +139,39 @@ def test_model_round_trip_through_to_dict():
     doc = {"kernel": model.kernel.to_dict(), "mixing": model.mixing.to_dict()}
     again, _ = parse_model_document(json.loads(json.dumps(doc)))
     assert again.model_hash() == model.model_hash()
+
+
+TIED = KernelSpec("gamma", RateMap(0.5, 0.25), shape="theta2")
+ROUND_TRIPS = {
+    "exponential-dirac": (KernelSpec("exponential"), DiracMixing(1.3)),
+    "scaled-exponential-gamma": (KernelSpec("exponential", RateMap(0.0, 1.0)), GammaMixing(2.0, 1.0)),
+    "gamma-uniform": (KernelSpec("gamma", shape=0.5), ProductRectangleMixing((UniformMarginal(0.2, 0.8),))),
+    "gamma-gamma-marginal": (KernelSpec("gamma", RateMap(1.0, 0.5), shape=2.0),
+                             ProductRectangleMixing((GammaMarginal(2.0, 1.5),))),
+    "exponential-beta": (KernelSpec("exponential"), ProductRectangleMixing((BetaMarginal(0.5, 2.0),))),
+    "exponential-discrete": (KernelSpec("exponential"), DiscreteMixing((0.5, 2.0), (0.25, 0.75))),
+    "tied-product": (TIED, ProductRectangleMixing((GammaMarginal(2.0, 2.0), UniformMarginal(0.2, 0.8)))),
+    "tied-dirac": (TIED, DiracMixing((1.0, 0.5))),
+    "tied-discrete": (TIED, DiscreteMixing(((1.0, 0.5), (2.0, 1.5)), (0.4, 0.6))),
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIPS)
+def test_every_spelling_round_trips_through_to_dict(name):
+    model = build_model(*ROUND_TRIPS[name])
+    doc = json.loads(json.dumps(model.to_dict()))
+    again, _ = parse_model_document(doc)
+    assert (again.kernel, again.mixing) == (model.kernel, model.mixing)
+    assert type(again.mixing) is type(model.mixing)
+    assert again.model_hash() == model.model_hash()
+
+
+def test_marginal_spelling_is_the_constructor_fields():
+    assert UniformMarginal(0.2, 0.8).to_dict() == {"kind": "uniform", "lo": 0.2, "hi": 0.8}
+    assert GammaMarginal(2.0, 1.5).to_dict() == {"kind": "gamma", "rate": 2.0, "shape": 1.5}
+    assert BetaMarginal(0.5, 2.0).to_dict() == {"kind": "beta", "a": 0.5, "b": 2.0}
+    assert TIED.to_dict() == {"family": "gamma", "rate_map": {"a": 0.5, "b": 0.25}, "shape": "theta2"}
+    assert KernelSpec("exponential").to_dict() == {"family": "exponential", "rate_map": {"a": 1.0, "b": 0.0}}
 
 
 def _mixing_doc(mixing):

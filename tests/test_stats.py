@@ -469,6 +469,14 @@ def test_mc_vs_exact_dirac_single_coordinate():
     assert rep.passed
 
 
+@pytest.mark.parametrize("n_queries,value", [(0, None), (1, math.nan), (1, 1.5), (1, -0.2)])
+def test_mc_vs_exact_needs_queries_and_probabilities(n_queries, value):
+    ens = simulate_ensemble(example16_model(), 100, 2, root_seed=15)
+    queries = [BoxQuery.upper(2.0, 1.0)] * n_queries
+    with pytest.raises(ConfigurationError):
+        mc_vs_exact(ens, queries, [value] * n_queries)
+
+
 def test_mc_vs_exact_detects_wrong_reference():
     model = example16_model()
     ens = simulate_ensemble(model, 100_000, 2, root_seed=14)
