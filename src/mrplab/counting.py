@@ -112,20 +112,20 @@ class CountingPath:
 
 def count_at(path: CountingPath, t: float) -> int:
     """N_t = number of events at or before t (right-continuous)."""
-    if t < 0.0:
-        raise OutOfHorizonError(f"count requested at negative time {t!r}")
-    if not t <= path.horizon:  # true for NaN too
-        raise OutOfHorizonError(
-            f"count requested at t={t!r} beyond the observed horizon {path.horizon!r}"
-        )
-    return int(np.searchsorted(path.event_times, t, side="right"))
+    return int(counts_on_grid(path, [t])[0])
 
 
 def counts_on_grid(path: CountingPath, ts: Sequence[float]) -> np.ndarray:
-    """Vectorized `count_at` over a grid (all points must be within horizon)."""
+    """`count_at` over a grid; every t must lie in [0, horizon]."""
     ts = np.asarray(ts, dtype=np.float64)
-    if ts.size and not (ts.min() >= 0.0 and ts.max() <= path.horizon):  # a NaN fails both
-        raise OutOfHorizonError("grid extends beyond the observed horizon")
+    if np.isnan(ts).any():
+        raise OutOfHorizonError("count time t must not be NaN")
+    if ts.size and ts.min() < 0.0:
+        raise OutOfHorizonError(f"count requested at negative time {float(ts.min())!r}")
+    if ts.size and ts.max() > path.horizon:
+        raise OutOfHorizonError(
+            f"count requested at t={float(ts.max())!r} beyond the observed horizon {path.horizon!r}"
+        )
     return np.searchsorted(path.event_times, ts, side="right").astype(np.int64)
 
 

@@ -290,8 +290,8 @@ def count_pmfs(
     points = [validate_count(model, t, n) for t, n in points]
     spec, mixing = model.kernel, model.mixing
     # given theta the count weight has the shape theta**(n*shape) * exp(-a*t*theta);
-    # only one-dimensional mixing reads a tilt
-    shape = float(kernel_law(spec, 1, [mixing.mean_point()])[1][0]) if mixing.dim == 1 else 1.0
+    # only one-dimensional mixing reads a tilt, and there the shape is the fixed one
+    shape = float(spec.shape or 1.0) if mixing.dim == 1 else 1.0
 
     def answer(batch: list) -> list[ExactResult]:
         results = [ExactResult(1.0 if n == 0 else 0.0, 0.0, "boundary") for _, n in batch]

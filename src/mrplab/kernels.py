@@ -157,11 +157,13 @@ def kernel_law(spec: KernelSpec, index, thetas) -> tuple[np.ndarray, np.ndarray]
     ``"theta2"``, or 1.  `thetas` holds one parameter point per row, shape (n,)
     or (n, d).  An integer `index` gives two arrays of shape (n,), an index
     array of length m two of shape (n, m).  ParameterDomainError unless every
-    index is an integer >= 1.
+    index is an integer >= 1 and `index` is an integer or a flat array; a
+    route with one member passes ``[index]``, so an array there is refused.
     """
     idx = np.asarray(index)
-    if idx.dtype.kind not in "iu" or np.any(idx < 1):
-        raise ParameterDomainError(f"kernel index must be a positive integer, got {index!r}")
+    if idx.ndim > 1 or idx.dtype.kind not in "iu" or np.any(idx < 1):
+        got = np.squeeze(idx).tolist()  # ``[index]`` reads as `index`
+        raise ParameterDomainError(f"kernel index must be a positive integer, got {got!r}")
     th = np.asarray(thetas, dtype=np.float64)
     base = th[:, 0] if th.ndim == 2 else th
     shape = th[:, 1] if spec.shape == SHAPE_FROM_THETA2 else float(spec.shape or 1.0)
@@ -245,10 +247,8 @@ def kernel_cdf_batch(spec: KernelSpec, index, thetas: np.ndarray, x, n_terms=1) 
 
 def kernel_pdf(spec: KernelSpec, index: int, theta, x: float) -> float:
     """Density of the index-n kernel member at theta."""
-    if np.ndim(index):
-        raise ParameterDomainError(f"kernel index must be a positive integer, got {index!r}")
-    rates, shapes = kernel_law(spec, index, np.array([_coerce_theta(spec, theta)]))
-    rate, shape = float(rates[0]), float(shapes[0])
+    rates, shapes = kernel_law(spec, [index], np.array([_coerce_theta(spec, theta)]))
+    rate, shape = float(rates[0, 0]), float(shapes[0, 0])
     if math.isnan(x):
         raise ParameterDomainError("kernel density argument must not be NaN")
     if not x > 0.0:
@@ -337,9 +337,7 @@ def kernel_sample_batch(
     With `lanes` (an index array) only those lanes draw, one theta row each,
     and only their stream counters advance.
     """
-    if np.ndim(index):
-        raise ParameterDomainError(f"kernel index must be a positive integer, got {index!r}")
-    rates, shapes = kernel_law(spec, index, thetas)
+    rates, shapes = (law[:, 0] for law in kernel_law(spec, [index], thetas))
     if np.any(rates <= 0.0):
         raise ParameterDomainError("kernel rate parameter must be positive for every lane")
     if spec.family == "exponential":

@@ -384,10 +384,12 @@ def mc_vs_exact(
     """Compare empirical box frequencies against exact probabilities (4 SE rule)."""
     if not queries or len(queries) != len(exact_values):
         raise ConfigurationError("need at least one query and one exact value per query")
-    probs = [ev.value if isinstance(ev, ExactResult) else float(ev) for ev in exact_values]
-    bad = [p for p in probs if not 0.0 <= p <= 1.0]  # NaN too
-    if bad:
-        raise ConfigurationError(f"exact values must be probabilities in [0, 1], got {bad[0]!r}")
+    probs = []
+    for ev in exact_values:
+        p, err = (float(ev.value), ev.error) if isinstance(ev, ExactResult) else (float(ev), 0.0)
+        if not -err <= p <= 1.0 + err:  # NaN too
+            raise ConfigurationError(f"exact value {p!r} is not in [0, 1] within its error bound")
+        probs.append(min(max(p, 0.0), 1.0))  # quadrature rounding may overshoot by the bound
     w = ensemble.interarrivals
     n = ensemble.n_paths
     rows = []
@@ -406,7 +408,7 @@ def mc_vs_exact(
             if hi < math.inf:
                 inside &= col <= hi
         p_hat = float(inside.mean())
-        se = math.sqrt(max(p_exact * (1.0 - p_exact), 0.0) / n)
+        se = math.sqrt(p_exact * (1.0 - p_exact) / n)
         if se == 0.0:
             good = p_hat == p_exact
             z = 0.0 if good else math.inf

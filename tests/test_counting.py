@@ -85,9 +85,9 @@ def test_count_at_out_of_horizon():
 
 def test_nan_times_are_rejected():
     path = CountingPath.from_arrivals([0.0, 1.0, 2.0, 3.0])
-    with pytest.raises(OutOfHorizonError):
+    with pytest.raises(OutOfHorizonError, match="t must not be NaN"):
         count_at(path, math.nan)
-    with pytest.raises(OutOfHorizonError):
+    with pytest.raises(OutOfHorizonError, match="t must not be NaN"):
         counts_on_grid(path, [0.5, math.nan])
     for events, horizon in (([1.0, math.nan, 3.0], 4.0), ([1.0, 2.0, math.nan], 5.0),
                             ([math.nan], 1.0), ([1.0, math.inf], math.inf)):

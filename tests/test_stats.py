@@ -18,7 +18,13 @@ from mrplab.errors import (
     ParameterDomainError,
     UnsupportedModelError,
 )
-from mrplab.exact import MAX_BATCH, BoxQuery, count_pmf, joint_interarrival_probability
+from mrplab.exact import (
+    MAX_BATCH,
+    BoxQuery,
+    ExactResult,
+    count_pmf,
+    joint_interarrival_probability,
+)
 from mrplab.kernels import (
     DiracMixing,
     GammaMixing,
@@ -475,6 +481,18 @@ def test_mc_vs_exact_needs_queries_and_probabilities(n_queries, value):
     queries = [BoxQuery.upper(2.0, 1.0)] * n_queries
     with pytest.raises(ConfigurationError):
         mc_vs_exact(ens, queries, [value] * n_queries)
+
+
+def test_mc_vs_exact_accepts_rounding_within_the_error_bound():
+    # a box probability near 1 may integrate to just above it; within its
+    # error bound that is the probability 1, and beyond it a fault
+    ens = simulate_ensemble(example16_model(), 100, 2, root_seed=15)
+    q = BoxQuery.upper(math.inf)
+    rep = mc_vs_exact(ens, [q], [ExactResult(1.0 + 1e-12, 1e-10, "quadrature")])
+    assert rep.passed and rep.details["queries"][0]["exact"] == 1.0
+    for value, error in ((1.0 + 1e-12, 0.0), (1.0 + 1e-9, 1e-10), (-1e-9, 1e-10)):
+        with pytest.raises(ConfigurationError, match="error bound"):
+            mc_vs_exact(ens, [q], [ExactResult(value, error, "quadrature")])
 
 
 def test_mc_vs_exact_detects_wrong_reference():
