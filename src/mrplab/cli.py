@@ -64,11 +64,6 @@ SUITES = (
     "all",
 )
 
-# the suites that read the simulated ensemble: `mrplab verify --suite all` runs
-# them as one item of its fork map, so the ensemble is simulated once, in one
-# process, and never copied; the other suites are the other item
-ENSEMBLE_SUITES = ("exchangeability", "mc-vs-exact")
-
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
@@ -234,37 +229,18 @@ def _cmd_verify(args) -> int:
     model, meta = load_model_file(args.model)
     suite = args.suite
     selected = list(SUITES[:-1]) if suite == "all" else [suite]
-    # exchangeability and mc-vs-exact read the same ensemble: simulate it once
+    # exchangeability and mc-vs-exact read the same ensemble: a process that
+    # runs both simulates it once
     ensemble = functools.cache(
         lambda: simulate_ensemble(model, args.paths, args.events, args.seed)
     )
-
-    def run(names):
-        # (name, outcome) of each suite in turn, up to the first that raises,
-        # whose outcome is its error
-        done = []
-        for name in names:
-            try:
-                done.append((name, _suite(name, args, model, ensemble)))
-            except Exception as exc:  # re-raised below, in suite order
-                done.append((name, exc))
-                break
-        return done
-
-    # every suite reads its own seeded substream, so the two groups are
-    # independent and can run at once
-    groups = ([n for n in selected if n in ENSEMBLE_SUITES],
-              [n for n in selected if n not in ENSEMBLE_SUITES])
-    with ForkMap(run, [g for g in groups if g]) as done:
-        outcomes = {name: outcome for group in done for name, outcome in group}
-    reports, skipped = [], []
-    # a group stops at its first error, so every suite before the earliest
-    # error ran: that error is the one a serial run raises
-    for name in selected:
-        outcome = outcomes[name]
-        if isinstance(outcome, Exception):
-            raise outcome
-        (skipped if isinstance(outcome, dict) else reports).append(outcome)
+    # every suite reads its own seeded substream, so the suites are independent
+    # items of one fork map; its iteration, in suite order, raises the error of
+    # the earliest suite that fails
+    with ForkMap(lambda name: _suite(name, args, model, ensemble), selected) as done:
+        outcomes = list(done)
+    reports = [o for o in outcomes if not isinstance(o, dict)]
+    skipped = [o for o in outcomes if isinstance(o, dict)]
 
     all_passed = all(r.passed for r in reports)
     doc = {

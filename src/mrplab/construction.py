@@ -10,14 +10,13 @@ possible downstream.
 Ensembles are reproducible: path ``i`` owns the child stream ``i`` of the
 root seed (see :mod:`mrplab.rng`), so results are bitwise identical however
 paths are chunked.  `simulate_ensemble` draws them in this process;
-`simulate_to_csv` (``mrplab simulate``) draws and renders each block of
-paths in a worker of a `ForkMap` and streams the blocks to the CSV in order.
-`ForkMap` is the one engine that hands work to other cores: forked workers,
-one per available core and item, that return their results in item order, or
-this process alone on one core or item or without ``fork``.  ``mrplab
-verify`` runs its two groups of suites through it too.  Infinite interarrival
-sequences are truncated at a fixed per-path length, recorded in the ensemble
-manifest.
+`simulate_to_csv` (``mrplab simulate``) draws and renders the blocks of paths
+through a `ForkMap` and streams them to the CSV in order.  `ForkMap` is the
+one engine that hands work to other cores, one loop for every core count:
+this process computes its share of the items, and forked workers, one fewer
+than the cores, compute theirs and send them back over pipes.  ``mrplab
+verify`` maps its suites through it too.  Infinite interarrival sequences are
+truncated at a fixed per-path length, recorded in the ensemble manifest.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import contextlib
 import hashlib
 import json
 import os
+import pickle
 from dataclasses import dataclass
 from typing import Union
 
@@ -378,59 +378,81 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-# (function, items) of the map a forked worker serves, set in that worker
-_map_task: tuple = ()
-
-
-def _map_init(fn, items) -> None:
-    global _map_task
-    _map_task = (fn, items)
-
-
-def _map_item(i: int):
-    fn, items = _map_task
-    return fn(items[i])
-
-
 class ForkMap:
     """``fn(item)`` for each item, iterated once, in item order.
 
-    Where there are at least two available cores and two items, and the
-    platform can ``fork``, every item is submitted when the map is made, to
-    one forked worker per available core, at most one per item.  The
-    workers inherit `fn` and the items through the fork, so neither is pickled
-    and `fn` may be a closure; each result (or error, which comes back typed)
-    is pickled to this process.  Otherwise each item is computed in this
-    process as the iteration reaches it.  Closing the map cancels the items
-    not yet started and shuts its workers down; it is a context manager that
-    closes on exit.
+    n processes share the items: n is the number of available cores, at most
+    the number of items, or 1 where the platform cannot ``fork``.  This
+    process computes items 0, n, 2n, ... as the iteration reaches them;
+    worker w of the n - 1 forked when the map is made computes items w,
+    w + n, ... and writes each result, or error, to its own pipe, pickled.
+    `fn` and the items reach the workers through the fork, so neither is
+    pickled and `fn` may be a closure.  An error comes back typed; a worker
+    that exits without a result raises ChildProcessError.  Closing the map
+    stops the workers at their next result and waits for them; it is a
+    context manager that closes on exit.
     """
 
     def __init__(self, fn, items):
-        self._pool = None
-        workers = min(_available_cores(), len(items))
-        if workers > 1:
-            import multiprocessing
+        self._fn, self._items = fn, items
+        self._n = max(1, min(_available_cores(), len(items))) if hasattr(os, "fork") else 1
+        self._pipes, self._pids = [], []  # per worker: the read end of its pipe, its pid
+        try:
+            for w in range(1, self._n):
+                r, wfd = os.pipe()
+                self._pipes.append(os.fdopen(r, "rb"))
+                with os.fdopen(wfd, "wb") as out:
+                    pid = os.fork()
+                    if pid == 0:
+                        self._serve(w, out)
+                self._pids.append(pid)
+        except BaseException:
+            self.close()
+            raise
 
-            if "fork" in multiprocessing.get_all_start_methods():
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                    initializer=_map_init,
-                    initargs=(fn, items),
-                )
-                self._results = self._pool.map(_map_item, range(len(items)))
-        if self._pool is None:
-            self._results = map(fn, items)
+    def _serve(self, w: int, out) -> None:
+        """Worker w's life in the forked process: each result as a frame of 8
+        bytes of length and the pickle, written to `out`; then exit."""
+        try:
+            for pipe in self._pipes:  # so that a pipe closes when the map closes it
+                pipe.close()
+            for i in range(w, len(self._items), self._n):
+                try:
+                    frame = pickle.dumps((True, self._fn(self._items[i])))
+                except Exception as exc:  # raised where the iteration reaches item i
+                    frame = pickle.dumps((False, exc))
+                out.write(len(frame).to_bytes(8, "little"))
+                out.write(frame)
+                out.flush()
+        except BaseException:  # ends the worker, which never unwinds into the forking caller
+            os._exit(1)
+        os._exit(0)
 
     def __iter__(self):
-        return self._results
+        for i, item in enumerate(self._items):
+            if i % self._n == 0:
+                yield self._fn(item)
+                continue
+            # exact reads: a reader that reads ahead, as pickle.load does,
+            # would wait for the worker's next result as well
+            pipe = self._pipes[i % self._n - 1]
+            head = pipe.read(8)
+            size = int.from_bytes(head, "little")
+            frame = pipe.read(size)
+            if len(head) < 8 or len(frame) < size:
+                raise ChildProcessError(f"the worker computing item {i} exited without its result")
+            ok, value = pickle.loads(frame)
+            if not ok:
+                raise value
+            yield value
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
+        # a worker's next write to its closed pipe fails, and it exits
+        for pipe in self._pipes:
+            pipe.close()
+        for pid in self._pids:
+            os.waitpid(pid, 0)
+        self._pipes, self._pids = [], []
 
     def __enter__(self) -> "ForkMap":
         return self
@@ -464,7 +486,7 @@ def ensemble_csv_text(ensemble: Ensemble) -> str:
     Floats are written with shortest round-trip repr, so identical ensembles
     produce byte-identical text: the text of the file that `write_ensemble`
     and `simulate_to_csv` write.  Blocks of paths are rendered on the
-    available cores in forked processes.
+    available cores through a `ForkMap`.
     """
     return b"".join(_ensemble_chunks(ensemble)).decode("ascii")
 
@@ -494,8 +516,8 @@ def simulate_to_csv(model: MrpModel, n_paths: int, n_events: int, root_seed: int
 
     The files are those of ``write_ensemble(simulate_ensemble(...), csv_path)``
     (the manifest's ``run`` section aside), but each block of paths is drawn
-    and rendered in one worker and the blocks stream to the file in order, so
-    no process holds the whole ensemble.
+    and rendered in one process and the blocks stream to the file in order,
+    so no process holds the whole ensemble.
     """
     _check_size(n_paths, n_events)
 

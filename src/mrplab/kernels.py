@@ -35,6 +35,7 @@ tilted gamma law for gamma and uniform marginals, a grid scan for beta.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union
 
@@ -72,6 +73,20 @@ GAMMA_SHAPE_FLOOR = 54.0 / 1022.0
 # ---------------------------------------------------------------------------
 
 
+def _real(value, name: str) -> float:
+    """`value` as a float, so that models built from ints and from floats hash
+    alike.  ConfigurationError for a non-number, and for a bool, which
+    `kernel_law` refuses as an index too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _real_fields(obj, names) -> None:
+    for name in names:  # fields of a frozen dataclass
+        object.__setattr__(obj, name, _real(getattr(obj, name), name))
+
+
 @dataclass(frozen=True)
 class RateMap:
     """Affine index-to-rate-multiplier map: multiplier(n) = a + b*n."""
@@ -80,6 +95,7 @@ class RateMap:
     b: float = 0.0
 
     def __post_init__(self):
+        _real_fields(self, ("a", "b"))
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ConfigurationError("rate_map coefficients must be finite")
         if self.b < 0.0 or self.a < 0.0 or self.a + self.b <= 0.0:
@@ -98,6 +114,8 @@ class KernelSpec:
     shape: Optional[Union[float, str]] = None
 
     def __post_init__(self):
+        if self.shape is not None and not isinstance(self.shape, str):
+            _real_fields(self, ("shape",))
         if self.family not in KERNEL_FAMILIES:
             raise ConfigurationError(
                 f"unknown kernel family {self.family!r}; expected one of {KERNEL_FAMILIES}"
@@ -447,6 +465,7 @@ class UniformMarginal(Marginal):
     kind: str = field(default="uniform", init=False)
 
     def __post_init__(self):
+        _real_fields(self, self.file_fields())
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ConfigurationError(f"uniform marginal needs lo < hi, got ({self.lo}, {self.hi})")
 
@@ -477,6 +496,7 @@ class GammaMarginal(Marginal):
     kind: str = field(default="gamma", init=False)
 
     def __post_init__(self):
+        _real_fields(self, self.file_fields())
         if not (0.0 < self.rate < math.inf and 0.0 < self.shape < math.inf):
             raise ConfigurationError(
                 f"gamma marginal needs positive finite rate and shape, got ({self.rate}, {self.shape})"
@@ -500,6 +520,10 @@ class GammaMarginal(Marginal):
     def sample_batch(self, bank):
         n = len(bank)
         return _gamma_from_bank(bank, np.full(n, self.shape), np.full(n, self.rate))
+
+    def contains(self, x):
+        # open at 0, where no kernel rate may lie
+        return 0.0 < x < math.inf
 
     def edges(self, k=0.0, lam=0.0):
         """The tilted density is Gamma(rate+lam, shape+k): its closed-form edges."""
@@ -535,6 +559,7 @@ class BetaMarginal(Marginal):
     kind: str = field(default="beta", init=False)
 
     def __post_init__(self):
+        _real_fields(self, self.file_fields())
         if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
             raise ConfigurationError(
                 f"beta marginal needs positive finite (a, b), got ({self.a}, {self.b})"
@@ -750,7 +775,7 @@ class GammaMixing(ProductRectangleMixing):
     """Gamma mixing law on (0, inf), rate-first: density rate**shape/Gamma(shape) * t**(shape-1) * exp(-rate*t).
 
     A product mixing over one `GammaMarginal`.  It keeps its own model-file
-    spelling, and so its own model hash, and it excludes theta = 0.
+    spelling, and so its own model hash.
     """
 
     kind = "gamma"
@@ -766,9 +791,6 @@ class GammaMixing(ProductRectangleMixing):
     def shape(self) -> float:
         return self.marginals[0].shape
 
-    def contains(self, theta):
-        return len(theta) == 1 and 0.0 < theta[0] < math.inf
-
     def to_dict(self):
         return self.marginals[0].to_dict()
 
@@ -781,9 +803,9 @@ class DiscreteMixing(MixingMeasure):
 
     def __post_init__(self):
         atoms = tuple(
-            (a,) if np.isscalar(a) else tuple(float(v) for v in a) for a in self.atoms
+            tuple(_real(v, "atom") for v in ((a,) if np.isscalar(a) else a)) for a in self.atoms
         )
-        weights = tuple(float(w) for w in self.weights)
+        weights = tuple(_real(w, "weight") for w in self.weights)
         if not atoms or len(atoms) != len(weights):
             raise ConfigurationError("discrete mixing needs matching atoms and weights")
         if len({len(a) for a in atoms}) != 1:

@@ -1,7 +1,7 @@
 import csv
 import json
 import math
-import multiprocessing
+import os
 
 import pytest
 
@@ -473,14 +473,8 @@ _PROPER_EXP = {
     "mixing": {"kind": "gamma", "rate": 2.0, "shape": 1.5},
 }
 
-# one core, three forked workers, and three cores without fork
+# one core, three cores (two forked workers), and three cores without fork
 CORES_AND_METHODS = [(1, None), (3, None), (3, ["spawn"])]
-
-
-def _set_cores(monkeypatch, cores, methods):
-    monkeypatch.setattr(construction, "_available_cores", lambda: cores)
-    if methods:
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
 
 
 def _verify_all(tmp_path, model, out, *extra):
@@ -489,7 +483,7 @@ def _verify_all(tmp_path, model, out, *extra):
 
 
 @pytest.mark.parametrize("name", ["gamma_half", "bivariate", "example16", "proper-exponential"])
-def test_verify_all_reports_do_not_depend_on_cores_or_fork(tmp_path, monkeypatch, name):
+def test_verify_all_reports_do_not_depend_on_cores_or_fork(tmp_path, monkeypatch, set_cores, name):
     if name == "proper-exponential":
         model = tmp_path / "m.json"
         model.write_text(json.dumps(_PROPER_EXP))
@@ -497,24 +491,32 @@ def test_verify_all_reports_do_not_depend_on_cores_or_fork(tmp_path, monkeypatch
     else:
         model = bundled_model_path(name)
     suite = cli._suite
-    here = []  # the suites run in this process
+    log = tmp_path / "pids"  # "suite pid" per suite run, appended by whichever process ran it
 
-    def counted(name, *args):
-        here.append(name)
+    def logged(name, *args):
+        with open(log, "a") as fh:
+            fh.write(f"{name} {os.getpid()}\n")
         return suite(name, *args)
 
-    monkeypatch.setattr(cli, "_suite", counted)
+    monkeypatch.setattr(cli, "_suite", logged)
     reports = []
-    for cores, methods in CORES_AND_METHODS:
-        _set_cores(monkeypatch, cores, methods)
-        here.clear()
-        code = _verify_all(tmp_path, model, f"{cores}-{methods}.json")
-        assert multiprocessing.active_children() == []
-        assert code == (1 if name == "example16" else 0)
-        # forked, both suite groups run in workers and none in this process
-        assert sorted(here) == ([] if methods is None and cores > 1 else sorted(cli.SUITES[:-1]))
-        reports.append((tmp_path / f"{cores}-{methods}.json").read_bytes())
-    assert reports[0] == reports[1] == reports[2]
+    for cores, methods in [(2, None), *CORES_AND_METHODS]:  # without fork last
+        set_cores(cores, methods)
+        log.write_text("")
+        out = f"{cores}-{methods}.json"
+        assert _verify_all(tmp_path, model, out) == (1 if name == "example16" else 0)
+        reports.append((tmp_path / out).read_bytes())
+        # on n processes, suite i runs in this one if n divides i, else in worker i % n
+        runs = [line.split() for line in log.read_text().splitlines()]
+        pids = dict(runs)
+        n = 1 if methods else cores
+        suites = cli.SUITES[:-1]
+        assert sorted(name for name, _ in runs) == sorted(suites)
+        assert len(set(pids.values())) == n
+        for i, s in enumerate(suites):
+            assert (pids[s] == str(os.getpid())) == (i % n == 0)
+            assert pids[s] == pids[suites[i % n]]
+    assert len(set(reports)) == 1
     checks = [r["check"] for r in json.loads(reports[0])["reports"]]
     assert checks == [s for s in cli.SUITES[:-1] if name == "proper-exponential" or s != "mixed-poisson"]
 
@@ -531,23 +533,25 @@ def _raising(error):
      "mrplab: accuracy error: count pmf missed its tolerance\n"),
     (ConfigurationError("bad increment width"), 2, "mrplab: error: bad increment width\n"),
 ])
-def test_verify_all_error_in_the_forked_group(tmp_path, capsys, monkeypatch, cores, methods,
-                                              error, code, message):
+def test_verify_all_error_in_the_forked_group(tmp_path, capsys, monkeypatch, set_cores, cores,
+                                              methods, error, code, message):
     model = tmp_path / "m.json"
     model.write_text(json.dumps(_PROPER_EXP))
-    monkeypatch.setattr(cli, "mixed_poisson_check", _raising(error))
-    _set_cores(monkeypatch, cores, methods)
+    # conditional-iid is suite 1, which a forked worker runs on three cores
+    monkeypatch.setattr(cli, "conditional_iid_test", _raising(error))
+    set_cores(cores, methods)
     assert _verify_all(tmp_path, str(model), "r.json") == code
     assert capsys.readouterr().err == message
     assert not (tmp_path / "r.json").exists()
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cores,methods", CORES_AND_METHODS)
-def test_verify_all_raises_the_earliest_suites_error(tmp_path, capsys, monkeypatch, cores, methods):
-    # suites in order: exchangeability, conditional-iid (forked), mc-vs-exact,
-    # mixed-poisson (forked), counting-axioms (forked)
-    _set_cores(monkeypatch, cores, methods)
+def test_verify_all_raises_the_earliest_suites_error(tmp_path, capsys, monkeypatch, set_cores, cores,
+                                                    methods):
+    # suites in order: exchangeability, conditional-iid, mc-vs-exact, mixed-poisson,
+    # counting-axioms; on three cores conditional-iid runs in a worker, mc-vs-exact
+    # in another
+    set_cores(cores, methods)
     monkeypatch.setattr(cli, "conditional_iid_test", _raising(AccuracyError("second", 0.0, 1.0)))
     monkeypatch.setattr(cli, "mc_vs_exact", _raising(ConfigurationError("third")))
     assert _verify_all(tmp_path, GH, "r.json") == 4
@@ -556,7 +560,6 @@ def test_verify_all_raises_the_earliest_suites_error(tmp_path, capsys, monkeypat
     assert _verify_all(tmp_path, GH, "r.json") == 2
     assert capsys.readouterr().err == "mrplab: error: first\n"
     assert not (tmp_path / "r.json").exists()
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("argv", [["--paths", "0"], ["--paths=-5"], ["--events", "0"],

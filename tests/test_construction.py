@@ -1,8 +1,8 @@
 import hashlib
 import json
 import math
-import multiprocessing
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -198,7 +198,7 @@ PINNED_CSV = [
 
 
 @pytest.mark.parametrize("name,size,csv_hash", PINNED_CSV)
-def test_bench_model_csv_bytes_pinned(name, size, csv_hash, tmp_path, monkeypatch):
+def test_bench_model_csv_bytes_pinned(name, size, csv_hash, tmp_path, set_cores):
     model = build_model(*BENCH_MODELS[name])
     text = ensemble_csv_text(simulate_ensemble(model, *size))
     assert hashlib.sha256(text.encode()).hexdigest().startswith(csv_hash)
@@ -206,15 +206,12 @@ def test_bench_model_csv_bytes_pinned(name, size, csv_hash, tmp_path, monkeypatc
     assert load_model_file(path)[0].model_hash() == model.model_hash()
     n, m, seed = size
     argv = ["simulate", "--model", path, "--paths", str(n), "--events", str(m), "--seed", str(seed)]
-    # one core, three forked workers, and three cores without fork
-    for run, cores, methods in ((1, 1, None), (2, 3, None), (3, 3, ["spawn"])):
-        monkeypatch.setattr(construction, "_available_cores", lambda: cores)
-        if methods:
-            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    # one core, two and three cores, and three cores without fork
+    for run, cores, methods in ((1, 1, None), (2, 2, None), (3, 3, None), (4, 3, ["spawn"])):
+        set_cores(cores, methods)
         out = tmp_path / f"{run}.csv"
         assert main([*argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest().startswith(csv_hash)
-    assert multiprocessing.active_children() == []
 
 
 # sha256 prefixes of the bytes of sample_conditional_interarrivals at the
@@ -292,6 +289,18 @@ def test_an_infinite_parameter_is_outside_the_mixing_support(name, theta):
         sample_conditional_path(model, theta, 3, 0)
     with pytest.raises(ParameterDomainError, match="outside the mixing support"):
         conditional_iid_test(model, theta, n_samples=100, max_index=2)
+
+
+@pytest.mark.parametrize("mixing,theta", [
+    (GammaMixing(2.0, 1.5), 0.0),
+    (ProductRectangleMixing((GammaMarginal(2.0, 1.5),)), 0.0),
+    (ProductRectangleMixing((GammaMarginal(2.0, 2.0), UniformMarginal(0.2, 0.8))), (0.0, 0.5)),
+], ids=["gamma", "product-gamma", "bivariate"])
+def test_a_zero_rate_is_outside_a_gamma_mixing_support(mixing, theta):
+    # a gamma marginal is open at 0: the zero rate is refused before any draw
+    kernel = KernelSpec("gamma", shape="theta2") if mixing.dim == 2 else GAMMA_HALF_KERNEL
+    with pytest.raises(ParameterDomainError, match="outside the mixing support"):
+        sample_conditional_path(build_model(kernel, mixing), theta, 3, 0)
 
 
 def test_conditional_moments_index_scaled():
@@ -498,25 +507,25 @@ def _count_block_calls(monkeypatch):
     return calls
 
 
-def test_csv_render_serial_equals_parallel(render_ensemble, monkeypatch):
+def test_csv_render_serial_equals_parallel(render_ensemble, monkeypatch, set_cores):
     default = ensemble_csv_text(render_ensemble)
-    monkeypatch.setattr(construction, "_available_cores", lambda: 3)
     calls = _count_block_calls(monkeypatch)
-    forced = ensemble_csv_text(render_ensemble)
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert calls == []  # every block was rendered in a worker
-    monkeypatch.setattr(construction, "_available_cores", lambda: 1)
-    serial = ensemble_csv_text(render_ensemble)
-    assert calls == [(0, 8192), (8192, 16384), (16384, 20000)]
-    assert serial == default == forced
-    assert serial.count("\n") == 1 + 20_000 * 3
-    assert multiprocessing.active_children() == []
+    texts = []
+    # on n cores this process renders blocks 0, n, 2n, ... and the workers the rest
+    for cores, here in ((3, [(0, 8192)]), (2, [(0, 8192), (16384, 20000)]),
+                        (1, [(0, 8192), (8192, 16384), (16384, 20000)])):
+        set_cores(cores)
+        calls.clear()
+        texts.append(ensemble_csv_text(render_ensemble))
+        assert calls == here
+    assert texts == [default] * 3
+    assert default.count("\n") == 1 + 20_000 * 3
 
 
-def test_fork_map_forks_only_for_two_cores_and_two_items(monkeypatch):
-    # the pid that computed each item: this process's unless the map forked
+def test_fork_map_forks_only_for_two_cores_and_two_items(set_cores):
+    # the pid that computed each item
     def pids(cores, n_items):
-        monkeypatch.setattr(construction, "_available_cores", lambda: cores)
+        set_cores(cores)
         with ForkMap(lambda _: os.getpid(), range(n_items)) as done:
             return list(done)
 
@@ -524,19 +533,59 @@ def test_fork_map_forks_only_for_two_cores_and_two_items(monkeypatch):
     assert pids(1, 3) == [here] * 3
     assert pids(3, 1) == [here]
     assert pids(3, 0) == []
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert here not in pids(3, 2)
-    assert multiprocessing.active_children() == []
+    # n = min(cores, items) processes: this one computes items 0, n, 2n, ...,
+    # and worker w, its own process, items w, w + n, ...
+    for cores, n_items, n in ((2, 5, 2), (3, 7, 3), (4, 2, 2)):
+        done = pids(cores, n_items)
+        assert done[::n] == [here] * len(done[::n])
+        workers = [set(done[w::n]) for w in range(1, n)]
+        assert all(len(p) == 1 for p in workers)
+        assert len(set.union({here}, *workers)) == n
+    # closing the map before the workers' results are read stops them
+    with ForkMap(lambda i: i, range(100)) as done:
+        assert next(iter(done)) == 0
 
 
-def test_csv_render_without_fork_is_serial(render_ensemble, monkeypatch):
+def test_fork_map_worker_that_dies_without_a_result_raises(set_cores):
+    here = os.getpid()
+
+    def dies(i):
+        if os.getpid() != here:
+            os._exit(3)
+        return i
+
+    class LocalError(Exception):  # a local class, so its instances cannot be pickled
+        pass
+
+    def raises_unpicklable(i):
+        if i:
+            raise LocalError(str(i))
+        return i
+
+    set_cores(2)
+    for fn in (dies, raises_unpicklable):
+        with ForkMap(fn, range(4)) as done:
+            results = iter(done)
+            assert next(results) == 0
+            with pytest.raises(ChildProcessError, match="item 1 exited without its result"):
+                next(results)
+
+
+def test_fork_map_unpicklable_result_raises_the_pickling_error(set_cores):
+    set_cores(2)
+    with ForkMap(lambda i: (lambda: i), range(2)) as done:
+        results = iter(done)
+        assert next(results)() == 0
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError), match="pickle"):
+            next(results)
+
+
+def test_csv_render_without_fork_is_serial(render_ensemble, monkeypatch, set_cores):
     expected = ensemble_csv_text(render_ensemble)
-    monkeypatch.setattr(construction, "_available_cores", lambda: 3)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    set_cores(3, ["spawn"])
     calls = _count_block_calls(monkeypatch)
     assert ensemble_csv_text(render_ensemble) == expected
-    assert len(calls) == 3
-    assert multiprocessing.active_children() == []
+    assert calls == [(0, 8192), (8192, 16384), (16384, 20000)]
 
 
 def test_csv_render_from_a_non_main_thread(render_ensemble, monkeypatch):
@@ -546,27 +595,27 @@ def test_csv_render_from_a_non_main_thread(render_ensemble, monkeypatch):
     monkeypatch.setattr(construction, "_available_cores", lambda: 3)
     with ThreadPoolExecutor(max_workers=1) as pool:
         assert pool.submit(ensemble_csv_text, render_ensemble).result() == expected
-    assert multiprocessing.active_children() == []
 
 
 def _simulate_failure(tmp_path, capsys):
     """(exit code, stderr) of `mrplab simulate` to tmp_path/e.csv, after
-    checking that it left no file and no worker process behind."""
+    checking that it left no file behind (and the autouse fixture checks
+    that it left no worker process)."""
     out = tmp_path / "e.csv"
     code = main(["simulate", "--model", bundled_model_path("gamma_half"), "--paths", "20000",
                  "--events", "2", "--out", str(out)])
     assert not out.exists()
     assert [p.name for p in tmp_path.iterdir() if ".tmp." in p.name] == []
-    assert multiprocessing.active_children() == []
     return code, capsys.readouterr().err
 
 
-# one core, three forked workers, and three cores without fork
+# one core, three cores (two forked workers), and three cores without fork
 CORES_AND_METHODS = [(1, None), (3, None), (3, ["spawn"])]
 
 
 @pytest.mark.parametrize("cores,methods", CORES_AND_METHODS)
-def test_simulate_sampler_error_in_a_late_block(tmp_path, capsys, monkeypatch, cores, methods):
+def test_simulate_sampler_error_in_a_late_block(tmp_path, capsys, monkeypatch, set_cores, cores,
+                                                methods):
     # the third block (paths 16384..19999) fails after two have been written
     draw = construction._draw
 
@@ -576,30 +625,24 @@ def test_simulate_sampler_error_in_a_late_block(tmp_path, capsys, monkeypatch, c
         return draw(model, bank, n_events, theta)
 
     monkeypatch.setattr(construction, "_draw", failing)
-    monkeypatch.setattr(construction, "_available_cores", lambda: cores)
-    if methods:
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    set_cores(cores, methods)
     code, err = _simulate_failure(tmp_path, capsys)
     assert (code, err) == (2, "mrplab: error: sampler produced a nonpositive interarrival\n")
     with pytest.raises(InvalidInterarrivalError):
         construction.simulate_to_csv(load_model_file(bundled_model_path("gamma_half"))[0],
                                      20000, 2, 0, str(tmp_path / "e.csv"))
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cores,methods", CORES_AND_METHODS)
-def test_simulate_writer_errors(tmp_path, capsys, monkeypatch, cores, methods):
+def test_simulate_writer_errors(tmp_path, capsys, monkeypatch, set_cores, cores, methods):
     import errno
     import io
 
-    monkeypatch.setattr(construction, "_available_cores", lambda: cores)
-    if methods:
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    set_cores(cores, methods)
     out = tmp_path / "missing" / "e.csv"
     assert main(["simulate", "--model", bundled_model_path("gamma_half"), "--out", str(out)]) == 2
     assert "No such file or directory" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-    assert multiprocessing.active_children() == []
 
     class FullDisk(io.FileIO):
         # takes the header, then fails on the first block of rows
@@ -615,7 +658,8 @@ def test_simulate_writer_errors(tmp_path, capsys, monkeypatch, cores, methods):
         construction.simulate_to_csv(load_model_file(bundled_model_path("gamma_half"))[0],
                                      20000, 2, 0, str(tmp_path / "e.csv"))
     # the traceback keeps the writer's frames alive: the workers were stopped, not collected
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     assert failure.value.errno == errno.ENOSPC
     assert list(tmp_path.iterdir()) == []
 

@@ -13,7 +13,7 @@ ERROR_CLASSES = [
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_error_round_trips_pickling(cls):
-    # a fork-pool worker hands its errors back to the parent pickled
+    # a fork map's worker hands its errors back to this process pickled
     extra = (1.0, 2.0) if cls is errors.AccuracyError else ()
     exc = cls("message", *extra)
     back = pickle.loads(pickle.dumps(exc))

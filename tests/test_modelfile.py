@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mrplab.construction import build_model
-from mrplab.errors import SchemaError
+from mrplab.errors import ConfigurationError, SchemaError
 from mrplab.exact import BoxQuery
 from mrplab.kernels import (
     BetaMarginal,
@@ -17,6 +17,7 @@ from mrplab.kernels import (
     UniformMarginal,
 )
 from mrplab.modelfile import (
+    BUNDLED_MODELS,
     bundled_model_path,
     load_bundled_model,
     load_model_file,
@@ -154,6 +155,45 @@ ROUND_TRIPS = {
     "tied-dirac": (TIED, DiracMixing((1.0, 0.5))),
     "tied-discrete": (TIED, DiscreteMixing(((1.0, 0.5), (2.0, 1.5)), (0.4, 0.6))),
 }
+
+
+# models given with int numbers, each beside the same model given with floats
+INT_BUILT = {
+    "exponential-gamma": ((KernelSpec("exponential", RateMap(1, 0)), GammaMixing(2, 1)),
+                          (KernelSpec("exponential", RateMap(1.0, 0.0)), GammaMixing(2.0, 1.0))),
+    "gamma-dirac": ((KernelSpec("gamma", RateMap(2, 1), shape=3), DiracMixing(2)),
+                    (KernelSpec("gamma", RateMap(2.0, 1.0), shape=3.0), DiracMixing(2.0))),
+    "exponential-beta": (
+        (KernelSpec("exponential"), ProductRectangleMixing((BetaMarginal(2, 3),))),
+        (KernelSpec("exponential"), ProductRectangleMixing((BetaMarginal(2.0, 3.0),)))),
+    "tied-product": (
+        (TIED, ProductRectangleMixing((GammaMarginal(2, 3), UniformMarginal(1, 2)))),
+        (TIED, ProductRectangleMixing((GammaMarginal(2.0, 3.0), UniformMarginal(1.0, 2.0))))),
+    "exponential-discrete": ((KernelSpec("exponential"), DiscreteMixing((1, 2), (0.5, 0.5))),
+                             (KernelSpec("exponential"), DiscreteMixing((1.0, 2.0), (0.5, 0.5)))),
+}
+ROUND_TRIPS.update({f"int-{name}": ints for name, (ints, _) in INT_BUILT.items()})
+ROUND_TRIPS.update({f"bundled-{name}": (lambda m: (m.kernel, m.mixing))(load_bundled_model(name)[0])
+                    for name in BUNDLED_MODELS})
+
+
+@pytest.mark.parametrize("name", INT_BUILT)
+def test_int_built_models_hash_as_float_built(name):
+    ints, floats = (build_model(*pair) for pair in INT_BUILT[name])
+    assert ints.to_dict() == floats.to_dict()
+    assert ints.model_hash() == floats.model_hash()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RateMap(True, 0.0), lambda: RateMap(1.0, False), lambda: KernelSpec("gamma", shape=True),
+    lambda: UniformMarginal(False, 1.0), lambda: GammaMarginal(2.0, True), lambda: BetaMarginal(True, 2.0),
+    lambda: DiracMixing(True), lambda: DiscreteMixing((1.0, True), (0.5, 0.5)),
+    lambda: DiscreteMixing((1.0,), (True,)), lambda: RateMap("1", 0.0),
+], ids=["rate-map-a", "rate-map-b", "kernel-shape", "uniform", "gamma", "beta", "dirac",
+        "discrete-atom", "discrete-weight", "string"])
+def test_a_bool_or_a_string_is_not_a_number_for_a_constructor(build):
+    with pytest.raises(ConfigurationError, match="must be a number"):
+        build()
 
 
 @pytest.mark.parametrize("name", ROUND_TRIPS)
