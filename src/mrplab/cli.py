@@ -50,6 +50,7 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .stats import (
     WITNESS_BOXES,
     conditional_iid_test,
+    distinct_sorted,
     exchangeability_test,
     mc_vs_exact,
     mixed_poisson_check,
@@ -180,7 +181,7 @@ def _default_mc_queries(n_events):
 def _counting_axiom_report(model, seed, n_events):
     path = sample_path(model, max(n_events, 50), seed)
     cpath = CountingPath.from_arrivals(path.arrivals)
-    grid = np.union1d(np.linspace(0.0, cpath.horizon, 201), cpath.event_times)
+    grid = distinct_sorted(np.concatenate((np.linspace(0.0, cpath.horizon, 201), cpath.event_times)))
     samples = list(zip(grid, counts_on_grid(cpath, grid)))
     return validate_counting_axioms(samples)
 

@@ -325,9 +325,7 @@ def _gamma_from_bank(bank: StreamBank, shapes: np.ndarray, rates: np.ndarray, la
     while pending.any():
         rel = np.flatnonzero(pending)
         sub = lanes[rel]
-        u1 = bank.draw(sub)
-        u2 = bank.draw(sub)
-        u3 = bank.draw(sub)
+        u1, u2, u3 = bank.draw(sub, 3)
         z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
         t = 1.0 + c[rel] * z
         v = t * t * t
@@ -438,8 +436,9 @@ class Marginal:
         return adaptive_gauss_kronrod(f, lo, hi, cfg, edges)
 
     def contains(self, x: float) -> bool:
+        # open at 0, where no kernel rate or shape may lie
         lo, hi = self.support()
-        return lo <= x <= hi and math.isfinite(x)
+        return lo <= x <= hi and 0.0 < x < math.inf
 
     @classmethod
     def file_fields(cls) -> tuple:
@@ -520,10 +519,6 @@ class GammaMarginal(Marginal):
     def sample_batch(self, bank):
         n = len(bank)
         return _gamma_from_bank(bank, np.full(n, self.shape), np.full(n, self.rate))
-
-    def contains(self, x):
-        # open at 0, where no kernel rate may lie
-        return 0.0 < x < math.inf
 
     def edges(self, k=0.0, lam=0.0):
         """The tilted density is Gamma(rate+lam, shape+k): its closed-form edges."""

@@ -97,14 +97,18 @@ class StreamBank:
     def __len__(self) -> int:
         return self.seeds.shape[0]
 
-    def draw(self, lanes=None) -> np.ndarray:
-        """One uniform in (0,1) for each selected lane (default: all lanes)."""
-        if lanes is None:
-            self.counters += _ONE
-            state = self.seeds + self.counters * _U64_PHI
-        else:
-            self.counters[lanes] += _ONE
-            state = self.seeds[lanes] + self.counters[lanes] * _U64_PHI
+    def draw(self, lanes=None, k: int = 1) -> np.ndarray:
+        """One uniform in (0,1) for each selected lane (default: all lanes).
+
+        With k > 1, each lane's next k uniforms as a (k, lanes) array, the
+        same as k calls in a row.
+        """
+        lanes = slice(None) if lanes is None else lanes
+        start = self.counters[lanes]
+        steps = _ONE if k == 1 else np.arange(1, k + 1, dtype=np.uint64)[:, None]
+        state = (start + steps) * _U64_PHI
+        state += self.seeds[lanes]
+        self.counters[lanes] = start + np.uint64(k)
         return _to_unit(_mix64_np(state))
 
 

@@ -68,8 +68,32 @@ def _check_level(level: float) -> None:
 # ---------------------------------------------------------------------------
 
 
+def sorted_quantiles(xs: np.ndarray, qs) -> np.ndarray:
+    """numpy's default (linear) quantiles of ascending data, bit for bit.
+
+    The same virtual index (n-1)q and interpolation rule as `np.quantile`,
+    without its partition, whose index dedupe imports `numpy.ma`.
+    """
+    n = xs.shape[0]
+    at = (n - 1) * np.asarray(qs, dtype=np.float64)
+    lo = np.floor(at).astype(np.intp)
+    hi = lo + 1
+    top = at >= n - 1
+    lo[top] = hi[top] = -1  # the last value, as numpy takes it
+    a, b = xs[lo], xs[hi]
+    t = at - lo
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
+def distinct_sorted(x: np.ndarray) -> np.ndarray:
+    """The distinct values of `x`, ascending (`np.unique` without its `numpy.ma` import)."""
+    xs = np.sort(x, axis=None)
+    return xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+
+
 def _default_probe_boxes(w: np.ndarray, r: int) -> list[tuple]:
-    pooled = np.quantile(w.ravel(), [0.25, 0.5, 0.75])
+    pooled = sorted_quantiles(np.sort(w, axis=None), [0.25, 0.5, 0.75])
     boxes = [tuple(b) for b in itertools.product(pooled, repeat=r)]
     if r == 2:
         boxes.extend(WITNESS_BOXES)
@@ -84,6 +108,34 @@ _REPLICA_CHUNK = 256
 # the most cells the probe thresholds may cut the first-r space into; the
 # null's count table holds one int64 per cell and replica of a session
 _MAX_CELLS = 1 << 14
+# the most rows a byte lane of `_cell_sums` adds: its 0/1 terms cannot carry
+_LANE_ROWS = 255
+
+
+def _cell_sums(cell: np.ndarray, bits: np.ndarray, n_cells: int) -> np.ndarray:
+    """The (n_cells, m) int64 sums per cell of the 0/1 rows `bits` (paths, m), exactly.
+
+    The rows, sorted by cell and padded to a multiple of 8 bytes, are read
+    as 64-bit words of eight byte lanes and added over runs of at most 255
+    rows of one cell, so no lane carries into the next; the runs of a cell
+    are then added in int64.  Integer adds only: no matrix product.
+    """
+    n, m = bits.shape
+    order = np.argsort(cell.astype(np.uint16), kind="stable")  # a radix sort
+    sorted_cell = cell[order]
+    rows = np.empty((n, -(-m // 8) * 8), dtype=np.uint8)
+    rows[:, m:] = 0
+    np.take(bits, order, axis=0, out=rows[:, :m], mode="clip")  # "clip" takes no buffer
+    edge = np.concatenate(([True], sorted_cell[1:] != sorted_cell[:-1]))
+    first = np.flatnonzero(edge)
+    edge[::_LANE_ROWS] = True
+    runs = np.flatnonzero(edge)
+    lanes = np.add.reduceat(rows.view("<u8"), runs).astype("<u8", copy=False)
+    sums = np.zeros((n_cells, m), dtype=np.int64)
+    sums[sorted_cell[first]] = np.add.reduceat(
+        lanes.view(np.uint8)[:, :m], np.searchsorted(runs, first), dtype=np.int64
+    )
+    return sums
 
 
 def _group_id_blocks(stream: UniformStream, n_paths: int, m: int, n_group: int):
@@ -217,7 +269,7 @@ def exchangeability_test(
     # bin k of a path counts the thresholds below its k-th interarrival, and
     # the path lies in a box exactly when each bin is at most the index of
     # the box's threshold in that coordinate
-    thresholds = np.unique(boxes)
+    thresholds = distinct_sorted(boxes)
     n_bins = thresholds.size + 1
     n_cells = n_bins**r
     if n_cells > _MAX_CELLS:
@@ -250,14 +302,10 @@ def exchangeability_test(
         m = min(_REPLICA_CHUNK, n_permutations - done)
         blocks = zip(range(0, n, _BLOCK_PATHS), _group_id_blocks(stream, n, m, n_group))
         if n_group == 2:
-            # paths per cell that swap, one float32 product per block (exact:
-            # a block holds fewer than 2**24 paths)
-            swaps = np.zeros((n_cells, m))
+            # paths per cell that swap
+            swaps = np.zeros((n_cells, m), dtype=np.int64)
             for lo, ids in blocks:
-                onehot = np.zeros((n_cells, len(ids)), dtype=np.float32)
-                onehot[cell[lo : lo + len(ids)], np.arange(len(ids))] = 1.0
-                swaps += onehot @ ids.astype(np.float32)
-            swaps = swaps.astype(np.int64)
+                swaps += _cell_sums(cell[lo : lo + len(ids)], ids.view(np.uint8), n_cells)
             table = ncell[:, None] - swaps
             np.add.at(table, moved[:, 1], swaps)
         else:
@@ -290,7 +338,7 @@ def exchangeability_test(
             "n_probe_boxes": len(base),
             "n_eval_boxes": len(boxes),
             "n_pairs": p1.size,
-            "null_quantile_99": float(np.quantile(d_null, 0.99)),
+            "null_quantile_99": float(sorted_quantiles(np.sort(d_null), [0.99])[0]),
         },
     )
 
@@ -306,10 +354,12 @@ def _ks_one_sample(sample: np.ndarray, cdf_vals_sorted: np.ndarray) -> float:
     return float(np.max(np.maximum(grid - cdf_vals_sorted, cdf_vals_sorted - (grid - 1.0 / n))))
 
 
-def _chi2_independence_5x5(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+def _chi2_independence_5x5(x, y, xs, ys) -> tuple[float, float]:
+    """Chi-square independence of samples x and y on the 5x5 grid of their
+    quintiles, read from their ascending copies xs and ys."""
     qs = [0.2, 0.4, 0.6, 0.8]
-    ex = np.quantile(x, qs)
-    ey = np.quantile(y, qs)
+    ex = sorted_quantiles(xs, qs)
+    ey = sorted_quantiles(ys, qs)
     cx = np.searchsorted(ex, x, side="right")
     cy = np.searchsorted(ey, y, side="right")
     counts = np.bincount(5 * cx + cy, minlength=25).reshape(5, 5).astype(np.float64)
@@ -343,16 +393,16 @@ def conditional_iid_test(
     pt = theta_tuple(theta)
     w = sample_conditional_interarrivals(model, pt, n_samples, max_index, seed)
 
+    ws = [np.sort(w[:, k]) for k in range(max_index)]
     ks_results = []
-    for k in range(max_index):
-        xs = np.sort(w[:, k])
+    for k, xs in enumerate(ws):
         # every index is compared with the index-1 law K(theta)
         d = _ks_one_sample(xs, kernel_cdf_batch(model.kernel, 1, np.array([pt]), xs)[0])
         ks_results.append({"index": k + 1, "ks_distance": d, "p_value": ks_one_sample_pvalue(d, n_samples)})
 
     pair_results = []
     for i, j in itertools.combinations(range(max_index), 2):
-        stat, p = _chi2_independence_5x5(w[:, i], w[:, j])
+        stat, p = _chi2_independence_5x5(w[:, i], w[:, j], ws[i], ws[j])
         pair_results.append({"pair": (i + 1, j + 1), "chi2": stat, "p_value": p})
 
     m = len(ks_results) + len(pair_results)

@@ -579,3 +579,29 @@ def test_verify_small_sizes_keep_their_meaning(tmp_path):
                 "--events", "1", "--out", str(out)]) == 0
     sizes = json.loads(out.read_text())["reports"][0]["sample_sizes"]
     assert (sizes["samples"], sizes["max_index"]) == (100, 2)
+
+
+def test_no_command_imports_numpy_ma(tmp_path, fresh_cli):
+    # np.quantile, np.unique without return_* flags and np.union1d import
+    # numpy.ma (about 16 ms in a fresh process); on one core every verify
+    # suite runs in the child, so its imports are all seen
+    import subprocess
+    import sys
+
+    bare = subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+                          capture_output=True, text=True, check=True)
+    numpy_loads_ma = bare.stdout.strip() == "True"
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(_EXP_GAMMA))
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps([_BOX, {"id": "n", "type": "count", "t": 1.0, "n": 2}]))
+    calls = {
+        "simulate": ["--paths", 300, "--events", 3, "--out", tmp_path / "s.csv"],
+        "exact": ["--queries", queries, "--out", tmp_path / "e.csv"],
+        "verify": ["--suite", "all", "--paths", 2000, "--events", 3, "--out", tmp_path / "v.json"],
+    }
+    for command, args in calls.items():
+        code, modules = fresh_cli(command, "--model", model, *args, cores=1)
+        assert code == 0, command
+        assert numpy_loads_ma or "numpy.ma" not in modules, command
+    assert json.loads((tmp_path / "v.json").read_text())["skipped"] == []

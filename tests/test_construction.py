@@ -303,6 +303,18 @@ def test_a_zero_rate_is_outside_a_gamma_mixing_support(mixing, theta):
         sample_conditional_path(build_model(kernel, mixing), theta, 3, 0)
 
 
+@pytest.mark.parametrize("marginal", [UniformMarginal(0.0, 1.0), BetaMarginal(2.0, 3.0)],
+                         ids=["uniform", "beta"])
+def test_a_zero_rate_is_outside_a_support_that_starts_at_0(marginal):
+    # build_model admits a support whose lower end is 0, but no kernel rate
+    # lies there: the zero rate is refused before any draw, as under a gamma
+    model = build_model(KernelSpec("exponential"), ProductRectangleMixing((marginal,)))
+    with pytest.raises(ParameterDomainError, match="outside the mixing support"):
+        sample_conditional_path(model, 0.0, 2, 1)
+    with pytest.raises(ParameterDomainError, match="outside the mixing support"):
+        conditional_iid_test(model, 0.0, n_samples=100, max_index=2)
+
+
 def test_conditional_moments_index_scaled():
     # conditional law at index n is exponential with rate n*theta: means 1, 1/2
     model = example16_model()

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mrplab import stats
 from mrplab.construction import build_model, simulate_ensemble
@@ -35,13 +37,16 @@ from mrplab.kernels import (
 from mrplab.modelfile import load_bundled_model
 from mrplab.rng import UniformStream
 from mrplab.stats import (
+    _cell_sums,
     _default_probe_boxes,
     _group_id_blocks,
     _merge_bins,
     conditional_iid_test,
+    distinct_sorted,
     exchangeability_test,
     mc_vs_exact,
     mixed_poisson_check,
+    sorted_quantiles,
 )
 
 
@@ -293,6 +298,26 @@ def test_exchangeability_custom_probes_report_pinned():
     assert _sha(rep.to_json().encode()) == PINNED_CUSTOM_REPORT
 
 
+def test_exchangeability_fine_grid_report_pinned():
+    # r = 2 on 32 distinct thresholds: 33**2 = 1089 cells, most of them
+    # holding a few paths; 300 replicas take two sessions
+    probes = [(0.05 * (k + 1), 0.05 * (k + 17)) for k in range(16)]
+    rep = exchangeability_test(_bundled_ensemble("gamma_half"), r=2, n_permutations=300, probe_boxes=probes)
+    assert _sha(rep.to_json().encode()) == "8f430dcbe2393301"
+
+
+def test_exchangeability_crowded_cell_report_pinned(monkeypatch):
+    # r = 2 with all 140,000 paths in one block and in the one cell
+    # w1 <= 1 < w2 <= 2, which a swap moves: about 70,000 of them swap in
+    # each replica, more than a 16-bit count holds
+    monkeypatch.setattr(stats, "_BLOCK_PATHS", 10**6)
+    u = UniformStream(7).uniforms(2 * 140_000).reshape(-1, 2)
+    w = np.column_stack([u[:, 0], 1.0 + u[:, 1]])
+    rep = exchangeability_test(w, r=2, n_permutations=49, probe_boxes=[(1.0, 2.0)], resample_seed=8)
+    assert rep.statistic == 1.0
+    assert _sha(rep.to_json().encode()) == "1e56469f783349a1"
+
+
 # sha256 prefixes of the n ids of one draw session on UniformStream(1000 * g + n)
 # followed by the stream's next word, which pins where the session leaves it
 PINNED_GROUP_IDS = {
@@ -352,7 +377,7 @@ def test_exchangeability_does_not_depend_on_block_size(monkeypatch):
 def test_exchangeability_memory_is_bounded_by_a_path_block(r):
     # the null never holds a paths x replicas array: at 1e5 paths its
     # traced peak stays far below one float32 mask of 1e5 x 199 (76 MiB),
-    # both in the float32 products of r = 2 and the count tables of r = 3
+    # both in the per-cell byte-lane sums of r = 2 and the count tables of r = 3
     model, _meta = load_bundled_model("gamma_half")
     ens = simulate_ensemble(model, 100_000, r, root_seed=1)
     tracemalloc.start()
@@ -362,6 +387,51 @@ def test_exchangeability_memory_is_bounded_by_a_path_block(r):
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+# the quantile sets the package takes: pooled probe quartiles, the 5x5 grid's
+# quintile edges and the null's 99th percentile
+_QUANTILE_SETS = ([0.25, 0.5, 0.75], [0.2, 0.4, 0.6, 0.8], [0.99])
+
+
+@given(hs.integers(1, 2000), hs.integers(1, 2000), hs.integers(0, 2**32 - 1), hs.sampled_from(_QUANTILE_SETS))
+@settings(max_examples=300, deadline=None)
+def test_sorted_quantiles_equal_numpy_bitwise(n, n_values, seed, qs):
+    # n draws from n_values distinct values: ties whenever n_values < n
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n_values) * 10.0 ** rng.uniform(-3.0, 3.0, n_values)
+    x = rng.choice(values, n)
+    got = sorted_quantiles(np.sort(x), qs)
+    assert got.view(np.uint64).tolist() == np.quantile(x, qs).view(np.uint64).tolist()
+    if len(qs) == 1:  # the scalar form np.quantile(x, 0.99) too
+        assert got[0] == np.quantile(x, qs[0])
+
+
+def test_distinct_sorted_equals_unique():
+    rng = np.random.default_rng(3)
+    x = rng.choice([-np.inf, -1.5, 0.0, 0.25, 2.0, np.inf], size=(40, 3))
+    for data in (x, x[:1, :1], np.linspace(0.0, 1.0, 201)):
+        assert np.array_equal(distinct_sorted(data), np.unique(data))
+
+
+@pytest.mark.parametrize("n,m,n_cells", [(1, 1, 1), (7, 3, 4), (600, 199, 36), (300, 256, 1089), (999, 9, 2)])
+def test_cell_sums_equal_a_per_path_count(n, m, n_cells):
+    rng = np.random.default_rng(n + m)
+    cell = rng.integers(0, n_cells, n)
+    bits = rng.integers(0, 2, (n, m), dtype=np.uint8)
+    expected = np.zeros((n_cells, m), dtype=np.int64)
+    np.add.at(expected, cell, bits)
+    assert np.array_equal(_cell_sums(cell, bits, n_cells), expected)
+
+
+def test_cell_sums_do_not_overflow_a_lane():
+    # 70,000 rows of ones in one cell: far more than one byte, or one
+    # 16-bit lane, can hold
+    bits = np.ones((70_000, 13), dtype=np.uint8)
+    bits[::7, 4] = 0
+    sums = _cell_sums(np.full(70_000, 2), bits, 3)
+    assert sums[2].tolist() == [70_000] * 4 + [60_000] + [70_000] * 8
+    assert not sums[:2].any()
 
 
 def test_exchangeability_probe_threshold_limits():
