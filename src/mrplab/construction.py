@@ -88,8 +88,9 @@ def build_model(kernel: KernelSpec, mixing: MixingMeasure) -> MrpModel:
     ------
     ConfigurationError
         On dimension mismatch, support outside the admissible region, gamma
-        kernel shapes reaching below `GAMMA_SHAPE_FLOOR`, or a mixing
-        measure whose mass deviates from 1.
+        kernel shapes, or the shapes of a gamma or beta mixing marginal,
+        reaching below `GAMMA_SHAPE_FLOOR`, or a mixing measure whose mass
+        deviates from 1.
     """
     if mixing.dim != kernel.param_dim:
         raise ConfigurationError(
@@ -108,13 +109,18 @@ def build_model(kernel: KernelSpec, mixing: MixingMeasure) -> MrpModel:
                 raise ConfigurationError(
                     f"atom {atom} lies outside the kernel-admissible region"
                 )
-    # the lowest shape a draw can have is the law's at the support's lower corner
-    shape = float(kernel_law(kernel, 1, [[lo for lo, _ in mixing.support_box()]])[1][0])
-    if shape < GAMMA_SHAPE_FLOOR:
-        raise ConfigurationError(
-            f"gamma kernel shapes reach down to {shape}, below the sampler's floor "
-            f"{GAMMA_SHAPE_FLOOR:.4f}"
-        )
+    # the lowest shape a kernel draw can have is the law's at the support's
+    # lower corner; gamma and beta mixing marginals are drawn by gamma laws too
+    corner = [[lo for lo, _ in mixing.support_box()]]
+    lowest = [("gamma kernel", float(kernel_law(kernel, 1, corner)[1][0]))]
+    if not mixing.is_atomic:
+        lowest += [(f"{m.kind} mixing", s) for m in mixing.marginals for s in m.gamma_shapes()]
+    for what, shape in lowest:
+        if shape < GAMMA_SHAPE_FLOOR:
+            raise ConfigurationError(
+                f"{what} shapes reach down to {shape}, below the sampler's floor "
+                f"{GAMMA_SHAPE_FLOOR:.4f}"
+            )
     verify_mixing_mass(mixing)
     warnings = ()
     if not kernel.is_constant_family:

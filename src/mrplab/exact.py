@@ -47,6 +47,7 @@ from .errors import (
 )
 from .kernels import KernelSpec, MixingMeasure, kernel_cdf_batch, kernel_law
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, adaptive_gauss_kronrod
+from .special import per_shape
 
 # the largest box dimension a query may have
 MAX_BOX_DIM = 16
@@ -370,9 +371,8 @@ def _gamma_mass_below_vec(rates, shapes, xs, cfg: QuadratureConfig):
         return out
 
     res = adaptive_gauss_kronrod(integrand, 0.0, 1.0, cfg)
-    uniq, inv = np.unique(s, return_inverse=True)  # few distinct shapes, many lanes
     with np.errstate(divide="ignore"):  # c = 0 (a zero rate) holds mass 0
-        const = np.exp(s * np.log(c) - np.array([math.lgamma(v + 1.0) for v in uniq])[inv])
+        const = np.exp(s * np.log(c) - per_shape(math.lgamma, s + 1.0))
     mass[lanes] = const * res.value
     err[lanes] = const * res.error
     return mass, err, res.converged

@@ -3,9 +3,9 @@
 Conventions
 -----------
 Gamma parameters are **rate first, shape second**: ``Gamma(rate, shape)`` has
-density ``rate**shape / Gamma(shape) * x**(shape-1) * exp(-rate*x)``.  Many
-libraries use scale instead of rate; everything in this package (kernels,
-mixing measures, model files) is rate-first.
+density ``rate**shape / Gamma(shape) * x**(shape-1) * exp(-rate*x)``, whose log
+is `special.gamma_log_density`.  Many libraries use scale instead of rate;
+everything in this package (kernels, mixing measures, model files) is rate-first.
 
 A kernel family is indexed, and `kernel_law` alone says what member ``n`` is
 at a parameter point: Gamma(rate, shape) with rate ``(a + b*n) * theta_1``
@@ -55,7 +55,7 @@ from .quadrature import (
     integrate_half_line,
 )
 from .rng import StreamBank, UniformStream
-from .special import regularized_incomplete_gamma
+from .special import gamma_log_density, regularized_incomplete_gamma
 
 KERNEL_FAMILIES = ("exponential", "gamma")
 
@@ -196,31 +196,6 @@ def kernel_law(spec: KernelSpec, index, thetas) -> tuple[np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def _stirling_remainder(s: float) -> float:
-    """R(s) = lgamma(s) - [(s - 1/2) log s - s + log(2 pi)/2]; its series above s = 15."""
-    if s <= 15.0:
-        return math.lgamma(s) - (s - 0.5) * math.log(s) + s - 0.5 * math.log(2.0 * math.pi)
-    r = 1.0 / (s * s)
-    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0 - r / 1188.0)))) / s
-
-
-def _gamma_log_density(rate: float, shape: float, x):
-    """log of the Gamma(rate, shape) density at x > 0 (scalar or array).
-
-    With t = rate*x/shape and Stirling's formula for lgamma(shape),
-
-        log f = log(rate) - log(2 pi shape)/2 - R(shape) + (shape-1) log t - shape (t-1),
-
-    so no two large terms cancel: the textbook form does, shape*log(rate) and
-    lgamma(shape) among them, and loses digits at shapes of 1e4 and above.
-    """
-    t = rate * np.asarray(x, dtype=np.float64) / shape
-    with np.errstate(divide="ignore"):  # t is 0 only where rate*x/shape underflows
-        power = (shape - 1.0) * np.log(t) if shape != 1.0 else 0.0
-    const = math.log(rate) - 0.5 * math.log(2.0 * math.pi * shape) - _stirling_remainder(shape)
-    return const + power - shape * (t - 1.0)
-
-
 def kernel_cdf(spec: KernelSpec, index: int, theta, x: float) -> float:
     """CDF of the index-n member of the kernel family at parameter theta.
 
@@ -266,14 +241,11 @@ def kernel_cdf_batch(spec: KernelSpec, index, thetas: np.ndarray, x, n_terms=1) 
 def kernel_pdf(spec: KernelSpec, index: int, theta, x: float) -> float:
     """Density of the index-n kernel member at theta."""
     rates, shapes = kernel_law(spec, [index], np.array([_coerce_theta(spec, theta)]))
-    rate, shape = float(rates[0, 0]), float(shapes[0, 0])
     if math.isnan(x):
         raise ParameterDomainError("kernel density argument must not be NaN")
     if not x > 0.0:
         return 0.0
-    if spec.family == "exponential":
-        return rate * math.exp(-rate * x)
-    return math.exp(_gamma_log_density(rate, shape, x))
+    return math.exp(gamma_log_density(rates[0, 0], shapes[0, 0], x))
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +368,10 @@ class Marginal:
     def sample_batch(self, bank: StreamBank) -> np.ndarray:
         raise NotImplementedError
 
+    def gamma_shapes(self) -> tuple:
+        """The shapes of the gamma laws `sample_batch` draws from (`_gamma_from_bank`)."""
+        return ()
+
     def edges(self, k: float = 0.0, lam: float = 0.0) -> list:
         """Panel edges, in theta, around the mass of density(theta) * theta**k * exp(-lam*theta).
 
@@ -513,12 +489,15 @@ class GammaMarginal(Marginal):
         pos = x > 0.0
         if pos.any():
             with np.errstate(under="ignore"):
-                out[pos] = np.exp(_gamma_log_density(self.rate, self.shape, x[pos]))
+                out[pos] = np.exp(gamma_log_density(self.rate, self.shape, x[pos]))
         return out
 
     def sample_batch(self, bank):
         n = len(bank)
         return _gamma_from_bank(bank, np.full(n, self.shape), np.full(n, self.rate))
+
+    def gamma_shapes(self):
+        return (self.shape,)
 
     def edges(self, k=0.0, lam=0.0):
         """The tilted density is Gamma(rate+lam, shape+k): its closed-form edges."""
@@ -586,6 +565,9 @@ class BetaMarginal(Marginal):
         g1 = _gamma_from_bank(bank, np.full(n, self.a), ones)
         g2 = _gamma_from_bank(bank, np.full(n, self.b), ones)
         return g1 / (g1 + g2)
+
+    def gamma_shapes(self):
+        return (self.a, self.b)
 
     def edges(self, k=0.0, lam=0.0):
         """No closed form: the edges bracket the region where the tilted density,

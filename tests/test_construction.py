@@ -107,6 +107,10 @@ def test_dimension_mismatch_rejected():
         (KernelSpec("gamma", shape="theta2"),
          ProductRectangleMixing((GammaMarginal(2.0, 2.0), UniformMarginal(0.01, 0.8)))),
         (KernelSpec("gamma", shape="theta2"), DiscreteMixing(((1.0, 0.5), (2.0, 0.01)), (0.5, 0.5))),
+        # mixing marginals drawn by gamma laws below the floor: a drawn theta
+        # of 0 made simulation fail on a "rate parameter must be positive"
+        (EXP, GammaMixing(1.0, 0.01)),
+        (EXP, ProductRectangleMixing((BetaMarginal(0.01, 1.0),))),
     ],
 )
 def test_gamma_kernel_shape_floor(kernel, mixing):
@@ -119,6 +123,15 @@ def test_gamma_kernel_at_the_shape_floor_simulates():
     model = build_model(KernelSpec("gamma", shape=GAMMA_SHAPE_FLOOR), GammaMixing(2.0, 1.5))
     ens = simulate_ensemble(model, 1000, 2, root_seed=3)
     assert np.all(ens.interarrivals > 0.0)
+
+
+@pytest.mark.parametrize(
+    "marginal", [GammaMarginal(1.0, GAMMA_SHAPE_FLOOR), BetaMarginal(GAMMA_SHAPE_FLOOR, 1.0)]
+)
+def test_mixing_at_the_shape_floor_simulates(marginal):
+    model = build_model(EXP, ProductRectangleMixing((marginal,)))
+    ens = simulate_ensemble(model, 100_000, 2, root_seed=7)
+    assert np.all(ens.thetas > 0.0) and np.all(ens.interarrivals > 0.0)
 
 
 def test_huge_mixing_shape_builds_and_simulates():

@@ -798,13 +798,15 @@ def _pinned_repr(result) -> str:
 # sha256 prefixes of the newline-joined reprs of each group's results; the
 # round-based panel loop moved box values by at most 1.7e-16, count 2.2e-16,
 # beta_uniform 5.6e-17 and mass 6.7e-16, and with the density route's
-# w**(2/s) coordinates density values by 1.9e-15, each within the sum of the
-# old and new reported errors
+# w**(2/s) coordinates density values by 1.9e-15; the incomplete gamma's
+# Stirling-form prefactor moved box values by at most 5.6e-17, count 1.1e-16,
+# atomic 1.4e-15 and beta_uniform 2.8e-17; each move lies within the sum of
+# the old and new reported errors
 PINNED_RESULTS = {
-    "box": "9f8b7b034550fa66",
-    "count": "583f018c6da5c1d1",
-    "atomic": "5bde8da8d420bca6",
-    "beta_uniform": "175f899105ae260e",
+    "box": "72766353a2397dd6",
+    "count": "ce31c24acc52c02c",
+    "atomic": "1b9349fd5ba2d13a",
+    "beta_uniform": "9f3dbac6e52a67b0",
     "density": "718716e369fdee57",
     "mass": "83644713c856a88e",
 }

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from mrplab import special
 from mrplab.errors import AccuracyError, ParameterDomainError
+from mrplab.kernels import KernelSpec, kernel_cdf
 from mrplab.special import (
     chi_square_sf,
     kolmogorov_sf,
@@ -46,11 +47,25 @@ def test_against_scipy_over_shapes():
 
 
 def test_against_scipy_huge_shape():
-    # prefactor cancellation grows with the shape; a=2000 is far beyond any
-    # shape this package produces, tolerate a few ulps more there
     rng = np.random.default_rng(3)
     x = np.abs(rng.gamma(2.0, 1001.0, 1000))
-    assert np.max(np.abs(regularized_incomplete_gamma(2000.0, x) - sp.gammainc(2000.0, x))) < 1e-11
+    assert np.max(np.abs(regularized_incomplete_gamma(2000.0, x) - sp.gammainc(2000.0, x))) < 1e-12
+
+
+@pytest.mark.parametrize("a", [1e3, 1e4, 1e5, 1e6])
+def test_large_shapes_match_scipy_in_the_bulk(a):
+    # x = a + z sqrt(a) spans the law's bulk; the textbook prefactor
+    # exp(-x + a log x - lgamma(a)) was off by 2.5e-12 there at a = 1e4 and
+    # 3.4e-10 at 1e6, where scipy agrees with mpmath to 1.1e-16
+    x = a + np.linspace(-4.0, 4.0, 17) * math.sqrt(a)
+    assert np.max(np.abs(regularized_incomplete_gamma(a, x) - sp.gammainc(a, x))) <= 1e-12
+    assert np.max(np.abs(regularized_incomplete_gamma_upper(a, x) - sp.gammaincc(a, x))) <= 1e-12
+
+
+def test_large_shape_kernel_cdf_matches_scipy():
+    # Gamma(2, 1e5) at its mean, where the textbook prefactor was off by 1.9e-10
+    cdf = kernel_cdf(KernelSpec("gamma", shape=1e5), 1, 2.0, 0.5e5)
+    assert abs(cdf - sp.gammainc(1e5, 1e5)) <= 1e-12
 
 
 def test_monotone_in_x_and_limits():
@@ -103,7 +118,7 @@ def test_array_shape_matches_scalar_calls_and_scipy(pairs):
         vec = f(a, x)
         assert vec.shape == a.shape
         scalar = np.array([f(float(ai), float(xi)) for ai, xi in pairs])
-        assert np.max(np.abs(vec - scalar)) <= 1e-14
+        assert np.array_equal(vec, scalar)
         assert np.max(np.abs(vec - ref(a, x))) <= 1e-12
 
 
