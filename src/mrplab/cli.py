@@ -7,6 +7,7 @@ Exit codes (stable contract for CI pipelines):
     2  usage or schema error
     3  capacity exceeded
     4  accuracy not reached (best estimates still written, flagged)
+    5  internal error: an unexpected exception, with its traceback on stderr
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 from typing import Optional
 
 import numpy as np
@@ -70,6 +72,7 @@ EXIT_REJECTED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_ACCURACY = 4
+EXIT_INTERNAL = 5
 
 NONCONVERGED = "quadrature-gk15(nonconverged)"
 
@@ -281,6 +284,9 @@ def main(argv: Optional[list] = None) -> int:
     except (SchemaError, MrplabError, OSError, json.JSONDecodeError) as exc:
         print(f"mrplab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:  # a fault of mrplab's, never a verdict on the model
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,7 +29,8 @@ quadrature rule, iterated in two dimensions.  The exact routes and the mass
 check both take their mixing integrals from it.  Where a marginal's mass lies,
 untilted or tilted by theta**k * exp(-lam*theta), is its own `edges`, which
 seeds the initial panels of its rule: the closed-form mean and spread of the
-tilted gamma law for gamma and uniform marginals, a grid scan for beta.
+tilted gamma law for gamma and uniform marginals, a grid scan for beta.  The
+rules share one end rule, v = theta**p on a range from 0 (`Marginal.integrate`).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .quadrature import (
     integrate_half_line,
 )
 from .rng import StreamBank, UniformStream
-from .special import gamma_log_density, regularized_incomplete_gamma
+from .special import gamma_log_density, log_beta, regularized_incomplete_gamma
 
 KERNEL_FAMILIES = ("exponential", "gamma")
 
@@ -372,6 +373,10 @@ class Marginal:
         """The shapes of the gamma laws `sample_batch` draws from (`_gamma_from_bank`)."""
         return ()
 
+    def power_at_zero(self) -> float:
+        """The exponent p of the density's power x**(p-1) at 0; 1 for a density bounded there."""
+        return 1.0
+
     def edges(self, k: float = 0.0, lam: float = 0.0) -> list:
         """Panel edges, in theta, around the mass of density(theta) * theta**k * exp(-lam*theta).
 
@@ -395,21 +400,33 @@ class Marginal:
         `g` is a bounded vectorized function, scalar valued (shape (n,) on n
         nodes) or vector valued (n, m).  `tilts` lists (k, lam) pairs such
         that each component of g has the shape x**k * exp(-lam*x) for one of
-        them, so the initial panels are the union of their edges.  This rule
-        integrates in x coordinates; an unbounded support maps the half line
-        onto (0, 1) at the scale of the mean.
+        them, so the initial panels are the union of their edges.
         """
         lo, hi = self.support()
         if clip is not None:
             lo, hi = max(lo, clip[0]), min(hi, clip[1])
+        return self._integrate_range(g, cfg, lo, hi, self.tilted_edges(tilts))
 
-        def f(x):
-            return _weighted(self.density_batch(x), g(x))
+    def _integrate_range(self, g, cfg, lo, hi, edges) -> QuadratureResult:
+        """integral of density(x) * g(x) over (lo, hi), initial panel edges in x.
 
-        edges = self.tilted_edges(tilts)
+        The one end rule: a range from 0 under a density that goes like
+        x**(p-1) there with p < 1 is integrated in v = x**p, which absorbs the
+        power exactly; any other in v = x itself (p = 1, bitwise).  The half
+        line maps onto (0, 1) at the scale of the mean, in v.
+        """
+        p = min(self.power_at_zero(), 1.0) if lo == 0.0 else 1.0
+
+        def f(v):
+            with np.errstate(over="ignore", under="ignore"):  # x and its power may leave the range
+                x = v ** (1.0 / p)
+                power = x ** (1.0 - p)
+            return _weighted(self.density_batch(x) * power / p, g(x))
+
+        edges = [e**p for e in edges]
         if hi == math.inf:
-            return integrate_half_line(f, lo, self.mean(), cfg, edges)
-        return adaptive_gauss_kronrod(f, lo, hi, cfg, edges)
+            return integrate_half_line(f, lo, self.mean() ** p, cfg, edges)
+        return adaptive_gauss_kronrod(f, lo, hi**p, cfg, edges)
 
     def contains(self, x: float) -> bool:
         # open at 0, where no kernel rate or shape may lie
@@ -503,27 +520,8 @@ class GammaMarginal(Marginal):
         """The tilted density is Gamma(rate+lam, shape+k): its closed-form edges."""
         return _gamma_edges(self.rate + lam, self.shape + k)
 
-    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, tilts=((0.0, 0.0),)):
-        a = self.shape
-        if a >= 1.0:  # the density is bounded
-            return super().integrate(g, cfg, clip, tilts)
-        # v = x**a coordinates absorb the power factor of the density exactly
-        lo = 0.0 if clip is None else max(0.0, clip[0])
-        hi = math.inf if clip is None else clip[1]
-        gam = self.rate
-        const = math.exp(a * math.log(gam) - math.lgamma(a)) / a
-
-        def fv(v):
-            with np.errstate(over="ignore", under="ignore"):
-                x = v ** (1.0 / a)
-                return _weighted(const * np.exp(-gam * x), g(x))
-
-        vlo = lo**a
-        vedges = [p**a for p in self.tilted_edges(tilts)]
-        if math.isfinite(hi):
-            return adaptive_gauss_kronrod(fv, vlo, hi**a, cfg, vedges)
-        scale = max(self.mean() ** a - vlo, self.mean() ** a * 0.5)
-        return integrate_half_line(fv, vlo, scale, cfg, vedges)
+    def power_at_zero(self):
+        return self.shape
 
 
 @dataclass(frozen=True)
@@ -545,9 +543,6 @@ class BetaMarginal(Marginal):
     def mean(self):
         return self.a / (self.a + self.b)
 
-    def _log_norm(self) -> float:
-        return math.lgamma(self.a) + math.lgamma(self.b) - math.lgamma(self.a + self.b)
-
     def density_batch(self, x):
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
@@ -555,7 +550,7 @@ class BetaMarginal(Marginal):
         if inside.any():
             xi = x[inside]
             out[inside] = np.exp(
-                (self.a - 1.0) * np.log(xi) + (self.b - 1.0) * np.log1p(-xi) - self._log_norm()
+                (self.a - 1.0) * np.log(xi) + (self.b - 1.0) * np.log1p(-xi) - log_beta(self.a, self.b)
             )
         return out
 
@@ -570,46 +565,41 @@ class BetaMarginal(Marginal):
         return (self.a, self.b)
 
     def edges(self, k=0.0, lam=0.0):
-        """No closed form: the edges bracket the region where the tilted density,
-        scanned on a geometric grid between the mean and the tilt's own peak
-        k/lam, lies within a factor e**-40 of its maximum (at e**-20 the wide
-        panel beyond the cut holds about 2e-9 of the mass, more than its nodes
-        see); an end of the grid stands in for a cut it does not reach.
-        Without k or lam there are none: the density's peak lies at an end of
-        (0, 1), which the power substitutions of `integrate` resolve."""
-        if not (k > 0.0 and lam > 0.0):
-            return []
-        ref, centre = self.mean(), k / lam
-        grid = np.geomspace(min(ref, centre) * 1e-2, max(ref, centre) * 1e2, 2001)
-        grid = grid[(grid > 0.0) & (grid < 1.0)]
+        """No closed form: the edges bracket the region where the tilted density
+        lies within a factor e**-40 of its maximum (at e**-20 the wide panel
+        beyond the cut holds about 2e-9 of the mass, more than its nodes see).
+        It is scanned on two geometric grids, one in x between the mean and
+        the tilt's own peak k/lam (the mean alone without both), one in 1 - x
+        around 1 - mean, so a narrow peak near either end is seen even
+        untilted; an end of the grids stands in for a cut they do not reach."""
+        ref = self.mean()
+        centre = k / lam if k > 0.0 and lam > 0.0 else ref
+        upper = self.b / (self.a + self.b)  # 1 - mean, which does not round to 0
+        grid = np.concatenate([
+            np.geomspace(min(ref, centre) * 1e-2, max(ref, centre) * 1e2, 2001),
+            1.0 - np.geomspace(upper * 1e-2, upper * 1e2, 2001),
+        ])
+        grid = np.sort(grid[(grid > 0.0) & (grid < 1.0)])
         with np.errstate(divide="ignore"):
             logf = np.log(self.density_batch(grid)) + k * np.log(grid) - lam * grid
         top = int(np.argmax(logf))
         near = grid[logf > logf[top] - 40.0]
         return [float(near[0]), float(grid[top]), float(near[-1])]
 
-    def integrate(self, g, cfg=DEFAULT_CONFIG, clip=None, tilts=((0.0, 0.0),)):
-        lo = 0.0 if clip is None else max(0.0, clip[0])
-        hi = 1.0 if clip is None else min(1.0, clip[1])
-        if lo > 0.0 and hi < 1.0:
-            return super().integrate(g, cfg, clip, tilts)
-        # split at the midpoint and desingularize each endpoint with a power substitution
-        a, b = self.a, self.b
-        norm = math.exp(-self._log_norm())
+    def power_at_zero(self):
+        return self.a
+
+    def _integrate_range(self, g, cfg, lo, hi, edges):
+        """The end rule at 0, and at 1 too when the density goes like (1-x)**(b-1)
+        with b < 1: the part above the midpoint is then the part below it of
+        the mirror image Beta(b, a) in y = 1 - x, so the density is never
+        evaluated at an x that has rounded to 1."""
+        if self.b >= 1.0 or hi < 1.0:
+            return super()._integrate_range(g, cfg, lo, hi, edges)
         mid = 0.5 * (lo + hi)
-
-        def left(v):  # v = x**a
-            x = v ** (1.0 / a)
-            return _weighted(norm / a * (1.0 - x) ** (b - 1.0), g(x))
-
-        def right(v):  # v = (1-x)**b
-            x = 1.0 - v ** (1.0 / b)
-            return _weighted(norm / b * np.maximum(x, 0.0) ** (a - 1.0), g(x))
-
-        edges = self.tilted_edges(tilts)
-        r1 = adaptive_gauss_kronrod(left, lo**a, mid**a, cfg, [p**a for p in edges])
-        r2 = adaptive_gauss_kronrod(
-            right, (1.0 - hi) ** b, (1.0 - mid) ** b, cfg, [(1.0 - p) ** b for p in edges]
+        r1 = super()._integrate_range(g, cfg, lo, mid, edges)
+        r2 = BetaMarginal(self.b, self.a)._integrate_range(
+            lambda y: g(1.0 - y), cfg, 0.0, 1.0 - mid, [1.0 - e for e in edges]
         )
         return QuadratureResult(
             r1.value + r2.value, r1.error + r2.error, r1.n_panels + r2.n_panels,

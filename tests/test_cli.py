@@ -351,6 +351,39 @@ def test_nonfinite_or_unsimulable_input_exits_2_without_output(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_large_shape_beta_model_runs_every_command(tmp_path):
+    # (1-x)**1e4 underflows to 0 at x = 0.5; a valid model runs every command
+    model = tmp_path / "beta.json"
+    model.write_text(json.dumps({"kernel": {"family": "exponential"}, "mixing": {
+        "kind": "product_rectangle", "marginals": [{"kind": "beta", "a": 5.0, "b": 1e4}]}}))
+    sim = ["simulate", "--model", str(model), "--paths", "200", "--events", "2"]
+    assert run([*sim, "--out", str(tmp_path / "s.csv")]) == 0
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps([{"id": "w", "bounds": [[None, 1000.0]]}]))
+    out = tmp_path / "e.csv"
+    assert run(["exact", "--model", str(model), "--queries", str(queries), "--out", str(out)]) == 0
+    with open(out) as fh:
+        (row,) = csv.DictReader(fh)
+    # 1 - 1F1(5; 10005; -1000), mpmath at 40 digits
+    assert abs(float(row["probability"]) - 0.37894529783245259) <= float(row["error_estimate"])
+    report = tmp_path / "v.json"
+    code = run(["verify", "--model", str(model), "--suite", "all", "--paths", "2000",
+                "--events", "3", "--seed", "1", "--out", str(report)])
+    assert code == 0, json.loads(report.read_text())
+
+
+def test_unexpected_exception_exits_internal_with_traceback(tmp_path, capsys, monkeypatch):
+    # a fault of the program is not a rejection of the model (exit 1)
+    def broken(*args):
+        raise ValueError("broken suite")
+
+    monkeypatch.setattr(cli, "_suite", broken)
+    argv = ["verify", "--model", GH, "--suite", "counting-axioms", "--out", str(tmp_path / "v.json")]
+    assert run(argv) == cli.EXIT_INTERNAL == 5
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: broken suite" in err
+
+
 def test_verify_gamma_half_all_suites_pass(tmp_path):
     out = tmp_path / "rep.json"
     code = run(["verify", "--model", GH, "--suite", "all",

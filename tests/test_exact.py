@@ -3,6 +3,7 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +32,7 @@ from mrplab.exact import (
     joint_interarrival_probability,
 )
 from mrplab.kernels import (
+    GAMMA_SHAPE_FLOOR,
     BetaMarginal,
     DiracMixing,
     DiscreteMixing,
@@ -195,6 +197,95 @@ def test_very_large_mixing_shape_mass_is_honest(rate, shape):
 def test_example16_error_bound_is_honest(w1, w2):
     res = joint_interarrival_probability(example16_model(), BoxQuery.upper(w1, w2))
     assert abs(res.value - example16_closed_form(w1, w2)) <= max(res.error, 1e-12)
+
+
+def _uniform_box_truth(lo, hi, w):
+    """P(W_1 <= w) under U(lo, hi) mixing of an exponential kernel, mpmath at 40 digits:
+    1 - (e^(-lo w) - e^(-hi w)) / ((hi - lo) w)."""
+    with mpmath.workdps(40):
+        lo, hi, w = mpmath.mpf(lo), mpmath.mpf(hi), mpmath.mpf(w)
+        return float(1 - (mpmath.exp(-lo * w) - mpmath.exp(-hi * w)) / ((hi - lo) * w))
+
+
+def test_uniform_mixing_bounds_cover_rounding():
+    # the integrand is near a polynomial on each panel, so |K15 - G7| is about
+    # 0; the reported error must still cover the rounding of the sum
+    rng = np.random.RandomState(5)
+    lo = rng.uniform(0.05, 2.0, 480)
+    hi = lo + rng.uniform(0.1, 3.0, 480)
+    ws = rng.uniform(0.05, 10.0, 480)
+    missed = []
+    for a, b, w in zip(lo, hi, ws):
+        model = build_model(KernelSpec("exponential"), ProductRectangleMixing((UniformMarginal(a, b),)))
+        res = joint_interarrival_probability(model, BoxQuery.upper(w))
+        if abs(res.value - _uniform_box_truth(a, b, w)) > res.error:
+            missed.append((a, b, w))
+    assert missed == []
+
+
+def _log_uniform(lo, hi):
+    return hs.floats(0.0, 1.0).map(lambda t: lo * (hi / lo) ** t)
+
+
+_SHAPES = _log_uniform(GAMMA_SHAPE_FLOOR, 1e4)
+
+
+@given(
+    hs.one_of(
+        hs.builds(BetaMarginal, _SHAPES, _SHAPES),
+        hs.builds(GammaMarginal, _log_uniform(1e-3, 1e3), _SHAPES),
+        hs.builds(lambda lo, width: UniformMarginal(lo, lo + width),
+                  hs.floats(0.05, 2.0), hs.floats(0.1, 3.0)),
+    ),
+    hs.floats(1e-4, 10.0),
+)
+@example(BetaMarginal(5.0, 1e4), 1.0)
+@example(BetaMarginal(5.0, 1e4), 5e-4)
+@example(BetaMarginal(1e4, 5.0), 1e-3)
+@example(BetaMarginal(1.0, 1.0), 1.0)
+@settings(max_examples=100, deadline=None)
+def test_box_bounds_are_honest_across_marginal_shapes(marginal, x):
+    # P(W_1 <= w) under an exponential kernel is 1 - E[exp(-w theta)]: for
+    # Beta(a, b) mixing 1 - 1F1(a; a+b; -w), from mpmath at 40 digits.  A
+    # small w puts the box factor's own scale far from a narrow mixing peak
+    model = build_model(KernelSpec("exponential"), ProductRectangleMixing((marginal,)))
+    w = x / marginal.mean()
+    res = joint_interarrival_probability(model, BoxQuery.upper(w))
+    if isinstance(marginal, BetaMarginal):
+        with mpmath.workdps(40):
+            a, b = marginal.a, marginal.b
+            truth = float(1 - mpmath.hyp1f1(a, a + b, -w, maxterms=10**6))
+    elif isinstance(marginal, GammaMarginal):
+        truth = -math.expm1(-marginal.shape * math.log1p(w / marginal.rate))
+    else:
+        truth = _uniform_box_truth(marginal.lo, marginal.hi, w)
+    assert abs(res.value - truth) <= res.error
+
+
+@pytest.mark.parametrize(
+    "a, b", itertools.product((GAMMA_SHAPE_FLOOR, 0.3, 5.0, 200.0, 1e4), repeat=2)
+)
+def test_beta_mixing_builds_at_extreme_shapes(a, b):
+    # (1-x)**1e4 underflows to 0 at x = 0.5, and 1/B(a, b) overflows at
+    # (1e4, 1e4); a valid model builds all the same
+    model = build_model(KernelSpec("exponential"), ProductRectangleMixing((BetaMarginal(a, b),)))
+    assert model.mixing.marginals[0] == BetaMarginal(a, b)
+
+
+@pytest.mark.parametrize("a, b, x", [(5.0, 1e4, 1.0), (1e4, 5.0, 0.1), (1e4, 5.0, 10.0)])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_count_pmf_beta_mixing_narrow_peak_is_honest(a, b, x, n):
+    # the mixing peak is narrow and far from the first panel's nodes, and the
+    # n = 0 weight has no tilt peak of its own to place edges; truth is
+    # t**n/n! * B(a+n, b)/B(a, b) * 1F1(a+n; a+b+n; -t), mpmath at 40 digits
+    marginal = BetaMarginal(a, b)
+    t = x / marginal.mean()
+    res = count_pmf(build_model(KernelSpec("exponential"), ProductRectangleMixing((marginal,))), t, n)
+    with mpmath.workdps(40):
+        a, b, t = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(t)
+        truth = float(t**n / mpmath.factorial(n) * mpmath.beta(a + n, b) / mpmath.beta(a, b)
+                      * mpmath.hyp1f1(a + n, a + b + n, -t, maxterms=10**6))
+    assert abs(res.value - truth) <= res.error
 
 
 @pytest.mark.parametrize(
@@ -801,14 +892,17 @@ def _pinned_repr(result) -> str:
 # w**(2/s) coordinates density values by 1.9e-15; the incomplete gamma's
 # Stirling-form prefactor moved box values by at most 5.6e-17, count 1.1e-16,
 # atomic 1.4e-15 and beta_uniform 2.8e-17; each move lies within the sum of
-# the old and new reported errors
+# the old and new reported errors.  The one end rule with the beta's scanned
+# edges and Stirling-form normalisation moved beta_uniform values by at most
+# 1.8e-14 and Beta(0.7, 2.5)'s mass from 1 + 6.8e-13 to 1 + 1.3e-13; the
+# rounding floor moved only the error fields of box, count and density
 PINNED_RESULTS = {
-    "box": "72766353a2397dd6",
-    "count": "ce31c24acc52c02c",
+    "box": "ba16c7ebb2d6f67d",
+    "count": "54bf6a2d966adec6",
     "atomic": "1b9349fd5ba2d13a",
-    "beta_uniform": "9f3dbac6e52a67b0",
-    "density": "718716e369fdee57",
-    "mass": "83644713c856a88e",
+    "beta_uniform": "62b3caeb3f340cf7",
+    "density": "3068fcc4a2ee2e5d",
+    "mass": "a0b10342c4311000",
 }
 
 

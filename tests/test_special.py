@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -10,7 +11,7 @@ from scipy.integrate import quad
 
 from mrplab import special
 from mrplab.errors import AccuracyError, ParameterDomainError
-from mrplab.kernels import KernelSpec, kernel_cdf
+from mrplab.kernels import GAMMA_SHAPE_FLOOR, KernelSpec, kernel_cdf
 from mrplab.special import (
     chi_square_sf,
     kolmogorov_sf,
@@ -60,6 +61,16 @@ def test_large_shapes_match_scipy_in_the_bulk(a):
     x = a + np.linspace(-4.0, 4.0, 17) * math.sqrt(a)
     assert np.max(np.abs(regularized_incomplete_gamma(a, x) - sp.gammainc(a, x))) <= 1e-12
     assert np.max(np.abs(regularized_incomplete_gamma_upper(a, x) - sp.gammaincc(a, x))) <= 1e-12
+
+
+@pytest.mark.parametrize("b", [GAMMA_SHAPE_FLOOR, 0.3, 2.5, 15.1, 1643.0, 1e4, 1e5, 1e6])
+@pytest.mark.parametrize("a", [GAMMA_SHAPE_FLOOR, 1.0, 14.9, 200.0, 1e4, 1e6])
+def test_log_beta_matches_mpmath(a, b):
+    # lgamma(a) + lgamma(b) - lgamma(a+b) was off by 5.9e-12 at (0.0528, 1e4)
+    # and 1.5e-9 at (0.0528, 1e6)
+    with mpmath.workdps(40):
+        truth = float(mpmath.log(mpmath.beta(a, b)))
+    assert abs(special.log_beta(a, b) - truth) <= 1e-11
 
 
 def test_large_shape_kernel_cdf_matches_scipy():
