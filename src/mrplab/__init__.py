@@ -76,7 +76,7 @@ from .modelfile import (
 from .quadrature import QuadratureConfig
 from .report import VerificationReport
 from .rng import UniformStream, child_seed
-from .special import regularized_incomplete_gamma
+from .special import log_beta, regularized_incomplete_gamma
 from .stats import (
     conditional_iid_test,
     exchangeability_test,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 import traceback
@@ -289,5 +290,14 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_INTERNAL
 
 
-if __name__ == "__main__":  # pragma: no cover
+def entry() -> None:
+    """The `mrplab` command: `main` in a process of its own.  The objects made
+    at import are frozen first, out of the collector's reach, so neither its
+    passes nor the interpreter's exit sweep them; `main` alone, as tests and
+    tools call it in their own process, freezes nothing."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":  # pragma: no cover
+    entry()

@@ -56,7 +56,7 @@ from .quadrature import (
     integrate_half_line,
 )
 from .rng import StreamBank, UniformStream
-from .special import gamma_log_density, log_beta, regularized_incomplete_gamma
+from .special import beta_log_density, gamma_log_density, regularized_incomplete_gamma
 
 KERNEL_FAMILIES = ("exponential", "gamma")
 
@@ -548,10 +548,7 @@ class BetaMarginal(Marginal):
         out = np.zeros_like(x)
         inside = (x > 0.0) & (x < 1.0)
         if inside.any():
-            xi = x[inside]
-            out[inside] = np.exp(
-                (self.a - 1.0) * np.log(xi) + (self.b - 1.0) * np.log1p(-xi) - log_beta(self.a, self.b)
-            )
+            out[inside] = np.exp(beta_log_density(self.a, self.b, x[inside]))
         return out
 
     def sample_batch(self, bank):
@@ -571,13 +568,17 @@ class BetaMarginal(Marginal):
         It is scanned on two geometric grids, one in x between the mean and
         the tilt's own peak k/lam (the mean alone without both), one in 1 - x
         around 1 - mean, so a narrow peak near either end is seen even
-        untilted; an end of the grids stands in for a cut they do not reach."""
+        untilted, and on a linear grid of +-12 standard deviations around the
+        mean, finer than the geometric steps once the shapes pass about 1e4;
+        an end of the grids stands in for a cut they do not reach."""
         ref = self.mean()
         centre = k / lam if k > 0.0 and lam > 0.0 else ref
         upper = self.b / (self.a + self.b)  # 1 - mean, which does not round to 0
+        sd = math.sqrt(ref * upper / (self.a + self.b + 1.0))
         grid = np.concatenate([
             np.geomspace(min(ref, centre) * 1e-2, max(ref, centre) * 1e2, 2001),
             1.0 - np.geomspace(upper * 1e-2, upper * 1e2, 2001),
+            ref + sd * np.linspace(-12.0, 12.0, 97),
         ])
         grid = np.sort(grid[(grid > 0.0) & (grid < 1.0)])
         with np.errstate(divide="ignore"):

@@ -25,10 +25,13 @@ _MAX_ITER = 20000
 
 def per_shape(f, shapes) -> np.ndarray:
     """f(s) at every entry of the array `shapes`, one call of the scalar f per
-    distinct shape; an f that returns k numbers adds a leading axis of k."""
-    if np.ndim(shapes) == 0:
-        return np.array(f(float(shapes)))
-    uniq, inv = np.unique(np.ravel(shapes), return_inverse=True)
+    distinct shape; an f that returns k numbers adds a leading axis of k.
+    Lanes that hold one shape, a scalar's among them, are not sorted."""
+    flat = np.ravel(shapes)
+    if flat.size and (flat == flat[0]).all():
+        value = np.array(f(float(flat[0])))
+        return np.broadcast_to(value[(...,) + (None,) * np.ndim(shapes)], value.shape + np.shape(shapes))
+    uniq, inv = np.unique(flat, return_inverse=True)
     values = np.array([f(s) for s in uniq.tolist()]).T
     return np.take(values, inv, axis=-1).reshape(values.shape[:-1] + np.shape(shapes))
 
@@ -60,6 +63,36 @@ def gamma_log_density(rate, shape, x):
     return const + power - shape * (t - 1.0)
 
 
+def beta_log_density(a: float, b: float, x):
+    """log of the Beta(a, b) density at x in (0, 1), broadcast over x.
+
+    With m = a/(a+b) the mean (its rounding error carried apart, so that
+    d = x - m is exact) and Stirling's formula for log B(a, b),
+
+        log f = (a-1) log(x/m) + (b-1) log((1-x)/(1-m))
+                + [log1p(b/a) + log1p(a/b) - log(2 pi/(a+b))]/2 - R(a) - R(b) + R(a+b),
+
+    each log taken as log1p of +-d/m or d/(1-m) where x and 1-x lie within
+    half of m and 1-m: near the peak the terms are of size sqrt(a) and their
+    rounding about eps * sqrt(a).  The textbook (a-1) log x + (b-1) log1p(-x)
+    - log B(a, b) adds terms of size a |log x|, rounded to about eps * a.
+    """
+    from fractions import Fraction  # the mean to 2**-106, for beta mixings only
+
+    mean = Fraction(a) / (Fraction(a) + Fraction(b))
+    m = float(mean)
+    m1 = float(1 - mean)
+    x = np.asarray(x, dtype=np.float64)
+    d = (x - m) - float(mean - Fraction(m))
+    with np.errstate(divide="ignore", invalid="ignore"):  # log1p(-1) in the tails, replaced below
+        lx, lu = np.log1p(d / m), np.log1p(-d / m1)
+    np.copyto(lx, np.log(x / m), where=x < 0.5 * m)
+    np.copyto(lu, np.log((1.0 - x) / m1), where=1.0 - x < 0.5 * m1)
+    ra, rb, rab = (_stirling_terms(s)[1] for s in (a, b, a + b))
+    const = 0.5 * (math.log1p(b / a) + math.log1p(a / b) - math.log(2.0 * math.pi / (a + b))) - ra - rb + rab
+    return const + (a - 1.0) * lx + (b - 1.0) * lu
+
+
 def log_beta(a: float, b: float) -> float:
     """log B(a, b) in Stirling form, -(a - 1/2) log1p(b/a) - (b - 1/2) log1p(a/b)
     + log(2 pi / (a+b))/2 + R(a) + R(b) - R(a+b), so lgamma's large terms
@@ -71,18 +104,28 @@ def log_beta(a: float, b: float) -> float:
 
 def _converged(step, state: tuple, what: str) -> np.ndarray:
     """Per lane, the value at the first iteration i = 1, 2, ... whose
-    ``step(i, *state) -> (done, value, state)`` marks it done (it then leaves the state)."""
+    ``step(i, *state) -> (done, value, state)`` marks it done.  A lane's value
+    is recorded then; recorded lanes leave the state together, once they
+    make up a quarter of it, so the state is not gathered at every iteration."""
     out = np.empty(state[0].shape)
-    lanes = np.arange(out.size)
+    lanes = np.arange(out.size)  # the lane of each state entry
+    live = np.ones(out.size, dtype=bool)  # state entries not yet recorded
+    n_live = out.size
     for i in range(1, _MAX_ITER + 1):
         done, value, state = step(i, *state)
-        if np.count_nonzero(done):  # cheaper than .any() on short arrays
+        done &= live
+        n_done = np.count_nonzero(done)
+        if n_done:
             out[lanes[done]] = value[done]
-            keep = np.flatnonzero(~done)  # one index array for every gather
-            if not keep.size:
+            live &= ~done
+            n_live -= n_done
+            if not n_live:
                 return out
-            lanes = lanes[keep]
-            state = [v[keep] for v in state]
+            if 4 * (lanes.size - n_live) >= lanes.size:
+                keep = np.flatnonzero(live)  # one index array for every gather
+                lanes = lanes[keep]
+                state = [v[keep] for v in state]
+                live = np.ones(keep.size, dtype=bool)
     raise AccuracyError(
         f"incomplete gamma {what} did not converge in {_MAX_ITER} iterations", math.nan, math.inf
     )

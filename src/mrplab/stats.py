@@ -101,41 +101,54 @@ def _default_probe_boxes(w: np.ndarray, r: int) -> list[tuple]:
 
 
 # paths per block of the resampling null: a block holds its group ids, one
-# byte per path and replica, and their count-table keys
+# byte per path and replica, and sorted copies of them
 _BLOCK_PATHS = 4096
 # replicas drawn in one session of the resampling stream
 _REPLICA_CHUNK = 256
 # the most cells the probe thresholds may cut the first-r space into; the
 # null's count table holds one int64 per cell and replica of a session
 _MAX_CELLS = 1 << 14
-# the most rows a byte lane of `_cell_sums` adds: its 0/1 terms cannot carry
+# the most rows a byte lane of `_cell_counts` adds: its 0/1 terms cannot carry
 _LANE_ROWS = 255
 
 
-def _cell_sums(cell: np.ndarray, bits: np.ndarray, n_cells: int) -> np.ndarray:
-    """The (n_cells, m) int64 sums per cell of the 0/1 rows `bits` (paths, m), exactly.
+def _cell_counts(cell: np.ndarray, id_blocks, n_group: int, n_cells: int, m: int) -> np.ndarray:
+    """counts[g - 1, c, j]: the paths of cell c whose replica j draws element g, for g >= 1.
 
-    The rows, sorted by cell and padded to a multiple of 8 bytes, are read
-    as 64-bit words of eight byte lanes and added over runs of at most 255
-    rows of one cell, so no lane carries into the next; the runs of a cell
-    are then added in int64.  Integer adds only: no matrix product.
+    `id_blocks` yields the (paths, m) element ids of consecutive path blocks,
+    `cell` holds every path's cell.  Each block is sorted by cell once; for
+    each non-identity element g its 0/1 rows ``ids == g`` are read as 64-bit
+    words of eight byte lanes and added over runs of at most 255 rows of one
+    cell, so no lane carries into the next.  The runs' running totals, in
+    int64, read at each cell's first run give the paths of the cells below
+    it; their differences give each cell's count.  Integer adds only: no
+    matrix product and no key table.
     """
-    n, m = bits.shape
-    order = np.argsort(cell.astype(np.uint16), kind="stable")  # a radix sort
-    sorted_cell = cell[order]
-    rows = np.empty((n, -(-m // 8) * 8), dtype=np.uint8)
-    rows[:, m:] = 0
-    np.take(bits, order, axis=0, out=rows[:, :m], mode="clip")  # "clip" takes no buffer
-    edge = np.concatenate(([True], sorted_cell[1:] != sorted_cell[:-1]))
-    first = np.flatnonzero(edge)
-    edge[::_LANE_ROWS] = True
-    runs = np.flatnonzero(edge)
-    lanes = np.add.reduceat(rows.view("<u8"), runs).astype("<u8", copy=False)
-    sums = np.zeros((n_cells, m), dtype=np.int64)
-    sums[sorted_cell[first]] = np.add.reduceat(
-        lanes.view(np.uint8)[:, :m], np.searchsorted(runs, first), dtype=np.int64
-    )
-    return sums
+    below = np.zeros((n_group - 1, n_cells + 1, m), dtype=np.int64)
+    lo = 0
+    for ids in id_blocks:
+        n = len(ids)
+        block_cell = cell[lo : lo + n]
+        lo += n
+        order = np.argsort(block_cell.astype(np.uint16), kind="stable")  # a radix sort
+        sorted_cell = block_cell[order]
+        # the rows in cell order, padded to a multiple of 8 bytes with the
+        # identity, which no pass counts; a row is gathered as one m-byte item
+        sorted_ids = np.zeros((n, -(-m // 8) * 8), dtype=np.int8)
+        sorted_ids[:, :m] = ids.view(np.dtype((np.void, m)))[order].view(np.int8).reshape(n, m)
+        edge = np.concatenate(([True], sorted_cell[1:] != sorted_cell[:-1]))
+        edge[::_LANE_ROWS] = True
+        runs = np.flatnonzero(edge)
+        firsts = np.searchsorted(runs, np.searchsorted(sorted_cell, np.arange(n_cells + 1)))
+        rows = np.empty(sorted_ids.shape, dtype=bool)
+        upto = np.zeros((runs.size + 1, m), dtype=np.int64)
+        for g, to in enumerate(below, start=1):
+            np.equal(sorted_ids, g, out=rows)
+            lanes = np.add.reduceat(rows.view("<u8"), runs).astype("<u8", copy=False)
+            upto[1:] = lanes.view(np.uint8)[:, :m]
+            np.cumsum(upto, axis=0, out=upto)
+            to += upto[firsts]
+    return np.diff(below, axis=1)
 
 
 def _group_id_blocks(stream: UniformStream, n_paths: int, m: int, n_group: int):
@@ -297,24 +310,26 @@ def exchangeability_test(
     # the paths per moved cell and replica give every replica's box counts
     n_group = len(group)
     moved = digits[:, group] @ radix  # (cell, id) -> moved cell
+    # byte lanes while the per-element counts of a session are no larger
+    # than a block of ids; a key table per block beyond (r = 4)
+    lanes = (n_group - 1) * n_cells <= _BLOCK_PATHS
     k_null = np.empty(n_permutations)
     for done in range(0, n_permutations, _REPLICA_CHUNK):
         m = min(_REPLICA_CHUNK, n_permutations - done)
-        blocks = zip(range(0, n, _BLOCK_PATHS), _group_id_blocks(stream, n, m, n_group))
-        if n_group == 2:
-            # paths per cell that swap
-            swaps = np.zeros((n_cells, m), dtype=np.int64)
-            for lo, ids in blocks:
-                swaps += _cell_sums(cell[lo : lo + len(ids)], ids.view(np.uint8), n_cells)
-            table = ncell[:, None] - swaps
-            np.add.at(table, moved[:, 1], swaps)
+        blocks = _group_id_blocks(stream, n, m, n_group)
+        if lanes:
+            # the paths of a cell that draw element g leave it for moved[cell, g]
+            drawn = _cell_counts(cell, blocks, n_group, n_cells, m)
+            table = ncell[:, None] - drawn.sum(axis=0)
+            for g, to in enumerate(drawn, start=1):
+                table[moved[:, g]] += to  # a permutation of the cells
         else:
             # key = moved cell * m + replica, so a path's m keys fall in
             # neighbouring bins of the count table
             moved_key = (moved * m).ravel()
             cell_key = cell * n_group
             table = np.zeros(n_cells * m, dtype=np.int64)
-            for lo, ids in blocks:
+            for lo, ids in zip(range(0, n, _BLOCK_PATHS), blocks):
                 keys = moved_key[cell_key[lo : lo + len(ids), None] + ids]
                 keys += np.arange(m)
                 table += np.bincount(keys.ravel(), minlength=table.size)

@@ -1,7 +1,11 @@
 import csv
+import gc
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -136,6 +140,26 @@ def test_exact_empty_queries(tmp_path):
     out = tmp_path / "res.csv"
     assert run(["exact", "--model", E16, "--queries", str(queries), "--out", str(out)]) == 0
     assert out.read_text().splitlines() == ["query_id,probability,error_estimate,method"]
+
+
+def test_the_command_entry_freezes_import_time_objects_and_main_does_not(tmp_path):
+    # main in this process leaves the collector as it found it
+    frozen = gc.get_freeze_count()
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps([{"id": "w1", "bounds": [[None, 1.0]]}]))
+    assert run(["exact", "--model", GH, "--queries", str(queries), "--out", str(tmp_path / "r.csv")]) == 0
+    assert gc.get_freeze_count() == frozen
+    # the command's entry, in a process of its own, freezes before main runs
+    probe = ("import gc, sys\nfrom mrplab import cli\nsys.argv = ['mrplab', '--help']\n"
+             "try:\n    cli.entry()\nexcept SystemExit as exc:\n    print(exc.code, gc.get_freeze_count() > 0)")
+    src = pathlib.Path(cli.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.splitlines()[-1] == "0 True"
+    # and it is the console script's
+    pyproject = src.parent / "pyproject.toml"
+    if pyproject.exists():
+        assert 'mrplab = "mrplab.cli:entry"' in pyproject.read_text()
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-10", "nan"])

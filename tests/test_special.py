@@ -73,6 +73,27 @@ def test_log_beta_matches_mpmath(a, b):
     assert abs(special.log_beta(a, b) - truth) <= 1e-11
 
 
+@pytest.mark.parametrize("a, b", [
+    (GAMMA_SHAPE_FLOOR, 0.3), (0.7, 2.5), (5.0, 1e4), (1e4, GAMMA_SHAPE_FLOOR),
+    (1e5, 1e5), (1e6, 1e6), (1e6 + 0.1, 2e6 + 0.9),
+])
+def test_beta_log_density_matches_mpmath(a, b):
+    # within about 10 eps of the size of its terms, (a-1) |log(x/m)| and
+    # (b-1) |log((1-x)/(1-m))| for the mean m: about sqrt(a) at the peak,
+    # where the textbook form's terms are of size a |log x|
+    m, sd = a / (a + b), math.sqrt(a * b / (a + b + 1.0)) / (a + b)
+    x = np.concatenate([m + sd * np.arange(-6.0, 7.0), [m * 1e-3, 1.0 - (1.0 - m) * 1e-3]])
+    x = x[(x > 0.0) & (x < 1.0)]
+    got = special.beta_log_density(a, b, x)
+    with mpmath.workdps(40):
+        am, bm, mm = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(a) / (mpmath.mpf(a) + mpmath.mpf(b))
+        for xi, gi in zip(x.tolist(), got.tolist()):
+            xm = mpmath.mpf(xi)
+            lx, lu = (am - 1) * mpmath.log(xm / mm), (bm - 1) * mpmath.log((1 - xm) / (1 - mm))
+            truth = lx + lu + (am - 1) * mpmath.log(mm) + (bm - 1) * mpmath.log(1 - mm) - mpmath.log(mpmath.beta(am, bm))
+            assert abs(gi - float(truth)) <= 2e-15 * (1.0 + abs(float(lx)) + abs(float(lu)) + abs(float(truth)))
+
+
 def test_large_shape_kernel_cdf_matches_scipy():
     # Gamma(2, 1e5) at its mean, where the textbook prefactor was off by 1.9e-10
     cdf = kernel_cdf(KernelSpec("gamma", shape=1e5), 1, 2.0, 0.5e5)
@@ -141,6 +162,34 @@ def test_shape_and_argument_broadcast():
     assert np.max(np.abs(p - sp.gammainc(a, x))) < 1e-12
     assert isinstance(regularized_incomplete_gamma(2.0, 1.0), float)
     assert regularized_incomplete_gamma(np.array([1.0, 2.0]), 0.5).shape == (2,)
+
+
+def test_converged_keeps_each_lanes_first_value_and_gathers_in_batches():
+    # lane k is done from iteration due[k] on, and its value keeps changing
+    # after that; the state is gathered only once a quarter of it is done
+    due = np.array([3, 1, 7, 7, 2, 40, 9, 3, 5, 12, 1, 30])
+    sizes = []
+
+    def step(i, lane):
+        sizes.append(lane.size)
+        return due[lane] <= i, 100.0 * i + lane, (lane,)
+
+    out = special._converged(step, (np.arange(due.size),), "test")
+    assert out.tolist() == (100.0 * due + np.arange(due.size)).tolist()
+    assert len(sizes) == due.max() and len(set(sizes)) < len(set(due.tolist()))
+    assert sizes == sorted(sizes, reverse=True)
+
+
+def test_per_shape_takes_one_shape_without_a_sort(monkeypatch):
+    shapes = np.full((3, 1000), 0.5)
+    mixed = np.array([[0.5, 2.0, 0.5], [7.5, 2.0, 0.5]])
+    expected = special.per_shape(special._stirling_terms, mixed)
+    monkeypatch.setattr(special.np, "unique", None)  # a sort would raise here
+    one = special.per_shape(special._stirling_terms, shapes)
+    assert one.shape == (2, 3, 1000)
+    assert (one == np.array(special._stirling_terms(0.5))[:, None, None]).all()
+    assert np.array_equal(special.per_shape(special._stirling_terms, 0.5), expected[:, 0, 0])
+    assert np.array_equal(special.per_shape(math.lgamma, np.full(4, 2.0)), [0.0] * 4)
 
 
 @pytest.mark.parametrize("x", [3.0, 30.0])  # series branch, continued-fraction branch

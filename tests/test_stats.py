@@ -37,7 +37,7 @@ from mrplab.kernels import (
 from mrplab.modelfile import load_bundled_model
 from mrplab.rng import UniformStream
 from mrplab.stats import (
-    _cell_sums,
+    _cell_counts,
     _default_probe_boxes,
     _group_id_blocks,
     _merge_bins,
@@ -376,8 +376,9 @@ def test_exchangeability_does_not_depend_on_block_size(monkeypatch):
 @pytest.mark.parametrize("r", [2, 3])
 def test_exchangeability_memory_is_bounded_by_a_path_block(r):
     # the null never holds a paths x replicas array: at 1e5 paths its
-    # traced peak stays far below one float32 mask of 1e5 x 199 (76 MiB),
-    # both in the per-cell byte-lane sums of r = 2 and the count tables of r = 3
+    # traced peak stays far below one float32 mask of 1e5 x 199 (76 MiB);
+    # the per-cell byte-lane counts of r = 2 and 3 hold a block's ids, their
+    # sorted copy and one int64 count per cell, replica and element
     model, _meta = load_bundled_model("gamma_half")
     ens = simulate_ensemble(model, 100_000, r, root_seed=1)
     tracemalloc.start()
@@ -387,6 +388,33 @@ def test_exchangeability_memory_is_bounded_by_a_path_block(r):
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+def test_exchangeability_r3_null_adds_no_key_table(monkeypatch):
+    # r = 3 on the default 64 cells counts in byte lanes: one bincount, the
+    # observed paths per cell; r = 4 (256 cells, 23 moving elements) still
+    # adds a key table per path block
+    calls, real = [], np.bincount
+
+    def bincount(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stats.np, "bincount", bincount)
+    ens = _bundled_ensemble("gamma_half")
+    exchangeability_test(ens, r=3)
+    assert len(calls) == 1
+    exchangeability_test(ens, r=4)
+    assert len(calls) > 2
+
+
+def test_exchangeability_draws_pinned_at_the_verdict_edge():
+    # expgamma at 1e5 paths, seed 1002, r = 3 sits at p = 0.01 exactly, one
+    # replica at or above the statistic: any change to the draws or the
+    # counts from them can turn this pass into a fail
+    model = build_model(KernelSpec("exponential", RateMap(1.0, 0.0)), GammaMixing(2.0, 1.5))
+    rep = exchangeability_test(simulate_ensemble(model, 100_000, 3, 1002), r=3)
+    assert rep.p_value == 0.01 and rep.passed
 
 
 # the quantile sets the package takes: pooled probe quartiles, the 5x5 grid's
@@ -416,22 +444,27 @@ def test_distinct_sorted_equals_unique():
 
 @pytest.mark.parametrize("n,m,n_cells", [(1, 1, 1), (7, 3, 4), (600, 199, 36), (300, 256, 1089), (999, 9, 2)])
 def test_cell_sums_equal_a_per_path_count(n, m, n_cells):
+    # the counts per cell, replica and non-identity element of `_cell_counts`,
+    # over two path blocks, against one add per path and replica
     rng = np.random.default_rng(n + m)
     cell = rng.integers(0, n_cells, n)
-    bits = rng.integers(0, 2, (n, m), dtype=np.uint8)
-    expected = np.zeros((n_cells, m), dtype=np.int64)
-    np.add.at(expected, cell, bits)
-    assert np.array_equal(_cell_sums(cell, bits, n_cells), expected)
+    for n_group in (2, 6):
+        ids = rng.integers(0, n_group, (n, m), dtype=np.int8)
+        expected = np.zeros((n_group, n_cells, m), dtype=np.int64)
+        np.add.at(expected, (ids, cell[:, None], np.arange(m)), 1)
+        blocks = [b for b in np.array_split(ids, 2) if len(b)]
+        assert np.array_equal(_cell_counts(cell, blocks, n_group, n_cells, m), expected[1:])
 
 
 def test_cell_sums_do_not_overflow_a_lane():
-    # 70,000 rows of ones in one cell: far more than one byte, or one
+    # 70,000 rows of one element in one cell: far more than one byte, or one
     # 16-bit lane, can hold
-    bits = np.ones((70_000, 13), dtype=np.uint8)
-    bits[::7, 4] = 0
-    sums = _cell_sums(np.full(70_000, 2), bits, 3)
-    assert sums[2].tolist() == [70_000] * 4 + [60_000] + [70_000] * 8
-    assert not sums[:2].any()
+    ids = np.full((70_000, 13), 3, dtype=np.int8)
+    ids[::7, 4] = 5
+    counts = _cell_counts(np.full(70_000, 2), [ids], 6, 3, 13)
+    assert counts[2, 2].tolist() == [70_000] * 4 + [60_000] + [70_000] * 8
+    assert counts[4, 2].tolist() == [0] * 4 + [10_000] + [0] * 8
+    assert not counts[[0, 1, 3]].any() and not counts[:, :2].any()
 
 
 def test_exchangeability_probe_threshold_limits():
